@@ -17,7 +17,7 @@ from .pipeline import (
     ingest_vectors,
     verify,
 )
-from .providers import GenerationRequest, ProviderConfig, embed_text, generate_samples, mock_embed
+from .providers import ProviderConfig, embed_text, mock_embed
 from .scorematrix import (
     ConfidenceThresholds,
     MatrixSummary,
@@ -32,7 +32,6 @@ __all__ = [
     "ConfidenceThresholds",
     "EmbedderConfig",
     "Embedding",
-    "GenerationRequest",
     "GeneratorConfig",
     "MatrixSummary",
     "ProviderConfig",
@@ -44,7 +43,6 @@ __all__ = [
     "chunk_document",
     "cosine",
     "embed_text",
-    "generate_samples",
     "heatmap_data",
     "ingest_vectors",
     "mock_embed",

@@ -74,7 +74,7 @@ class RunConfig:
             raise ConfigError("measure must be 'cosine' or 'pearson'")
 
 
-def _provider_from(obj: dict, base: Path, max_concurrency: int) -> ProviderConfig:
+def _provider_from(obj: dict, max_concurrency: int) -> ProviderConfig:
     return ProviderConfig(
         base_url=obj["base_url"],
         api_key_env=obj.get("api_key_env"),
@@ -100,7 +100,7 @@ def load_config(path: Path | str) -> RunConfig:
         gen = obj["generation"]
         generation = GeneratorConfig(
             model_id=gen["model_id"],
-            provider=_provider_from(gen, base, max_concurrency),
+            provider=_provider_from(gen, max_concurrency),
             temperature=float(gen.get("temperature", 1.0)),
             max_tokens=int(gen.get("max_tokens", 1024)),
             top_p=gen.get("top_p"),
@@ -116,7 +116,7 @@ def load_config(path: Path | str) -> RunConfig:
             embedding = EmbedderConfig(
                 kind="http",
                 model_id=emb["model_id"],
-                provider=_provider_from(emb, base, max_concurrency),
+                provider=_provider_from(emb, max_concurrency),
             )
         thresholds_obj = obj.get("thresholds", {})
         thresholds = ConfidenceThresholds(
@@ -220,15 +220,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    read = evalmod.read_passages_jsonl if task == "wikibio" else evalmod.read_binary_jsonl
+    records = read(args.dataset)
+    if scorer is not None:
+        for r in records:
+            if len(r.samples) < k:
+                raise evalmod.InsufficientSamples(
+                    f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
+                )
+
     if task == "wikibio":
-        records = evalmod.read_passages_jsonl(args.dataset)
         gold = [evalmod.passage_score(r.labels) for r in records]
         if scorer is not None:
-            for r in records:
-                if len(r.samples) < k:
-                    raise evalmod.InsufficientSamples(
-                        f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
-                    )
             predicted = [scorer(r.samples[:k]) for r in records]
         else:
             predicted = [
@@ -257,14 +260,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"{'pearson_pct':<14} {pe:>8.1f}")
         print(f"{'spearman_pct':<14} {sp:>8.1f}")
     else:
-        if scorer is None:
-            raise ConfigError("the judge scheme is only wired for the wikibio task")
-        records = evalmod.read_binary_jsonl(args.dataset)
-        for r in records:
-            if len(r.samples) < k:
-                raise evalmod.InsufficientSamples(
-                    f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
-                )
+        # _record_scorer rejects the judge scheme for this task, so scorer is set.
         scores = [scorer(r.samples[:k]) for r in records]
         labels = [r.label for r in records]
         sweep = evalmod.threshold_sweep(

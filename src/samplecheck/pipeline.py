@@ -87,6 +87,12 @@ class GeneratorConfig:
     top_p: float | None = None
     top_k: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+
 
 @dataclass(frozen=True)
 class EmbedderConfig:
@@ -312,12 +318,12 @@ def verify(
         meta = {"generated_at": _now_iso()}
 
     # Ground truth is caller input, not generated: refresh the cache if the
-    # text changed since the last run.
+    # text changed since the last run, dropping the GT embedding of every
+    # embedder, not only the current one.
     if gt is not None and cache is not None:
         if cache.load_text("gt") != gt:
             cache.store_text("gt", gt)
-            stale = cache.embedding_path(embed_cfg.effective_model_id, "gt")
-            if stale.exists():
+            for stale in cache.dir.glob("embeddings/*/gt.json"):
                 stale.unlink()
 
     # Stage 2: embed replies and ground truth.

@@ -14,7 +14,6 @@ import os
 import random
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,27 +79,6 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    """One sampling job: k independent completions of the same prompt."""
-
-    prompt: str
-    k: int
-    model_id: str
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = 1024
-    top_p: float | None = None
-    top_k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
 
 
 def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:
@@ -181,32 +159,6 @@ def complete_once(
     if not isinstance(text, str):
         raise MalformedResponse("completion content is not a string")
     return text
-
-
-def generate_samples(req: GenerationRequest, cfg: ProviderConfig) -> list[str]:
-    """Sample k independent replies; output order equals sample index order.
-
-    Each reply comes from its own completion call, so no reply has knowledge
-    of any other. Calls run concurrently up to cfg.max_concurrency; results
-    are keyed by index, so ordering is deterministic regardless of completion
-    order.
-    """
-
-    def one(_: int) -> str:
-        return complete_once(
-            req.prompt,
-            cfg,
-            model_id=req.model_id,
-            temperature=req.temperature,
-            max_tokens=req.max_tokens,
-            top_p=req.top_p,
-            top_k=req.top_k,
-        )
-
-    if req.k == 1:
-        return [one(0)]
-    with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, req.k)) as pool:
-        return list(pool.map(one, range(req.k)))
 
 
 def embed_text(text: str, cfg: ProviderConfig, model_id: str) -> Embedding:

@@ -9,14 +9,13 @@ so appending a GT never changes them; GT alignment is reported separately.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .errors import SampleCheckError
-from .vectors import Embedding, cosine, pearson
+from .vectors import Embedding, _paired, _prepared, cosine, pearson
 
 Measure = Literal["cosine", "pearson"]
 Verdict = Literal["HighConfidence", "Inspect"]
@@ -130,15 +129,15 @@ def build_matrix(
     embeddings: Sequence[Embedding],
     gt: Embedding | None = None,
     measure: str = "cosine",
-    *,
-    parallel: bool = False,
 ) -> SimilarityMatrix:
     """Score every unordered pair once and mirror into a symmetric matrix.
 
-    Exactly n(n-1)/2 kernel evaluations are performed (the unit diagonal is
-    definitional, not computed). With parallel=True the pairs are evaluated
-    on a thread pool; each result lands in its fixed (i, j) slot, so output
-    is bit-identical to sequential evaluation.
+    Each row is prepared once (centred for Pearson, scaled by its largest
+    magnitude, squared norm taken) and each unordered pair is then scored
+    from the two prepared rows, so every off-diagonal entry equals
+    MEASURES[measure](items[i], items[j]) bit for bit. The unit diagonal is
+    definitional, not computed. A degenerate row raises PairwiseKernelError
+    naming the first failing pair in row-major order.
     """
     k = len(embeddings)
     if k < 2:
@@ -157,32 +156,21 @@ def build_matrix(
 
     items: list[Embedding] = list(embeddings) + ([gt] if gt is not None else [])
     labels = tuple(str(i) for i in range(k)) + ((GT_LABEL,) if gt is not None else ())
-    n = len(items)
-    kernel = MEASURES[measure]
-    out = np.eye(n, dtype=np.float64)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def score(pair: tuple[int, int]) -> float:
-        i, j = pair
+    centred = measure == "pearson"
+    rows = []
+    for i, item in enumerate(items):
         try:
-            return kernel(items[i], items[j])
+            rows.append(_prepared(item.values, dim, centred))
         except SampleCheckError as exc:
-            raise PairwiseKernelError(pair, exc) from exc
-
-    if parallel and len(pairs) > 1:
-        with ThreadPoolExecutor() as pool:
-            values = list(pool.map(score, pairs))
-    else:
-        values = [score(p) for p in pairs]
-    for (i, j), v in zip(pairs, values):
-        out[i, j] = v
-        out[j, i] = v
+            # In row-major order the first pair touching row i is (0, i),
+            # or (0, 1) when i is 0.
+            raise PairwiseKernelError((0, max(i, 1)), exc) from exc
+    n = len(rows)
+    out = np.eye(n, dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = _paired(rows[i], rows[j])
     return SimilarityMatrix(entries=out, labels=labels, measure=measure)
-
-
-def _fsum_mean(values: Iterable[float]) -> tuple[float, int]:
-    vals = list(values)
-    return math.fsum(vals) / len(vals), len(vals)
 
 
 def summarize(
@@ -198,15 +186,15 @@ def summarize(
     r = matrix.reply_count
     if r < 2:
         raise DegenerateMatrix("summary needs at least 2 reply rows")
-    a = matrix.entries
-    offdiag = [float(a[i, j]) for i in range(r) for j in range(i + 1, r)]
-    mean, n_pairs = _fsum_mean(offdiag)
-    var = math.fsum((v - mean) ** 2 for v in offdiag) / n_pairs
-    std = math.sqrt(var)
-    frob = math.sqrt(math.fsum(float(a[i, j]) ** 2 for i in range(r) for j in range(r))) / r
+    block = matrix.entries[:r, :r]
+    # Python floats throughout: numpy's elementwise ** 2 can round differently.
+    offdiag = block[np.triu_indices(r, 1)].tolist()
+    mean = math.fsum(offdiag) / len(offdiag)
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in offdiag) / len(offdiag))
+    frob = math.sqrt(math.fsum(v ** 2 for v in block.ravel().tolist())) / r
     gt_alignment: float | None = None
     if matrix.has_gt:
-        gt_alignment, _ = _fsum_mean(float(a[i, r]) for i in range(r))
+        gt_alignment = math.fsum(matrix.entries[:r, r].tolist()) / r
     verdict: Verdict = (
         "HighConfidence"
         if mean > thresholds.mean_min and std < thresholds.std_max

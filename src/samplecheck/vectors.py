@@ -91,6 +91,33 @@ def _clamp(x: float) -> float:
     return max(-1.0, min(1.0, x))
 
 
+def _prepared(x: np.ndarray, dim: int, centred: bool) -> tuple[np.ndarray, float]:
+    """Per-vector half of cosine/pearson: the (centred) vector scaled by its
+    largest magnitude, so its squared norm stays in [1, dim], and that norm.
+
+    Raises DimensionMismatch when x.size != dim, ZeroVector (cosine) or
+    ConstantVector (pearson) when the scaled vector would be all zeros.
+    """
+    if x.size != dim:
+        raise DimensionMismatch(f"dims differ: {x.size} vs {dim}")
+    if centred:
+        if x.size < 2:
+            raise DimensionMismatch("pearson needs at least 2 values per sequence")
+        x = x - x.mean()
+    m = float(np.max(np.abs(x)))
+    if m == 0.0:
+        if centred:
+            raise ConstantVector("pearson correlation is undefined for a constant sequence")
+        raise ZeroVector("cosine similarity is undefined for zero-norm vectors")
+    x = x / m
+    return x, float(np.dot(x, x))
+
+
+def _paired(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """Pair half of cosine/pearson over two _prepared vectors, clamped to [-1, 1]."""
+    return _clamp(float(np.dot(x[0], y[0])) / float(np.sqrt(x[1] * y[1])))
+
+
 def cosine(a: VectorLike, b: VectorLike) -> float:
     """Cosine similarity of two equal-dimension vectors, clamped to [-1, 1].
 
@@ -101,18 +128,7 @@ def cosine(a: VectorLike, b: VectorLike) -> float:
     """
     x = _as_array(a)
     y = _as_array(b)
-    if x.size != y.size:
-        raise DimensionMismatch(f"dims differ: {x.size} vs {y.size}")
-    mx = float(np.max(np.abs(x)))
-    my = float(np.max(np.abs(y)))
-    if mx == 0.0 or my == 0.0:
-        raise ZeroVector("cosine similarity is undefined for zero-norm vectors")
-    x = x / mx
-    y = y / my
-    dot = float(np.dot(x, y))
-    nx = float(np.dot(x, x))
-    ny = float(np.dot(y, y))
-    return _clamp(dot / float(np.sqrt(nx * ny)))
+    return _paired(_prepared(x, y.size, False), _prepared(y, x.size, False))
 
 
 def pearson(a: VectorLike, b: VectorLike) -> float:
@@ -123,21 +139,7 @@ def pearson(a: VectorLike, b: VectorLike) -> float:
     """
     x = _as_array(a)
     y = _as_array(b)
-    if x.size != y.size:
-        raise DimensionMismatch(f"dims differ: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise DimensionMismatch("pearson needs at least 2 values per sequence")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    mx = float(np.max(np.abs(xc)))
-    my = float(np.max(np.abs(yc)))
-    if mx == 0.0 or my == 0.0:
-        raise ConstantVector("pearson correlation is undefined for a constant sequence")
-    xc = xc / mx
-    yc = yc / my
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    return _clamp(float(np.dot(xc, yc)) / float(np.sqrt(sxx * syy)))
+    return _paired(_prepared(x, y.size, True), _prepared(y, x.size, True))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -199,6 +199,25 @@ class TestEvalCommand:
         assert main(args) == 0
         assert report.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "task, line",
+        [
+            ("wikibio", '{"id":"short","sentences":["a"],"labels":["accurate"],"samples":["s","t"]}'),
+            ("ragtruth", '{"id":"short","response":"a","label":"faithful","samples":["s","t"]}'),
+        ],
+    )
+    def test_too_few_samples_exit_one(self, stub, tmp_path, capsys, task, line):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(line + "\n")
+        config = write_config(tmp_path, stub, k=3)
+        code = main(
+            ["eval", "--config", str(config), "--dataset", str(dataset),
+             "--scheme", "checkembed", "--task", task]
+        )
+        assert code == 1
+        assert "record 'short' has 2 samples, need k=3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"eval_{task}_checkembed.json").exists()
+
     def test_unknown_scheme_exit_one_lists_valid(self, stub, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text('{"id":"x","sentences":["a"],"labels":["accurate"],"samples":["s","t"]}\n')

@@ -128,6 +128,22 @@ class TestVerify:
         second = verify("p", "totally different words", 2, gen_cfg(stub), MOCK, cache_dir=cache)
         assert second.summary.gt_alignment < 0.5
 
+    def test_changed_gt_invalidates_gt_embedding_of_every_embedder(self, stub, tmp_path):
+        stub.state.chat_replies = ["x y z"]
+        embed_a = MOCK
+        embed_b = EmbedderConfig(kind="mock", dim=4096, seed=1)
+        cache = tmp_path / "cache"
+        verify("p", "x y z", 2, gen_cfg(stub), embed_b, cache_dir=cache)
+        verify("p", "totally different words", 2, gen_cfg(stub), embed_a, cache_dir=cache)
+        # embedder B's cached GT vector still encodes "x y z"; reusing it
+        # would report an alignment of 1.0
+        third = verify("p", "totally different words", 2, gen_cfg(stub), embed_b,
+                       cache_dir=cache)
+        fresh = verify("p", "totally different words", 2, gen_cfg(stub), embed_b,
+                       cache_dir=tmp_path / "fresh")
+        assert third.summary == fresh.summary
+        assert third.summary.gt_alignment < 0.5
+
     def test_partial_failure_lists_indices(self, stub, tmp_path):
         # First two requests succeed, every later one returns HTTP 500, so
         # with sequential concurrency only sample index 2 fails.

@@ -6,17 +6,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from samplecheck.pipeline import EmbedderConfig, GeneratorConfig, verify
 from samplecheck.providers import (
     AuthError,
     DimMismatch,
     EmptyText,
-    GenerationRequest,
     MalformedResponse,
     PRESET_DIMS,
     ProviderConfig,
     TransportError,
+    complete_once,
     embed_text,
-    generate_samples,
     mock_embed,
 )
 from samplecheck.vectors import cosine
@@ -29,34 +29,40 @@ def cfg_for(stub, **kwargs) -> ProviderConfig:
     return ProviderConfig(**defaults)
 
 
+def run_verify(stub, k, tmp_path, max_concurrency=1):
+    gen = GeneratorConfig(model_id="m", provider=cfg_for(stub))
+    mock = EmbedderConfig(kind="mock", dim=64, seed=0)
+    cache = tmp_path / "cache"
+    report = verify("hi", None, k, gen, mock, cache_dir=cache,
+                    max_concurrency=max_concurrency)
+    samples = cache / report.prompt_id / "samples"
+    return [(samples / f"{i}.txt").read_text(encoding="utf-8") for i in range(k)]
+
+
 class TestGenerateSamples:
+    """Sampling over the chat endpoint: complete_once on the wire, and the
+    per-index fan-out of verify that calls it once per sample."""
+
     def test_single_sample(self, stub):
         stub.state.chat_replies = ["A"]
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
-        assert generate_samples(req, cfg_for(stub)) == ["A"]
+        assert complete_once("hi", cfg_for(stub), model_id="m") == "A"
 
-    def test_three_samples_in_index_order(self, stub):
+    def test_three_samples_in_index_order(self, stub, tmp_path):
         stub.state.chat_replies = ["A", "B", "C"]
-        req = GenerationRequest(prompt="hi", k=3, model_id="m")
-        assert generate_samples(req, cfg_for(stub)) == ["A", "B", "C"]
+        assert run_verify(stub, 3, tmp_path) == ["A", "B", "C"]
 
-    def test_ten_samples(self, stub):
+    def test_ten_samples(self, stub, tmp_path):
         stub.state.chat_replies = [f"reply {i}" for i in range(10)]
-        req = GenerationRequest(prompt="define the term", k=10, model_id="m")
-        out = generate_samples(req, cfg_for(stub, max_concurrency=4))
-        assert len(out) == 10
+        out = run_verify(stub, 10, tmp_path, max_concurrency=4)
         assert sorted(out) == sorted(f"reply {i}" for i in range(10))
 
-    def test_one_call_per_sample(self, stub):
-        req = GenerationRequest(prompt="hi", k=5, model_id="m")
-        generate_samples(req, cfg_for(stub))
+    def test_one_call_per_sample(self, stub, tmp_path):
+        run_verify(stub, 5, tmp_path)
         assert stub.state.chat_calls == 5
 
     def test_request_shape(self, stub):
-        req = GenerationRequest(
-            prompt="hi", k=1, model_id="m", temperature=0.7, max_tokens=9, top_p=0.5
-        )
-        generate_samples(req, cfg_for(stub))
+        complete_once("hi", cfg_for(stub), model_id="m", temperature=0.7, max_tokens=9,
+                      top_p=0.5, top_k=40)
         path, _, body = stub.state.requests[0]
         assert path.endswith("/chat/completions")
         assert body == {
@@ -66,68 +72,72 @@ class TestGenerateSamples:
             "max_tokens": 9,
             "n": 1,
             "top_p": 0.5,
+            "top_k": 40,
         }
 
-    def test_default_temperature_is_one(self):
-        assert GenerationRequest(prompt="p", k=1, model_id="m").temperature == 1.0
+    def test_default_temperature_is_one(self, stub):
+        assert GeneratorConfig(model_id="m", provider=cfg_for(stub)).temperature == 1.0
+        complete_once("hi", cfg_for(stub), model_id="m")
+        assert stub.state.requests[0][2]["temperature"] == 1.0
 
     def test_retries_then_succeeds(self, stub):
         stub.state.fail_statuses = [500, 500]
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
-        assert generate_samples(req, cfg_for(stub)) == ["A"]
+        assert complete_once("hi", cfg_for(stub), model_id="m") == "A"
         assert len(stub.state.requests) == 3
 
     def test_transport_error_after_retries(self, stub):
         stub.state.fail_statuses = [500] * 10
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
         with pytest.raises(TransportError):
-            generate_samples(req, cfg_for(stub))
+            complete_once("hi", cfg_for(stub), model_id="m")
         assert len(stub.state.requests) == 3  # initial + 2 retries
 
     def test_auth_error_not_retried(self, stub):
         stub.state.fail_statuses = [401]
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
         with pytest.raises(AuthError):
-            generate_samples(req, cfg_for(stub))
+            complete_once("hi", cfg_for(stub), model_id="m")
         assert len(stub.state.requests) == 1
 
     def test_malformed_json(self, stub):
         stub.state.raw_body = b"not json"
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
         with pytest.raises(MalformedResponse):
-            generate_samples(req, cfg_for(stub))
+            complete_once("hi", cfg_for(stub), model_id="m")
 
     def test_missing_choices(self, stub):
         stub.state.raw_body = b'{"unexpected": true}'
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
         with pytest.raises(MalformedResponse):
-            generate_samples(req, cfg_for(stub))
+            complete_once("hi", cfg_for(stub), model_id="m")
 
     def test_api_key_header_sent(self, stub, monkeypatch):
         monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
-        generate_samples(req, cfg_for(stub, api_key_env="TEST_STUB_KEY"))
+        complete_once("hi", cfg_for(stub, api_key_env="TEST_STUB_KEY"), model_id="m")
         _, headers, _ = stub.state.requests[0]
         assert headers.get("Authorization") == "Bearer sekrit"
 
     def test_missing_api_key_env(self, stub, monkeypatch):
         monkeypatch.delenv("TEST_MISSING_KEY", raising=False)
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
         with pytest.raises(AuthError):
-            generate_samples(req, cfg_for(stub, api_key_env="TEST_MISSING_KEY"))
+            complete_once("hi", cfg_for(stub, api_key_env="TEST_MISSING_KEY"), model_id="m")
 
     def test_debug_logs_redact_api_key(self, stub, monkeypatch, caplog):
         monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
-        req = GenerationRequest(prompt="hi", k=1, model_id="m")
         with caplog.at_level("DEBUG", logger="samplecheck.providers"):
-            generate_samples(req, cfg_for(stub, api_key_env="TEST_STUB_KEY"))
+            complete_once("hi", cfg_for(stub, api_key_env="TEST_STUB_KEY"), model_id="m")
         logged = " ".join(r.getMessage() for r in caplog.records)
         assert "<redacted>" in logged
         assert "sekrit" not in logged
 
-    def test_k_validation(self):
+    def test_k_validation(self, stub, tmp_path):
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                run_verify(stub, k, tmp_path)
+        assert stub.state.requests == []
+
+    def test_sampling_settings_validation(self, stub):
         with pytest.raises(ValueError):
-            GenerationRequest(prompt="p", k=0, model_id="m")
+            GeneratorConfig(model_id="m", provider=cfg_for(stub), temperature=-0.1)
+        with pytest.raises(ValueError):
+            GeneratorConfig(model_id="m", provider=cfg_for(stub), max_tokens=0)
+        GeneratorConfig(model_id="m", provider=cfg_for(stub), temperature=0.0, max_tokens=1)
 
 
 class TestEmbedText:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from samplecheck.errors import SampleCheckError
 from samplecheck.scorematrix import (
+    MEASURES,
     ConfidenceThresholds,
     DegenerateMatrix,
     PairwiseKernelError,
@@ -18,7 +21,8 @@ from samplecheck.scorematrix import (
     heatmap_data,
     summarize,
 )
-from samplecheck.vectors import Embedding, cosine, pearson
+from samplecheck.vectors import ConstantVector, Embedding, ZeroVector, cosine, pearson
+from test_acceptance import oracle_cosine, oracle_pearson
 
 
 def embs(rows, model="test"):
@@ -27,6 +31,17 @@ def embs(rows, model="test"):
 
 def random_embeddings(rng, k, dim):
     return embs(rng.normal(size=(k, dim)))
+
+
+def reference_summary(m):
+    """summarize's statistics as plain index loops over Python floats."""
+    r, a = m.reply_count, m.entries
+    offdiag = [float(a[i, j]) for i in range(r) for j in range(i + 1, r)]
+    mean = math.fsum(offdiag) / len(offdiag)
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in offdiag) / len(offdiag))
+    frob = math.sqrt(math.fsum(float(a[i, j]) ** 2 for i in range(r) for j in range(r))) / r
+    gt = math.fsum(float(a[i, r]) for i in range(r)) / r if m.has_gt else None
+    return frob, mean, std, gt
 
 
 class TestBuildMatrix:
@@ -88,14 +103,6 @@ class TestBuildMatrix:
         assert np.all(np.diag(m.entries) == 1.0)
         assert np.abs(m.entries).max() <= 1.0
 
-    def test_parallel_bit_identical(self):
-        rng = np.random.default_rng(10)
-        items = random_embeddings(rng, 6, 16)
-        gt = Embedding(rng.normal(size=16), model_id="test")
-        seq = build_matrix(items, gt)
-        par = build_matrix(items, gt, parallel=True)
-        assert np.array_equal(seq.entries, par.entries)
-
     def test_permutation_equivariant(self):
         rng = np.random.default_rng(11)
         items = random_embeddings(rng, 5, 8)
@@ -105,20 +112,63 @@ class TestBuildMatrix:
         reordered = base.entries[np.ix_(perm, perm)]
         assert np.array_equal(permuted.entries, reordered)
 
-    def test_exactly_one_kernel_call_per_unordered_pair(self, monkeypatch):
-        from samplecheck import scorematrix as sm
+    @given(
+        st.integers(2, 7),
+        st.integers(2, 24),
+        st.integers(0, 2**31),
+        st.sampled_from(sorted(MEASURES)),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_entries_equal_kernel_and_oracles(self, k, dim, seed, measure, with_gt, duplicate):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+        if duplicate:
+            rows[rng.integers(1, k)] = rows[0]
+        items = embs(rows)
+        gt = Embedding(rng.normal(size=dim), model_id="gt-model") if with_gt else None
+        m = build_matrix(items, gt, measure)
+        everything = items + ([gt] if gt is not None else [])
+        kernel = MEASURES[measure]
+        oracle = {"cosine": oracle_cosine, "pearson": oracle_pearson}[measure]
+        for i, a in enumerate(everything):
+            for j, b in enumerate(everything):
+                if i == j:
+                    assert m.entries[i, j] == 1.0
+                    continue
+                assert m.entries[i, j] == kernel(a, b)
+                assert abs(m.entries[i, j] - oracle(a.tolist(), b.tolist())) < 1e-9
 
-        calls = []
-        real = sm.MEASURES["cosine"]
-        monkeypatch.setitem(sm.MEASURES, "cosine", lambda a, b: (calls.append(1), real(a, b))[1])
-        rng = np.random.default_rng(16)
-        for k, with_gt in [(2, False), (5, False), (4, True)]:
-            calls.clear()
-            items = random_embeddings(rng, k, 6)
-            gt = Embedding(rng.normal(size=6), model_id="test") if with_gt else None
-            build_matrix(items, gt)
-            n = k + (1 if with_gt else 0)
-            assert len(calls) == n * (n - 1) // 2
+    @pytest.mark.parametrize(
+        "rows, with_gt_row, measure",
+        [
+            ([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], False, "cosine"),
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], False, "cosine"),
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]], True, "cosine"),
+            ([[2.0, 2.0, 2.0], [1.0, 2.0, 3.0], [4.0, 5.0, 7.0]], False, "pearson"),
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0], [0.5, 0.5, 0.5]], False, "pearson"),
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0], [3.0, 3.0, 3.0]], True, "pearson"),
+        ],
+    )
+    def test_kernel_error_names_first_failing_pair(self, rows, with_gt_row, measure):
+        items = embs(rows)
+        replies, gt = (items[:-1], items[-1]) if with_gt_row else (items, None)
+        kernel = MEASURES[measure]
+
+        def first_failure():
+            for i, j in itertools.combinations(range(len(items)), 2):  # row-major
+                try:
+                    kernel(items[i], items[j])
+                except SampleCheckError as exc:
+                    return (i, j), type(exc), str(exc)
+
+        expected = first_failure()
+        with pytest.raises(PairwiseKernelError) as err:
+            build_matrix(replies, gt, measure)
+        cause = err.value.__cause__
+        assert (err.value.pair, type(cause), str(cause)) == expected
+        assert isinstance(cause, ZeroVector if measure == "cosine" else ConstantVector)
 
 
 class TestSummarize:
@@ -216,6 +266,24 @@ class TestSummarize:
         assert s_raised.mean_offdiag > s_low.mean_offdiag
         assert s_raised.std_offdiag <= s_low.std_offdiag
         assert s_raised.verdict == "HighConfidence"
+
+    @given(
+        st.integers(2, 12),
+        st.integers(2, 16),
+        st.integers(0, 2**31),
+        st.sampled_from(sorted(MEASURES)),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_reference_formulas(self, k, dim, seed, measure, with_gt):
+        rng = np.random.default_rng(seed)
+        items = random_embeddings(rng, k, dim)
+        gt = Embedding(rng.normal(size=dim), model_id="test") if with_gt else None
+        m = build_matrix(items, gt, measure)
+        s = summarize(m)
+        assert (s.frobenius_normalized, s.mean_offdiag, s.std_offdiag, s.gt_alignment) == (
+            reference_summary(m)
+        )
 
     def test_degenerate(self):
         m = SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), ("0", "GT"), "cosine")
