@@ -17,7 +17,7 @@ from .pipeline import (
     ingest_vectors,
     verify,
 )
-from .providers import ProviderConfig, embed_text, mock_embed
+from .providers import ProviderConfig, embed_many, embed_text, mock_embed
 from .scorematrix import (
     ConfidenceThresholds,
     MatrixSummary,
@@ -42,6 +42,7 @@ __all__ = [
     "build_matrix",
     "chunk_document",
     "cosine",
+    "embed_many",
     "embed_text",
     "heatmap_data",
     "ingest_vectors",

@@ -193,11 +193,14 @@ RecordScorer = Callable[[Sequence[str]], float]
 
 
 def stability_scorer(
-    embed: Callable[[str], Embedding],
+    embed: Callable[[Sequence[str]], list[Embedding]],
     measure: str = "cosine",
     statistic: str = "mean_offdiag",
 ) -> RecordScorer:
     """Per-record confidence: embed the samples, build the matrix, reduce it.
+
+    `embed` is a batch embedder (texts -> embeddings in order), such as
+    EmbedderConfig.embedder(); it receives each record's samples in one call.
 
     The statistic is the off-diagonal mean by default; the normalized
     Frobenius norm is exposed as the alternative whole-matrix reduction.
@@ -208,7 +211,7 @@ def stability_scorer(
     def score(samples: Sequence[str]) -> float:
         if len(samples) < 2:
             raise InsufficientSamples("stability scoring needs k >= 2 samples")
-        embeddings = [embed(text) for text in samples]
+        embeddings = embed(samples)
         summary = summarize(build_matrix(embeddings, None, measure))
         return getattr(summary, statistic)
 
@@ -308,7 +311,9 @@ def corruption_corpus(
 
 def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag") -> RecordScorer:
     """Stability scorer backed by the deterministic offline embedder."""
-    return stability_scorer(lambda text: mock_embed(text, dim, seed), "cosine", statistic)
+    return stability_scorer(
+        lambda texts: [mock_embed(t, dim, seed) for t in texts], "cosine", statistic
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,24 @@
 
 All model access in the repo flows through this module. The wire protocol is
 JSON-over-HTTP with chat-completions-shaped generation requests and
-embeddings-shaped embedding requests; API keys are read from environment
-variables only and never appear in config files or logs.
+embeddings-shaped embedding requests (list input, one item per text); API keys
+are read from environment variables only and never appear in config files or
+logs. Every request to one endpoint goes through that endpoint's keep-alive
+session, whose connection pool holds max_concurrency connections.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import random
 import re
+import threading
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import requests
@@ -90,25 +95,53 @@ def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:
     return {"Authorization": f"Bearer {key}"}
 
 
-def _redacted(headers: dict[str, str]) -> dict[str, str]:
-    return {k: ("<redacted>" if k.lower() == "authorization" else v) for k, v in headers.items()}
+_sessions: dict[ProviderConfig, requests.Session] = {}
+_sessions_lock = threading.Lock()
+
+
+def _session(cfg: ProviderConfig) -> requests.Session:
+    """The keep-alive session of one endpoint, created on first use.
+
+    Its pool keeps up to max_concurrency connections open, so a fan-out of that
+    width reuses them instead of opening one connection per request.
+    """
+    with _sessions_lock:
+        session = _sessions.get(cfg)
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(
+                pool_connections=1, pool_maxsize=cfg.max_concurrency
+            )
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+            _sessions[cfg] = session
+        return session
 
 
 def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
-    """POST with retries (exponential backoff + jitter) on transient failures."""
+    """POST with retries (exponential backoff + jitter) on transient failures.
+
+    Each attempt logs one debug event with sizes and latency only: request
+    and response bodies hold prompts and vectors, and the key is redacted.
+    """
     url = cfg.base_url.rstrip("/") + path
-    headers = _auth_headers(cfg)
+    headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
+    auth = "<redacted>" if "Authorization" in headers else "none"
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    session = _session(cfg)
     last_exc: Exception | None = None
-    for attempt in range(cfg.max_retries + 1):
-        if attempt > 0:
-            delay = cfg.backoff_base * (2 ** (attempt - 1)) * (1.0 + random.random())
+    for attempt in range(1, cfg.max_retries + 2):
+        if attempt > 1:
+            delay = cfg.backoff_base * (2 ** (attempt - 2)) * (1.0 + random.random())
             time.sleep(delay)
+        start = time.perf_counter()
         try:
-            log.debug("POST %s headers=%s payload=%s", url, _redacted(headers), payload)
-            resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout)
+            resp = session.post(url, data=data, headers=headers, timeout=cfg.timeout)
         except requests.RequestException as exc:
+            _log_attempt(path, attempt, type(exc).__name__, auth, len(data), 0, start)
             last_exc = exc
             continue
+        _log_attempt(path, attempt, resp.status_code, auth, len(data), len(resp.content), start)
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
         if resp.status_code == 429 or resp.status_code >= 500:
@@ -120,13 +153,19 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
             body = resp.json()
         except ValueError as exc:
             raise MalformedResponse(f"non-JSON response from {url}") from exc
-        log.debug("response from %s: %s", url, body)
         if not isinstance(body, dict):
             raise MalformedResponse(f"expected a JSON object from {url}")
         return body
     raise TransportError(
         f"request to {url} failed after {cfg.max_retries + 1} attempts: {last_exc}"
     ) from last_exc
+
+
+def _log_attempt(path: str, attempt: int, status: int | str, auth: str,
+                 sent: int, received: int, start: float) -> None:
+    log.debug("POST %s attempt=%d status=%s auth=%s sent=%dB received=%dB %.1fms",
+              path or "/", attempt, status, auth, sent, received,
+              (time.perf_counter() - start) * 1000.0)
 
 
 def complete_once(
@@ -161,26 +200,53 @@ def complete_once(
     return text
 
 
-def embed_text(text: str, cfg: ProviderConfig, model_id: str) -> Embedding:
-    """Embed one text via the embeddings endpoint, enforcing the preset dim."""
-    if not text.strip():
-        raise EmptyText("cannot embed empty text")
-    body = _post_json(cfg, "/embeddings", {"model": model_id, "input": text})
-    try:
-        values = body["data"][0]["embedding"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise MalformedResponse("embedding response missing data[0].embedding") from exc
+def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list[Embedding]:
+    """Embed texts in one request (list input); results follow the input order.
+
+    The response must carry exactly one item per text, indexed 0..n-1 in any
+    order, and every item must be a finite list of numbers with the preset
+    length of the model.
+    """
+    if not texts:
+        return []
+    for i, text in enumerate(texts):
+        if not text.strip():
+            raise EmptyText(f"cannot embed empty text (input {i})")
+    body = _post_json(cfg, "/embeddings", {"model": model_id, "input": list(texts)})
+    data = body.get("data")
+    if not isinstance(data, list) or len(data) != len(texts):
+        raise MalformedResponse(
+            f"embedding response must hold {len(texts)} items in 'data'"
+        )
+    by_index: dict[int, object] = {}
+    for item in data:
+        index = item.get("index") if isinstance(item, dict) else None
+        if type(index) is not int or not 0 <= index < len(texts) or index in by_index:
+            raise MalformedResponse(
+                f"embedding items must carry each index 0..{len(texts) - 1} once"
+            )
+        by_index[index] = item.get("embedding")
+    return [_embedding(by_index[i], i, model_id) for i in range(len(texts))]
+
+
+def _embedding(values: object, index: int, model_id: str) -> Embedding:
     if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-        raise MalformedResponse("embedding is not a list of numbers")
+        raise MalformedResponse(f"embedding {index} is not a list of numbers")
     preset = PRESET_DIMS.get(model_id)
     if preset is not None and len(values) != preset:
         raise DimMismatch(
-            f"model {model_id!r} returned {len(values)} values, preset expects {preset}"
+            f"model {model_id!r} returned {len(values)} values for input {index}, "
+            f"preset expects {preset}"
         )
     try:
         return Embedding(np.asarray(values, dtype=np.float64), model_id=model_id)
     except (NonFiniteInput, ValueError) as exc:
-        raise MalformedResponse(f"endpoint returned an invalid embedding: {exc}") from exc
+        raise MalformedResponse(f"endpoint returned an invalid embedding {index}: {exc}") from exc
+
+
+def embed_text(text: str, cfg: ProviderConfig, model_id: str) -> Embedding:
+    """Embed one text: the one-element case of embed_many."""
+    return embed_many([text], cfg, model_id)[0]
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")

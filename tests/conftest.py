@@ -1,10 +1,12 @@
 """Shared fixtures: an in-process stub HTTP server speaking the wire formats
-(chat completions, embeddings, NLI contradiction scores) with scriptable
-replies, failure injection, and request recording."""
+(chat completions, embeddings with string or list input, NLI contradiction
+scores) with scriptable replies, failure injection, and request recording.
+It speaks HTTP/1.1 keep-alive and counts the connections it accepts."""
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -20,6 +22,9 @@ class StubState:
         self.chat_replies: list[str] = ["A"]
         self.chat_calls = 0
         self.embed_calls = 0
+        self.embed_inputs: list[list[str]] = []  # the texts of each embeddings request
+        self.connections = 0
+        self.sockets: list[socket.socket] = []
         # Statuses to emit (and consume) before serving real replies.
         self.fail_statuses: list[int] = []
         self.raw_body: bytes | None = None  # overrides everything when set
@@ -42,13 +47,24 @@ class StubState:
             self.chat_calls += 1
             return reply
 
-    def count_embed(self) -> None:
+    def record_embed(self, texts: list[str]) -> None:
         with self.lock:
             self.embed_calls += 1
+            self.embed_inputs.append(texts)
+
+    def accept(self, sock: socket.socket) -> None:
+        with self.lock:
+            self.connections += 1
+            self.sockets.append(sock)
 
 
 class _Handler(BaseHTTPRequestHandler):
     state: StubState
+    protocol_version = "HTTP/1.1"  # keep-alive, so connection reuse is observable
+
+    def setup(self) -> None:
+        super().setup()
+        self.state.accept(self.connection)
 
     def log_message(self, *args) -> None:  # keep test output quiet
         pass
@@ -83,9 +99,13 @@ class _Handler(BaseHTTPRequestHandler):
                 reply = self.state.next_chat_reply()
                 self._send_json(200, {"choices": [{"message": {"content": reply}}]})
             elif self.path.endswith("/embeddings"):
-                self.state.count_embed()
-                vector = self.state.embed_fn(body.get("input", ""), body.get("model", ""))
-                self._send_json(200, {"data": [{"embedding": vector}]})
+                texts = body.get("input", "")
+                texts = texts if isinstance(texts, list) else [texts]
+                self.state.record_embed(texts)
+                model = body.get("model", "")
+                data = [{"index": i, "embedding": self.state.embed_fn(text, model)}
+                        for i, text in enumerate(texts)]
+                self._send_json(200, {"data": data})
             elif self.path.endswith("/nli") or self.path == "/":
                 score = self.state.nli_fn(body.get("premise", ""), body.get("hypothesis", ""))
                 self._send_json(200, {"contradiction": score})
@@ -100,7 +120,10 @@ class StubServer:
         self.state = StubState()
         handler = type("Handler", (_Handler,), {"state": self.state})
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # A short poll interval keeps shutdown (once per test) quick.
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -111,6 +134,12 @@ class StubServer:
     def close(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
+        # End the handlers still waiting on idle keep-alive connections.
+        for sock in self.state.sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 @pytest.fixture

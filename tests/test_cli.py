@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from samplecheck.eval import (
     write_binary_jsonl,
     write_passages_jsonl,
 )
-from samplecheck.pipeline import report_from_json
+from samplecheck.pipeline import EMBED_BATCH, report_from_json
+from samplecheck.providers import mock_embed
 from samplecheck.render import csv_to_matrix, svg_cell_texts
 
 DISJOINT = [
@@ -135,6 +137,30 @@ class TestEvalCommand:
         assert "pearson_pct" in report and "spearman_pct" in report
         assert report["spearman_pct"] > 50.0
         assert report["n_records"] == 20
+
+    def test_http_embedder_batches_each_record(self, stub, tmp_path):
+        k = EMBED_BATCH + 2
+        records, _ = corruption_corpus(
+            n_levels=4, records_per_level=1, k=k, base_tokens=20, seed=3
+        )
+        dataset = tmp_path / "wikibio.jsonl"
+        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                     "timeout": 5, "max_retries": 0}
+        config = write_config(tmp_path, stub, k=k, embedding=embedding)
+        code = main(
+            ["eval", "--config", str(config), "--dataset", str(dataset),
+             "--scheme", "checkembed", "--task", "wikibio"]
+        )
+        assert code == 0
+        per_record = math.ceil(k / EMBED_BATCH)
+        assert stub.state.embed_calls == len(records) * per_record
+        batches = stub.state.embed_inputs
+        for i, record in enumerate(records):
+            sent = batches[i * per_record:(i + 1) * per_record]
+            assert [t for batch in sent for t in batch] == list(record.samples)
+        assert stub.state.connections == 1
 
     def test_ragtruth_sweep_reports_best_threshold(self, stub, tmp_path):
         rng = np.random.default_rng(7)

@@ -190,7 +190,8 @@ class TestStabilityScorer:
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
-            stability_scorer(lambda t: mock_embed(t, 64, 0), statistic="determinant")
+            stability_scorer(lambda ts: [mock_embed(t, 64, 0) for t in ts],
+                             statistic="determinant")
 
 
 class TestSampleSweep:

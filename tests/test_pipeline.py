@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from samplecheck.pipeline import (
+    EMBED_BATCH,
     EmbedderConfig,
     EmptyDocument,
     GeneratorConfig,
@@ -34,6 +38,29 @@ def gen_cfg(stub, **kwargs) -> GeneratorConfig:
 
 
 MOCK = EmbedderConfig(kind="mock", dim=4096, seed=0)
+
+
+def http_embedder(stub, max_concurrency=1) -> EmbedderConfig:
+    return EmbedderConfig(
+        kind="http",
+        model_id="stub-embed",
+        provider=ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
+                                max_concurrency=max_concurrency, backoff_base=0.001),
+    )
+
+
+def fail_requests(stub, numbers):
+    """Make the stub answer HTTP 500 to the given (1-based) requests of any kind."""
+    lock = threading.Lock()
+    served = {"n": 0}
+
+    def next_failure():
+        with lock:
+            served["n"] += 1
+            return 500 if served["n"] in numbers else None
+
+    stub.state.next_failure = next_failure
+
 
 DISJOINT = [
     " ".join(f"alpha{i}" for i in range(40)),
@@ -147,48 +174,114 @@ class TestVerify:
     def test_partial_failure_lists_indices(self, stub, tmp_path):
         # First two requests succeed, every later one returns HTTP 500, so
         # with sequential concurrency only sample index 2 fails.
-        import threading
-
         stub.state.chat_replies = ["ok"]
-        lock = threading.Lock()
-        served = {"n": 0}
-
-        def next_failure():
-            with lock:
-                served["n"] += 1
-                if served["n"] > 2:
-                    return 500
-            return None
-
-        stub.state.next_failure = next_failure
+        fail_requests(stub, range(3, 100))
         with pytest.raises(PartialFailure) as err:
             verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=tmp_path / "cache")
         assert err.value.stage == "generate"
         assert list(err.value.failures) == [2]
 
-    def test_partial_failure_in_embed_stage(self, stub, tmp_path):
-        stub.state.chat_replies = ["one reply", "two reply"]
-        embed = EmbedderConfig(
-            kind="http",
-            model_id="stub-embed",
-            provider=ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
-                                    max_concurrency=1, backoff_base=0.001),
-        )
-
-        calls = {"n": 0}
-        real_embed_fn = stub.state.embed_fn
-
-        def flaky_embed(text, model):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise KeyError("boom")  # handler turns this into a 500
-            return real_embed_fn(text, model)
-
-        stub.state.embed_fn = flaky_embed
+    def test_partial_failure_keeps_generated_replies(self, stub, tmp_path):
+        stub.state.chat_replies = ["one", "two", "three", "four"]
+        cache = tmp_path / "cache"
+        fail_requests(stub, {2, 3})  # max_retries=1: sample 1 fails on both attempts
         with pytest.raises(PartialFailure) as err:
-            verify("q", None, 2, gen_cfg(stub), embed, cache_dir=tmp_path / "cache")
-        assert err.value.stage == "embed"
+            verify("q", None, 4, gen_cfg(stub), MOCK, cache_dir=cache)
         assert list(err.value.failures) == [1]
+        samples = next(cache.glob("*/samples"))
+        assert sorted(p.name for p in samples.iterdir()) == ["0.txt", "2.txt", "3.txt"]
+
+        stub.state.next_failure = lambda: None
+        chat_before = stub.state.chat_calls
+        report = verify("q", None, 4, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert stub.state.chat_calls - chat_before == 1
+        assert report.k == 4 and (samples / "1.txt").exists()
+
+    def test_partial_failure_in_embed_stage(self, stub, tmp_path):
+        # Texts 0..k-1 go out in batches of EMBED_BATCH, one at a time; the
+        # second embeddings request fails, and only its texts are named.
+        k = EMBED_BATCH + 2
+        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        cache = tmp_path / "cache"
+        fail_requests(stub, {k + 2})  # k chat requests, then the embeddings requests
+        with pytest.raises(PartialFailure) as err:
+            verify("q", None, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        assert err.value.stage == "embed"
+        assert list(err.value.failures) == list(range(EMBED_BATCH, k))
+        assert str(err.value).count("HTTP 500") == 1  # one failed request, named once
+        vectors = next(cache.glob("*/embeddings/stub-embed"))
+        assert sorted(int(p.stem) for p in vectors.iterdir()) == list(range(EMBED_BATCH))
+
+        stub.state.next_failure = lambda: None
+        requests_before = len(stub.state.requests)
+        verify("q", None, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        assert len(stub.state.requests) - requests_before == 1
+        assert stub.state.embed_inputs[-1] == [f"reply {i}" for i in range(EMBED_BATCH, k)]
+
+    def test_failed_embed_batch_keeps_later_batches(self, stub, tmp_path):
+        k = 2 * EMBED_BATCH + 1
+        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        cache = tmp_path / "cache"
+        fail_requests(stub, {k + 1})  # the first embeddings request
+        with pytest.raises(PartialFailure) as err:
+            verify("q", None, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        assert list(err.value.failures) == list(range(EMBED_BATCH))
+        vectors = next(cache.glob("*/embeddings/stub-embed"))
+        assert sorted(int(p.stem) for p in vectors.iterdir()) == list(range(EMBED_BATCH, k))
+
+    @pytest.mark.parametrize("k, gt", [(2, None), (EMBED_BATCH, None), (EMBED_BATCH, "truth"),
+                                       (10, "truth"), (13, None)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_request_counts_cold_then_warm(self, stub, tmp_path, k, gt, workers):
+        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        embed = http_embedder(stub, max_concurrency=workers)
+        gen = GeneratorConfig(model_id="stub-model", provider=embed.provider)  # one endpoint
+        cache = tmp_path / "cache"
+        first = verify("q", gt, k, gen, embed, cache_dir=cache)
+        texts = k + (gt is not None)
+        assert stub.state.chat_calls == k
+        assert stub.state.embed_calls == math.ceil(texts / EMBED_BATCH)
+        assert len(stub.state.requests) == k + math.ceil(texts / EMBED_BATCH)
+        assert all(len(batch) <= EMBED_BATCH for batch in stub.state.embed_inputs)
+        sent = sorted(t for batch in stub.state.embed_inputs for t in batch)
+        assert sent == sorted([f"reply {i}" for i in range(k)] + ([gt] if gt else []))
+        assert stub.state.connections <= workers
+
+        second = verify("q", gt, k, gen, embed, cache_dir=cache)
+        assert len(stub.state.requests) == k + math.ceil(texts / EMBED_BATCH)
+        assert report_json_bytes(second) == report_json_bytes(first)
+
+    def test_fan_out_stress_keeps_every_result(self, stub, tmp_path):
+        # More workers than cores and a short switch interval, so the workers
+        # interleave while recording results and sharing the connection pool.
+        k = 40
+        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        embed = http_embedder(stub, max_concurrency=8)
+        gen = GeneratorConfig(model_id="stub-model", provider=embed.provider)
+        cache = tmp_path / "cache"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = verify("q", None, k, gen, embed, cache_dir=cache)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.k == k
+        samples = [p.read_text() for p in cache.glob("*/samples/*.txt")]
+        assert sorted(samples) == sorted(stub.state.chat_replies)
+        assert len(list(cache.glob("*/embeddings/stub-embed/*.json"))) == k
+        assert stub.state.embed_calls == math.ceil(k / EMBED_BATCH)
+        assert stub.state.connections <= 8
+
+    @pytest.mark.parametrize("setting", [{"max_tokens": 7}, {"top_p": 0.5}, {"top_k": 3}])
+    def test_every_sampling_setting_keys_the_cache(self, stub, tmp_path, setting):
+        cache = tmp_path / "cache"
+        first = verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert stub.state.chat_calls == 3
+        second = verify("q", None, 3, gen_cfg(stub, **setting), MOCK, cache_dir=cache)
+        assert stub.state.chat_calls == 6
+        assert second.prompt_id != first.prompt_id
+        name, value = next(iter(setting.items()))
+        assert all(body.get(name) == value for _, _, body in stub.state.requests[3:])
 
     def test_report_summary_recomputable_from_matrix(self, stub, tmp_path):
         stub.state.chat_replies = DISJOINT
@@ -214,6 +307,7 @@ class TestVerify:
         assert p["generation_model_id"] == "stub-model"
         assert p["embedding_model_id"] == "mock-d4096-s0"
         assert p["temperature"] == 0.5
+        assert p["max_tokens"] == 1024 and p["top_p"] is None and p["top_k"] is None
         assert "generated_at" in p and "embedded_at" in p
 
 

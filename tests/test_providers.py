@@ -3,6 +3,8 @@ deterministic mock embedder."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from samplecheck.providers import (
     ProviderConfig,
     TransportError,
     complete_once,
+    embed_many,
     embed_text,
     mock_embed,
 )
@@ -120,11 +123,30 @@ class TestGenerateSamples:
 
     def test_debug_logs_redact_api_key(self, stub, monkeypatch, caplog):
         monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
+        stub.state.chat_replies = ["the-secret-reply-text"]
+        stub.state.embed_fn = lambda text, model: [0.123456789, 0.987654321]
+        stub.state.fail_statuses = [500]
+        cfg = cfg_for(stub, api_key_env="TEST_STUB_KEY")
         with caplog.at_level("DEBUG", logger="samplecheck.providers"):
-            complete_once("hi", cfg_for(stub, api_key_env="TEST_STUB_KEY"), model_id="m")
-        logged = " ".join(r.getMessage() for r in caplog.records)
+            complete_once("the-private-prompt-text", cfg, model_id="m")
+            embed_many(["the-private-embed-input"], cfg, "custom-model")
+        messages = [r.getMessage() for r in caplog.records]
+        logged = " ".join(messages)
         assert "<redacted>" in logged
         assert "sekrit" not in logged
+        for secret in ("the-private-prompt-text", "the-secret-reply-text",
+                       "the-private-embed-input", "0.123456789", "0.987654321"):
+            assert secret not in logged
+        # One event per attempt: the 500, its retry, then the embeddings call.
+        assert len(messages) == 3
+        assert messages[0].startswith("POST /chat/completions attempt=1 status=500 ")
+        assert messages[1].startswith("POST /chat/completions attempt=2 status=200 ")
+        assert messages[2].startswith("POST /embeddings attempt=1 status=200 ")
+        # Byte counts are those of the bodies on the wire.
+        sent = len(json.dumps(stub.state.requests[-1][2]))
+        received = len(json.dumps({"data": [{"index": 0, "embedding": [0.123456789, 0.987654321]}]}))
+        assert f" sent={sent}B received={received}B " in messages[2]
+        assert all(m.endswith("ms") for m in messages)
 
     def test_k_validation(self, stub, tmp_path):
         for k in (0, 1):
@@ -151,7 +173,7 @@ class TestEmbedText:
         embed_text("hello", cfg_for(stub), "custom-model")
         path, _, body = stub.state.requests[0]
         assert path.endswith("/embeddings")
-        assert body == {"model": "custom-model", "input": "hello"}
+        assert body == {"model": "custom-model", "input": ["hello"]}
 
     def test_preset_dim_enforced_gpt(self, stub):
         stub.state.embed_fn = lambda text, model: [0.0] * 3071 + [1.0]
@@ -178,13 +200,96 @@ class TestEmbedText:
         assert PRESET_DIMS["clip-vit-large"] == 768
 
     def test_nonfinite_rejected(self, stub):
-        stub.state.raw_body = b'{"data": [{"embedding": [1.0, "x"]}]}'
+        stub.state.raw_body = b'{"data": [{"index": 0, "embedding": [1.0, "x"]}]}'
         with pytest.raises(MalformedResponse):
             embed_text("hello", cfg_for(stub), "custom-model")
 
     def test_empty_text(self, stub):
         with pytest.raises(EmptyText):
             embed_text("   ", cfg_for(stub), "custom-model")
+
+
+def embeddings_body(*items) -> bytes:
+    return json.dumps({"data": [{"index": i, "embedding": v} for i, v in items]}).encode()
+
+
+class TestEmbedMany:
+    def test_one_request_in_input_order(self, stub):
+        stub.state.embed_fn = lambda text, model: [float(len(text)), 1.0]
+        out = embed_many(["a", "bbb", "cc"], cfg_for(stub), "custom-model")
+        assert [e.values.tolist() for e in out] == [[1.0, 1.0], [3.0, 1.0], [2.0, 1.0]]
+        assert all(e.model_id == "custom-model" for e in out)
+        assert len(stub.state.requests) == 1
+        assert stub.state.requests[0][2] == {"model": "custom-model", "input": ["a", "bbb", "cc"]}
+
+    def test_no_texts_no_request(self, stub):
+        assert embed_many([], cfg_for(stub), "custom-model") == []
+        assert stub.state.requests == []
+
+    def test_shuffled_index_order_restored(self, stub):
+        stub.state.raw_body = embeddings_body((2, [2.0, 0.0]), (0, [0.0, 1.0]), (1, [1.0, 0.0]))
+        out = embed_many(["x", "y", "z"], cfg_for(stub), "custom-model")
+        assert [e.values.tolist() for e in out] == [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("body", [
+        embeddings_body((0, [1.0]), (1, [1.0])),  # two items for three texts
+        embeddings_body((0, [1.0]), (1, [1.0]), (2, [1.0]), (3, [1.0])),  # four
+        embeddings_body((0, [1.0]), (1, [1.0]), (1, [1.0])),  # duplicate index
+        embeddings_body((0, [1.0]), (1, [1.0]), (3, [1.0])),  # index 2 missing
+        b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},'
+        b' {"embedding": [1.0]}]}',  # an item without an index
+        b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},'
+        b' {"index": true, "embedding": [1.0]}]}',  # a boolean is not an index
+        b'{"data": {"0": [1.0]}}',
+        b'{"object": "list"}',
+    ], ids=["too-few", "too-many", "duplicate", "missing", "no-index", "bool-index",
+            "not-a-list", "no-data"])
+    def test_item_set_must_match_inputs(self, stub, body):
+        stub.state.raw_body = body
+        with pytest.raises(MalformedResponse):
+            embed_many(["x", "y", "z"], cfg_for(stub), "custom-model")
+
+    def test_one_wrong_length_item(self, stub):
+        good = [0.0] * 3072
+        stub.state.raw_body = embeddings_body((0, good), (1, good[:-1]), (2, good))
+        with pytest.raises(DimMismatch, match="input 1"):
+            embed_many(["x", "y", "z"], cfg_for(stub), "gpt-text-embedding-large")
+
+    @pytest.mark.parametrize("bad", [b'[1.0, "x"]', b"[1.0, NaN]", b'"1.0"'])
+    def test_one_invalid_item(self, stub, bad):
+        stub.state.raw_body = (b'{"data": [{"index": 0, "embedding": [1.0, 0.0]},'
+                               b' {"index": 1, "embedding": ' + bad + b"}]}")
+        with pytest.raises(MalformedResponse, match="embedding 1"):
+            embed_many(["x", "y"], cfg_for(stub), "custom-model")
+
+    def test_empty_text_rejected_before_any_request(self, stub):
+        with pytest.raises(EmptyText, match="input 1"):
+            embed_many(["fine", "  ", "also fine"], cfg_for(stub), "custom-model")
+        assert stub.state.requests == []
+
+
+class TestConnections:
+    def test_sequential_calls_share_one_connection(self, stub):
+        cfg = cfg_for(stub, max_concurrency=1)
+        for _ in range(3):
+            complete_once("hi", cfg, model_id="m")
+            embed_many(["a", "b"], cfg, "custom-model")
+        assert len(stub.state.requests) == 6
+        assert stub.state.connections == 1
+
+    def test_retries_reuse_the_connection(self, stub):
+        stub.state.fail_statuses = [500, 503]
+        assert complete_once("hi", cfg_for(stub), model_id="m") == "A"
+        assert len(stub.state.requests) == 3
+        assert stub.state.connections == 1
+
+    def test_fan_out_opens_at_most_max_concurrency(self, stub, tmp_path):
+        stub.state.chat_replies = [f"reply {i}" for i in range(12)]
+        gen = GeneratorConfig(model_id="m", provider=cfg_for(stub, max_concurrency=3))
+        embed = EmbedderConfig(kind="http", model_id="e", provider=cfg_for(stub, max_concurrency=3))
+        verify("hi", "truth", 12, gen, embed, cache_dir=tmp_path / "cache")
+        assert len(stub.state.requests) > 3
+        assert 1 <= stub.state.connections <= 3
 
 
 class TestMockEmbed:
