@@ -11,7 +11,6 @@ from .errors import SampleCheckError
 from .pipeline import (
     EmbedderConfig,
     GeneratorConfig,
-    SampleSet,
     VerificationReport,
     chunk_document,
     ingest_vectors,
@@ -36,7 +35,6 @@ __all__ = [
     "MatrixSummary",
     "ProviderConfig",
     "SampleCheckError",
-    "SampleSet",
     "SimilarityMatrix",
     "VerificationReport",
     "build_matrix",

@@ -15,7 +15,7 @@ import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import costmodel, eval as evalmod, render
 from .baselines import judge as judgemod
@@ -24,12 +24,13 @@ from .pipeline import (
     EmbedderConfig,
     GeneratorConfig,
     VerificationReport,
+    _atomic_write,
     report_from_json,
     report_json_bytes,
     verify,
 )
 from .providers import ProviderConfig
-from .scorematrix import ConfidenceThresholds
+from .scorematrix import ConfidenceThresholds, SimilarityMatrix
 
 log = logging.getLogger(__name__)
 
@@ -148,15 +149,21 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
+def _write_heatmap(matrix: SimilarityMatrix, svg_path: Path) -> Path:
+    """Write the SVG and, next to it, the CSV; returns the CSV path."""
+    csv_path = svg_path.with_suffix(".csv")
+    _atomic_write(csv_path, render.matrix_to_csv(matrix).encode("utf-8"))
+    _atomic_write(svg_path, render.matrix_to_svg(matrix).encode("utf-8"))
+    return csv_path
+
+
+def _write_json(path: Path, obj: object) -> None:
+    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
 def _write_outputs(report: VerificationReport, output_dir: Path) -> None:
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "report.json").write_bytes(report_json_bytes(report))
-    (output_dir / "heatmap.csv").write_text(
-        render.matrix_to_csv(report.matrix), encoding="utf-8"
-    )
-    (output_dir / "heatmap.svg").write_text(
-        render.matrix_to_svg(report.matrix), encoding="utf-8"
-    )
+    _atomic_write(output_dir / "report.json", report_json_bytes(report))
+    _write_heatmap(report.matrix, output_dir / "heatmap.svg")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -188,15 +195,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.verdict == "HighConfidence" else EXIT_INSPECT
 
 
-def _record_scorer(cfg: RunConfig, scheme: str, task: str):
+def _record_scorer(
+    cfg: RunConfig, scheme: str, task: str, records: Sequence, k: int
+) -> tuple[str, Callable[[object], float]]:
+    """The statistic a scheme reports, and its record -> score callable.
+
+    checkembed scores each record's first k samples, so every record must
+    have k of them; that is checked here, before any request.
+    """
     if scheme == "checkembed":
-        return evalmod.stability_scorer(
+        for r in records:
+            if len(r.samples) < k:
+                raise evalmod.InsufficientSamples(
+                    f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
+                )
+        score = evalmod.stability_scorer(
             cfg.embedding.embedder(), cfg.measure, cfg.eval.statistic
         )
+        return cfg.eval.statistic, lambda r: score(r.samples[:k])
     if scheme == "judge":
         if task != "wikibio":
             raise ConfigError("the judge scheme is only wired for the wikibio task")
-        return None
+        return "judge_score", lambda r: float(
+            judgemod.llm_judge(
+                "wikibio",
+                {"biography": r.text},
+                cfg.generation.provider,
+                model_id=cfg.generation.model_id,
+                temperature=cfg.generation.temperature,
+            ).score
+        )
     raise ConfigError(
         f"unknown scheme {scheme!r}; valid schemes: {', '.join(EVAL_SCHEMES)}"
     )
@@ -215,44 +243,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     task = args.task
     if task not in EVAL_TASKS:
         raise ConfigError(f"unknown task {task!r}; valid tasks: {', '.join(EVAL_TASKS)}")
-    scorer = _record_scorer(cfg, args.scheme, task)
     k = args.k or cfg.k
     out_dir = Path(args.out) if args.out else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     read = evalmod.read_passages_jsonl if task == "wikibio" else evalmod.read_binary_jsonl
     records = read(args.dataset)
-    if scorer is not None:
-        for r in records:
-            if len(r.samples) < k:
-                raise evalmod.InsufficientSamples(
-                    f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
-                )
+    statistic, score = _record_scorer(cfg, args.scheme, task, records, k)
+    scores = [score(r) for r in records]
 
     if task == "wikibio":
         gold = [evalmod.passage_score(r.labels) for r in records]
-        if scorer is not None:
-            predicted = [scorer(r.samples[:k]) for r in records]
-        else:
-            predicted = [
-                float(
-                    judgemod.llm_judge(
-                        "wikibio",
-                        {"biography": r.text},
-                        cfg.generation.provider,
-                        model_id=cfg.generation.model_id,
-                        temperature=cfg.generation.temperature,
-                    ).score
-                )
-                for r in records
-            ]
-        pe, sp = evalmod.correlate(predicted, gold)
+        pe, sp = evalmod.correlate(scores, gold)
         result = {
             "task": task,
             "scheme": args.scheme,
             "n_records": len(records),
             "k": k,
-            "statistic": cfg.eval.statistic if scorer is not None else "judge_score",
+            "statistic": statistic,
             "pearson_pct": pe,
             "spearman_pct": sp,
         }
@@ -260,8 +267,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"{'pearson_pct':<14} {pe:>8.1f}")
         print(f"{'spearman_pct':<14} {sp:>8.1f}")
     else:
-        # _record_scorer rejects the judge scheme for this task, so scorer is set.
-        scores = [scorer(r.samples[:k]) for r in records]
         labels = [r.label for r in records]
         sweep = evalmod.threshold_sweep(
             scores, labels, cfg.eval.polarity, _grid(scores, cfg.eval.grid_points)
@@ -272,7 +277,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "scheme": args.scheme,
             "n_records": len(records),
             "k": k,
-            "statistic": cfg.eval.statistic,
+            "statistic": statistic,
             "polarity": cfg.eval.polarity,
             "best_threshold": sweep.best_threshold,
             "best_f1": sweep.best_f1,
@@ -289,21 +294,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for name in ("best_threshold", "best_f1", "precision", "recall"):
             print(f"{name:<16} {result[name]:>10.4f}")
 
-    report_path = out_dir / f"eval_{task}_{args.scheme}.json"
-    report_path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"report written to {report_path}")
+    out_path = out_dir / f"eval_{task}_{args.scheme}.json"
+    _write_json(out_path, result)
+    print(f"report written to {out_path}")
     return EXIT_OK
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     report = report_from_json(Path(args.report).read_bytes())
     out_svg = Path(args.out)
-    out_svg.parent.mkdir(parents=True, exist_ok=True)
-    out_svg.write_text(render.matrix_to_svg(report.matrix), encoding="utf-8")
-    out_csv = out_svg.with_suffix(".csv")
-    out_csv.write_text(render.matrix_to_csv(report.matrix), encoding="utf-8")
+    out_csv = _write_heatmap(report.matrix, out_svg)
     print(f"wrote {out_svg} and {out_csv}")
     return EXIT_OK
 
@@ -327,13 +327,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
     report = costmodel.compare(schemes, args.task, params)
     print(costmodel.render_table(report))
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(costmodel.report_to_json_obj(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"report written to {out}")
+        _write_json(Path(args.out), costmodel.report_to_json_obj(report))
+        print(f"report written to {args.out}")
     return EXIT_OK
 
 

@@ -404,25 +404,3 @@ def write_binary_jsonl(path: Path | str, records: Sequence[BinaryRecord]) -> Non
         for r in records
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def passages_from_sweep_records(
-    records: Sequence[SweepRecord], sentences_per_record: int = 10
-) -> list[LabeledPassage]:
-    """Encode sweep records as labeled passages for the file-based harness.
-
-    The gold value (one decimal of quality) is encoded as a label multiset:
-    round(gold * n) accurate sentences, the rest major-inaccurate, so
-    passage_score recovers gold up to 1/n granularity.
-    """
-    out = []
-    for idx, record in enumerate(records):
-        n_acc = round(record.gold * sentences_per_record)
-        labels = ("accurate",) * n_acc + ("major",) * (sentences_per_record - n_acc)
-        sentences = tuple(f"synthetic sentence {j}." for j in range(sentences_per_record))
-        out.append(
-            LabeledPassage(
-                id=f"syn-{idx:04d}", sentences=sentences, labels=labels, samples=record.samples
-            )
-        )
-    return out

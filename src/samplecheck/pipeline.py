@@ -13,7 +13,10 @@ Cache layout, per prompt hash:
     embeddings/<model_id>/<i>.json        JSON array of numbers
     embeddings/<model_id>/gt.json         ground-truth embedding
     meta.json                             stage timestamps (stable on re-run)
-    report.json                           the finished verification report
+
+A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
+gets an escaped directory name plus "~" and a hash of the id, so distinct ids
+never share vectors.
 """
 
 from __future__ import annotations
@@ -158,26 +161,6 @@ class EmbedderConfig:
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    """A prompt with its k replies and their embeddings."""
-
-    prompt_id: str
-    prompt: str
-    replies: tuple[str, ...]
-    embeddings: tuple[Embedding, ...]
-    gt_text: str | None = None
-    gt_embedding: Embedding | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.replies) != len(self.embeddings):
-            raise ValueError("replies and embeddings must align one-to-one")
-        if len(self.replies) < 2:
-            raise ValueError("a verifiable sample set needs k >= 2")
-        if (self.gt_text is None) != (self.gt_embedding is None):
-            raise ValueError("gt_text and gt_embedding must be given together")
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     prompt_id: str
     k: int
@@ -220,31 +203,34 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _discard(key: Hashable, value: object) -> None:
-    """`keep` for a run without a cache."""
-
-
 def _now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _run_batches(
+def _cached_batches(
     stage: str,
     keys: Sequence[Hashable],
+    load: Callable[[Hashable], object | None],
     size: int,
     call: Callable[[tuple], list],
-    keep: Callable[[Hashable, object], None],
-    max_concurrency: int,
+    store: Callable[[Hashable, object], None],
+    workers: int,
 ) -> dict:
-    """Call `call` on consecutive batches of at most `size` keys, concurrently.
+    """Every key's value: from `load` if cached, else from `call`, then `store`d.
 
-    `call` returns one result per key of its batch. Each result goes to `keep`
-    as soon as its batch returns, so a later failure cannot discard it. If any
-    batch fails, the run aborts with PartialFailure naming every key of every
-    failed batch.
+    The keys `load` returns None for go to `call` in consecutive batches of at
+    most `size` keys, `workers` batches at a time; `call` returns one result
+    per key of its batch. Each result goes to `store` as soon as its batch
+    returns, so a later failure cannot discard it. If any batch fails, the run
+    aborts with PartialFailure naming every key of every failed batch.
     """
-    batches = [tuple(keys[i:i + size]) for i in range(0, len(keys), size)]
     results: dict = {}
+    for key in keys:
+        value = load(key)
+        if value is not None:
+            results[key] = value
+    missing = [key for key in keys if key not in results]
+    batches = [tuple(missing[i:i + size]) for i in range(0, len(missing), size)]
     failures: dict[int | str, Exception] = {}
 
     def run(batch: tuple) -> None:
@@ -254,14 +240,14 @@ def _run_batches(
             failures.update(dict.fromkeys(batch, exc))
             return
         for key, value in zip(batch, values):
-            keep(key, value)
+            store(key, value)
             results[key] = value
 
-    if len(batches) <= 1 or max_concurrency <= 1:
+    if len(batches) <= 1 or workers <= 1:
         for batch in batches:
             run(batch)
     else:
-        with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, batches))
     if failures:
         raise PartialFailure(stage, failures)
@@ -278,11 +264,11 @@ class _Cache:
         return self.dir / "samples" / f"{index}.txt"
 
     def embedding_path(self, model_id: str, index: int | str) -> Path:
-        safe = re.sub(r"[^0-9A-Za-z._-]+", "_", model_id)
-        return self.dir / "embeddings" / safe / f"{index}.json"
-
-    def report_path(self) -> Path:
-        return self.dir / "report.json"
+        name = re.sub(r"[^0-9A-Za-z._-]+", "_", model_id)
+        if name != model_id or name in (".", ".."):
+            # The escaped name never holds "~", so the suffix keeps ids apart.
+            name += "~" + hashlib.sha256(model_id.encode("utf-8")).hexdigest()[:16]
+        return self.dir / "embeddings" / name / f"{index}.json"
 
     def load_text(self, index: int | str) -> str | None:
         p = self.sample_path(index)
@@ -328,32 +314,24 @@ def verify(
     thresholds: ConfidenceThresholds = DEFAULT_THRESHOLDS,
     *,
     measure: str = "cosine",
-    cache_dir: Path | str | None = None,
-    max_concurrency: int | None = None,
+    cache_dir: Path | str,
 ) -> VerificationReport:
     """Run the full verification pipeline for one prompt.
 
     Stages: generate k replies, embed them (plus the optional ground truth),
     build the pairwise similarity matrix, summarize. Each per-sample provider
-    call that is already cached is skipped; with a warm cache the whole run
-    makes zero network calls and the resulting report is byte-identical.
+    call that is already cached under cache_dir is skipped; with a warm cache
+    the whole run makes zero network calls and the resulting report is
+    byte-identical. Each stage runs up to its endpoint's max_concurrency
+    requests at a time; the mock embedder, which has no endpoint, embeds
+    serially.
     """
     if k < 2:
         raise ValueError("k must be >= 2 for verification")
     key = prompt_hash(prompt, gen_cfg)
-    cache = _Cache(Path(cache_dir), key) if cache_dir is not None else None
-    gen_workers = max_concurrency or gen_cfg.provider.max_concurrency
-    embed_workers = max_concurrency or (
-        embed_cfg.provider.max_concurrency if embed_cfg.provider else gen_workers
-    )
+    cache = _Cache(Path(cache_dir), key)
 
     # Stage 1: generate (or load) the k replies, one request per reply.
-    replies: dict[int | str, str] = {}
-    for i in range(k):
-        cached = cache.load_text(i) if cache else None
-        if cached is not None:
-            replies[i] = cached
-
     def generate(batch: tuple) -> list[str]:
         return [
             providers.complete_once(
@@ -368,23 +346,19 @@ def verify(
             for _ in batch
         ]
 
-    replies.update(_run_batches(
-        STAGE_GENERATE, [i for i in range(k) if i not in replies], 1, generate,
-        cache.store_text if cache else _discard, gen_workers,
-    ))
-    if cache:
-        meta = cache.update_meta({"generated_at": _now_iso()})
-    else:
-        meta = {"generated_at": _now_iso()}
+    replies = _cached_batches(
+        STAGE_GENERATE, range(k), cache.load_text, 1, generate, cache.store_text,
+        gen_cfg.provider.max_concurrency,
+    )
+    cache.update_meta({"generated_at": _now_iso()})
 
     # Ground truth is caller input, not generated: refresh the cache if the
     # text changed since the last run, dropping the GT embedding of every
     # embedder, not only the current one.
-    if gt is not None and cache is not None:
-        if cache.load_text("gt") != gt:
-            cache.store_text("gt", gt)
-            for stale in cache.dir.glob("embeddings/*/gt.json"):
-                stale.unlink()
+    if gt is not None and cache.load_text("gt") != gt:
+        cache.store_text("gt", gt)
+        for stale in cache.dir.glob("embeddings/*/gt.json"):
+            stale.unlink()
 
     # Stage 2: embed replies and ground truth, EMBED_BATCH texts per request.
     model_id = embed_cfg.effective_model_id
@@ -392,37 +366,19 @@ def verify(
     texts: dict[int | str, str] = {i: replies[i] for i in range(k)}
     if gt is not None:
         texts["gt"] = gt
-    embeddings: dict[int | str, Embedding] = {}
-    for index in texts:
-        cached_emb = cache.load_embedding(model_id, index) if cache else None
-        if cached_emb is not None:
-            embeddings[index] = cached_emb
-    embeddings.update(_run_batches(
-        STAGE_EMBED, [i for i in texts if i not in embeddings], EMBED_BATCH,
+    embeddings = _cached_batches(
+        STAGE_EMBED, list(texts), lambda i: cache.load_embedding(model_id, i), EMBED_BATCH,
         lambda batch: embed([texts[i] for i in batch]),
-        (lambda i, emb: cache.store_embedding(model_id, i, emb)) if cache else _discard,
-        embed_workers,
-    ))
+        lambda i, emb: cache.store_embedding(model_id, i, emb),
+        embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
+    )
     embed_meta_key = f"embedded_at:{model_id}"
-    if cache:
-        meta = cache.update_meta({embed_meta_key: _now_iso()})
-    else:
-        meta[embed_meta_key] = _now_iso()
+    meta = cache.update_meta({embed_meta_key: _now_iso()})
 
     # Stage 3: score and summarize.
-    sample_set = SampleSet(
-        prompt_id=key,
-        prompt=prompt,
-        replies=tuple(replies[i] for i in range(k)),
-        embeddings=tuple(embeddings[i] for i in range(k)),
-        gt_text=gt,
-        gt_embedding=embeddings.get("gt"),
-    )
-    matrix = build_matrix(
-        list(sample_set.embeddings), sample_set.gt_embedding, measure
-    )
+    matrix = build_matrix([embeddings[i] for i in range(k)], embeddings.get("gt"), measure)
     summary = summarize(matrix, thresholds)
-    report = VerificationReport(
+    return VerificationReport(
         prompt_id=key,
         k=k,
         measure=measure,
@@ -437,9 +393,6 @@ def verify(
             "embedded_at": meta[embed_meta_key],
         },
     )
-    if cache:
-        _atomic_write(cache.report_path(), report_json_bytes(report))
-    return report
 
 
 def report_json_bytes(report: VerificationReport) -> bytes:

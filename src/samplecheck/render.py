@@ -104,20 +104,9 @@ def matrix_to_svg(matrix: SimilarityMatrix) -> str:
     return "\n".join(parts) + "\n"
 
 
-def svg_cell_texts(svg: str) -> list[str]:
-    """Extract the rendered cell values (two-decimal strings) from an SVG."""
-    import re
-
-    values = []
-    for match in re.finditer(r">(-?\d+\.\d{2})</text>", svg):
-        values.append(match.group(1))
-    return values
-
-
 __all__ = [
     "GT_LABEL",
     "csv_to_matrix",
     "matrix_to_csv",
     "matrix_to_svg",
-    "svg_cell_texts",
 ]

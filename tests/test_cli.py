@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from test_eval import passages_from_sweep_records
+from test_render import svg_cell_texts
 
-from samplecheck.cli import main
+from samplecheck.cli import _write_outputs, main
 from samplecheck.eval import (
     BinaryRecord,
     corruption_corpus,
-    passages_from_sweep_records,
     write_binary_jsonl,
     write_passages_jsonl,
 )
 from samplecheck.pipeline import EMBED_BATCH, report_from_json
 from samplecheck.providers import mock_embed
-from samplecheck.render import csv_to_matrix, svg_cell_texts
+from samplecheck.render import csv_to_matrix
 
 DISJOINT = [
     " ".join(f"alpha{i}" for i in range(40)),
@@ -97,6 +99,47 @@ class TestVerifyCommand:
         assert len(stub.state.requests) == calls  # warm cache: no provider calls
         for name, data in first.items():
             assert (tmp_path / "out" / name).read_bytes() == data
+
+    def test_failed_write_keeps_previous_outputs(self, stub, tmp_path, prompt_file,
+                                                 monkeypatch):
+        stub.state.chat_replies = DISJOINT
+        config = write_config(tmp_path, stub, k=3)
+        args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
+        assert main(args) == 2
+        assert main(args + ["--k", "2", "--out", str(tmp_path / "k2")]) == 2
+        other = tmp_path / "k2" / "report.json"
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        real_open = io.open
+
+        class FullDisk:
+            """A file whose first write stores half the data, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(io, "open", failing_open)
+        with pytest.raises(OSError):
+            _write_outputs(report_from_json(other.read_bytes()), out)
+        assert main(["heatmap", "--report", str(other), "--out", str(out / "heatmap.svg")]) == 1
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_gt_flag(self, stub, tmp_path, prompt_file):
         stub.state.chat_replies = ["alpha beta gamma"]
@@ -209,6 +252,10 @@ class TestEvalCommand:
         assert code == 0
         report = json.loads((tmp_path / "out" / "eval_wikibio_judge.json").read_text())
         assert report["scheme"] == "judge"
+        assert report["statistic"] == "judge_score"
+        assert stub.state.chat_calls == len(records) == 3
+        assert stub.state.embed_calls == 0
+        assert all(path.endswith("/chat/completions") for path, _, _ in stub.state.requests)
 
     def test_eval_idempotent(self, stub, tmp_path):
         records, _ = corruption_corpus(

@@ -18,7 +18,6 @@ from samplecheck.eval import (
     corruption_corpus,
     mock_scorer,
     passage_score,
-    passages_from_sweep_records,
     pr_f1,
     read_binary_jsonl,
     read_passages_jsonl,
@@ -31,6 +30,28 @@ from samplecheck.eval import (
 )
 from samplecheck.providers import mock_embed
 from samplecheck.vectors import ConstantSequence, pearson, spearman
+
+
+def passages_from_sweep_records(
+    records: list[SweepRecord], sentences_per_record: int = 10
+) -> list[LabeledPassage]:
+    """Encode sweep records as labeled passages for the file-based harness.
+
+    The gold value (one decimal of quality) is encoded as a label multiset:
+    round(gold * n) accurate sentences, the rest major-inaccurate, so
+    passage_score recovers gold up to 1/n granularity.
+    """
+    out = []
+    for idx, record in enumerate(records):
+        n_acc = round(record.gold * sentences_per_record)
+        labels = ("accurate",) * n_acc + ("major",) * (sentences_per_record - n_acc)
+        sentences = tuple(f"synthetic sentence {j}." for j in range(sentences_per_record))
+        out.append(
+            LabeledPassage(
+                id=f"syn-{idx:04d}", sentences=sentences, labels=labels, samples=record.samples
+            )
+        )
+    return out
 
 
 class TestPassageScore:

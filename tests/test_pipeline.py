@@ -40,10 +40,10 @@ def gen_cfg(stub, **kwargs) -> GeneratorConfig:
 MOCK = EmbedderConfig(kind="mock", dim=4096, seed=0)
 
 
-def http_embedder(stub, max_concurrency=1) -> EmbedderConfig:
+def http_embedder(stub, max_concurrency=1, model_id="stub-embed") -> EmbedderConfig:
     return EmbedderConfig(
         kind="http",
-        model_id="stub-embed",
+        model_id=model_id,
         provider=ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
                                 max_concurrency=max_concurrency, backoff_base=0.001),
     )
@@ -122,14 +122,11 @@ class TestVerify:
         first_bytes = report_json_bytes(first)
         calls = len(stub.state.requests)
 
-        # Deleting the report but keeping samples + embeddings must reproduce
-        # the identical report with zero provider calls.
-        report_path = next(cache.glob("*/report.json"))
-        report_path.unlink()
+        # The cached samples + embeddings must reproduce the identical report
+        # with zero provider calls.
         second = verify("q", "gt text", 2, gen_cfg(stub), embed, cache_dir=cache)
         assert len(stub.state.requests) == calls
         assert report_json_bytes(second) == first_bytes
-        assert report_path.exists()
 
     def test_cache_layout(self, stub, tmp_path):
         stub.state.chat_replies = ["x y z"]
@@ -142,9 +139,38 @@ class TestVerify:
         model_dir = root / "embeddings" / report.provenance["embedding_model_id"]
         assert (model_dir / "0.json").exists()
         assert (model_dir / "gt.json").exists()
-        assert (root / "report.json").exists()
+        assert not (root / "report.json").exists()
         values = json.loads((model_dir / "0.json").read_text())
         assert isinstance(values, list) and all(isinstance(v, float) for v in values)
+
+    def test_model_ids_that_escape_alike_keep_separate_vectors(self, stub, tmp_path):
+        stub.state.chat_replies = ["one two", "three four"]
+        stub.state.embed_fn = lambda text, model: (
+            [1.0, 0.0, 0.0, 0.0] if model == "org/m" else [float(len(text)), 1.0, 0.0, 0.5])
+        cache = tmp_path / "cache"
+        first = verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id="org/m"),
+                       cache_dir=cache)
+        assert first.summary.mean_offdiag == 1.0
+        embed_calls = stub.state.embed_calls
+        second = verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id="org_m"),
+                        cache_dir=cache)
+        fresh = verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id="org_m"),
+                       cache_dir=tmp_path / "fresh")
+        assert stub.state.embed_calls == embed_calls + 2
+        assert second.summary == fresh.summary
+        assert second.summary.mean_offdiag < 1.0
+        names = sorted(p.name for p in next(cache.glob("*/embeddings")).iterdir())
+        assert names[0] == "org_m"
+        assert names[1].startswith("org_m~") and len(names[1]) == len("org_m~") + 16
+
+    @pytest.mark.parametrize("model_id", [".", ".."])
+    def test_dot_model_ids_stay_inside_the_embeddings_dir(self, stub, tmp_path, model_id):
+        cache = tmp_path / "cache"
+        report = verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id=model_id),
+                        cache_dir=cache)
+        vectors = list((cache / report.prompt_id / "embeddings").glob("*/*.json"))
+        assert len(vectors) == 2
+        assert all(p.parent.name.startswith(model_id + "~") for p in vectors)
 
     def test_changed_gt_invalidates_gt_embedding(self, stub, tmp_path):
         stub.state.chat_replies = ["x y z"]

@@ -33,11 +33,10 @@ def cfg_for(stub, **kwargs) -> ProviderConfig:
 
 
 def run_verify(stub, k, tmp_path, max_concurrency=1):
-    gen = GeneratorConfig(model_id="m", provider=cfg_for(stub))
+    gen = GeneratorConfig(model_id="m", provider=cfg_for(stub, max_concurrency=max_concurrency))
     mock = EmbedderConfig(kind="mock", dim=64, seed=0)
     cache = tmp_path / "cache"
-    report = verify("hi", None, k, gen, mock, cache_dir=cache,
-                    max_concurrency=max_concurrency)
+    report = verify("hi", None, k, gen, mock, cache_dir=cache)
     samples = cache / report.prompt_id / "samples"
     return [(samples / f"{i}.txt").read_text(encoding="utf-8") for i in range(k)]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from samplecheck.render import (
@@ -9,9 +11,13 @@ from samplecheck.render import (
     csv_to_matrix,
     matrix_to_csv,
     matrix_to_svg,
-    svg_cell_texts,
 )
 from samplecheck.scorematrix import SimilarityMatrix
+
+
+def svg_cell_texts(svg: str) -> list[str]:
+    """Extract the rendered cell values (two-decimal strings) from an SVG."""
+    return re.findall(r">(-?\d+\.\d{2})</text>", svg)
 
 
 def matrix(entries, labels):
