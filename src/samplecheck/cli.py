@@ -104,8 +104,8 @@ def load_config(path: Path | str) -> RunConfig:
             provider=_provider_from(gen, max_concurrency),
             temperature=float(gen.get("temperature", 1.0)),
             max_tokens=int(gen.get("max_tokens", 1024)),
-            top_p=gen.get("top_p"),
-            top_k=gen.get("top_k"),
+            top_p=None if gen.get("top_p") is None else float(gen["top_p"]),
+            top_k=None if gen.get("top_k") is None else int(gen["top_k"]),
         )
         emb = obj.get("embedding", {"kind": "mock"})
         kind = emb.get("kind", "http")

@@ -10,9 +10,15 @@ as soon as its provider call returns, so a failed run keeps the work it paid for
 Cache layout, per prompt hash:
     samples/<i>.txt                       reply text, one file per index
     samples/gt.txt                        ground-truth text (when given)
-    embeddings/<model_id>/<i>.json        JSON array of numbers
-    embeddings/<model_id>/gt.json         ground-truth embedding
+    embeddings/<model_id>/<i>.npy         embedding: 1-D little-endian float64 .npy
+    embeddings/<model_id>/gt.npy          ground-truth embedding
     meta.json                             stage timestamps (stable on re-run)
+
+float64 .npy round-trips every vector bit for bit, so a warm run reproduces
+the cold run's report exactly. The file extension is the format marker: vector
+files in any other format (older versions wrote <i>.json) are never opened,
+so they miss and are embedded again once. A .npy file that does not load as a
+1-D float64 array raises CorruptCacheEntry naming it.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
@@ -22,6 +28,7 @@ never share vectors.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -46,7 +53,7 @@ from .scorematrix import (
     build_matrix,
     summarize,
 )
-from .vectors import Embedding
+from .vectors import Embedding, NonFiniteInput
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +88,14 @@ class PartialFailure(SampleCheckError):
         self.failures = failures
 
 
+class CorruptCacheEntry(SampleCheckError):
+    """A cached embedding file is not a loadable 1-D float64 .npy array."""
+
+    def __init__(self, path: Path, reason: str) -> None:
+        super().__init__(f"corrupt cache entry {path}: {reason}")
+        self.path = path
+
+
 class EmptyDocument(SampleCheckError):
     """chunk_document needs at least one token."""
 
@@ -109,6 +124,10 @@ class GeneratorConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+        if self.top_p is not None and not 0 < self.top_p <= 1:
+            raise ValueError("top_p must be in (0, 1]")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -254,6 +273,10 @@ def _cached_batches(
     return results
 
 
+# Cached embeddings are stored in this dtype whatever the host's byte order.
+_VECTOR_DTYPE = np.dtype("<f8")
+
+
 class _Cache:
     """Disk cache for one prompt: samples, embeddings, timestamps."""
 
@@ -268,7 +291,7 @@ class _Cache:
         if name != model_id or name in (".", ".."):
             # The escaped name never holds "~", so the suffix keeps ids apart.
             name += "~" + hashlib.sha256(model_id.encode("utf-8")).hexdigest()[:16]
-        return self.dir / "embeddings" / name / f"{index}.json"
+        return self.dir / "embeddings" / name / f"{index}.npy"
 
     def load_text(self, index: int | str) -> str | None:
         p = self.sample_path(index)
@@ -281,12 +304,22 @@ class _Cache:
         p = self.embedding_path(model_id, index)
         if not p.exists():
             return None
-        values = json.loads(p.read_text(encoding="utf-8"))
-        return Embedding(np.asarray(values, dtype=np.float64), model_id=model_id)
+        try:
+            with p.open("rb") as fh:
+                values = np.load(fh, allow_pickle=False)
+            if not isinstance(values, np.ndarray):  # np.load also opens .npz archives
+                raise ValueError(f"holds a {type(values).__name__}, not an array")
+            if values.ndim != 1 or values.dtype != _VECTOR_DTYPE:
+                raise ValueError(f"holds a {values.dtype} array of shape {values.shape}, "
+                                 f"not a 1-D {_VECTOR_DTYPE} one")
+            return Embedding(values, model_id=model_id)
+        except (EOFError, ValueError, NonFiniteInput) as exc:
+            raise CorruptCacheEntry(p, str(exc)) from exc
 
     def store_embedding(self, model_id: str, index: int | str, emb: Embedding) -> None:
-        data = json.dumps(emb.tolist()).encode("utf-8")
-        _atomic_write(self.embedding_path(model_id, index), data)
+        buf = io.BytesIO()
+        np.save(buf, emb.values.astype(_VECTOR_DTYPE, copy=False), allow_pickle=False)
+        _atomic_write(self.embedding_path(model_id, index), buf.getvalue())
 
     def meta(self) -> dict:
         p = self.dir / "meta.json"
@@ -357,7 +390,7 @@ def verify(
     # embedder, not only the current one.
     if gt is not None and cache.load_text("gt") != gt:
         cache.store_text("gt", gt)
-        for stale in cache.dir.glob("embeddings/*/gt.json"):
+        for stale in cache.dir.glob("embeddings/*/gt.npy"):
             stale.unlink()
 
     # Stage 2: embed replies and ground truth, EMBED_BATCH texts per request.

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 from test_eval import passages_from_sweep_records
+from test_pipeline import CORRUPTIONS
 from test_render import svg_cell_texts
 
-from samplecheck.cli import _write_outputs, main
+from samplecheck.cli import ConfigError, _write_outputs, load_config, main
 from samplecheck.eval import (
     BinaryRecord,
     corruption_corpus,
@@ -161,6 +162,55 @@ class TestVerifyCommand:
         main(["verify", "--config", str(config), "--prompt", str(prompt_file), "--k", "5"])
         report = report_from_json((tmp_path / "out" / "report.json").read_bytes())
         assert report.k == 5 and report.matrix.order == 5
+
+    @pytest.mark.parametrize("damage", ["truncated_data", "bad_header", "object_array",
+                                        "two_dim"])
+    def test_corrupt_cache_entry_exit_one_names_file(self, stub, tmp_path, prompt_file,
+                                                     capsys, damage):
+        stub.state.chat_replies = DISJOINT
+        config = write_config(tmp_path, stub)
+        args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
+        assert main(args) == 2
+        path = next((tmp_path / "cache").glob("*/embeddings/mock-d4096-s0/0.npy"))
+        path.write_bytes(CORRUPTIONS[damage](path.read_bytes()))
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt cache entry") and str(path) in err
+
+
+class TestLoadConfig:
+    @staticmethod
+    def _load(tmp_path, stub, **generation):
+        config = write_config(tmp_path, stub)
+        obj = json.loads(config.read_text())
+        obj["generation"].update(generation)
+        config.write_text(json.dumps(obj))
+        return load_config(config)
+
+    @pytest.mark.parametrize("given, top_p, top_k", [
+        ({}, None, None),
+        ({"top_p": None, "top_k": None}, None, None),
+        ({"top_p": "0.5", "top_k": "3"}, 0.5, 3),
+        ({"top_p": 1, "top_k": 40}, 1.0, 40),
+    ])
+    def test_sampling_settings_converted(self, stub, tmp_path, given, top_p, top_k):
+        gen = self._load(tmp_path, stub, **given).generation
+        assert (gen.top_p, gen.top_k) == (top_p, top_k)
+        assert type(gen.top_p) is type(top_p) and type(gen.top_k) is type(top_k)
+
+    @pytest.mark.parametrize("given", [
+        {"top_p": 7.0}, {"top_p": 0}, {"top_p": -0.1}, {"top_p": "nan"}, {"top_p": [0.5]},
+        {"top_p": "x"}, {"top_k": -2}, {"top_k": 0}, {"top_k": [3]}, {"top_k": "three"},
+    ])
+    def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
+        with pytest.raises(ConfigError):
+            self._load(tmp_path, stub, **given)
+        args = ["verify", "--config", str(tmp_path / "config.json"), "--prompt",
+                str(prompt_file)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: invalid config:")
+        assert stub.state.requests == []
 
 
 class TestEvalCommand:

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import pickle
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from samplecheck.pipeline import (
     EMBED_BATCH,
+    CorruptCacheEntry,
     EmbedderConfig,
     EmptyDocument,
     GeneratorConfig,
@@ -24,8 +32,9 @@ from samplecheck.pipeline import (
     report_json_bytes,
     verify,
     write_vectors,
+    _Cache,
 )
-from samplecheck.providers import ProviderConfig
+from samplecheck.providers import ProviderConfig, mock_embed
 from samplecheck.scorematrix import build_matrix, summarize
 from samplecheck.vectors import Embedding
 
@@ -137,11 +146,13 @@ class TestVerify:
         assert (root / "samples" / "1.txt").exists()
         assert (root / "samples" / "gt.txt").exists()
         model_dir = root / "embeddings" / report.provenance["embedding_model_id"]
-        assert (model_dir / "0.json").exists()
-        assert (model_dir / "gt.json").exists()
+        assert (model_dir / "0.npy").exists()
+        assert (model_dir / "gt.npy").exists()
         assert not (root / "report.json").exists()
-        values = json.loads((model_dir / "0.json").read_text())
-        assert isinstance(values, list) and all(isinstance(v, float) for v in values)
+        for name, text in (("0", "x y z"), ("gt", "gt")):
+            values = np.load(model_dir / f"{name}.npy", allow_pickle=False)
+            assert values.ndim == 1 and values.dtype == np.float64
+            assert np.array_equal(values, mock_embed(text, MOCK.dim, MOCK.seed).values)
 
     def test_model_ids_that_escape_alike_keep_separate_vectors(self, stub, tmp_path):
         stub.state.chat_replies = ["one two", "three four"]
@@ -168,7 +179,7 @@ class TestVerify:
         cache = tmp_path / "cache"
         report = verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id=model_id),
                         cache_dir=cache)
-        vectors = list((cache / report.prompt_id / "embeddings").glob("*/*.json"))
+        vectors = list((cache / report.prompt_id / "embeddings").glob("*/*.npy"))
         assert len(vectors) == 2
         assert all(p.parent.name.startswith(model_id + "~") for p in vectors)
 
@@ -196,6 +207,56 @@ class TestVerify:
                        cache_dir=tmp_path / "fresh")
         assert third.summary == fresh.summary
         assert third.summary.gt_alignment < 0.5
+
+    def test_changed_gt_deletes_gt_vector_file_of_every_embedder(self, stub, tmp_path):
+        stub.state.chat_replies = ["x y z"]
+        seed1 = EmbedderConfig(kind="mock", dim=4096, seed=1)
+        cache = tmp_path / "cache"
+        verify("p", "x y z", 2, gen_cfg(stub), seed1, cache_dir=cache)
+        report = verify("p", "x y z", 2, gen_cfg(stub), MOCK, cache_dir=cache)
+        embeddings = cache / report.prompt_id / "embeddings"
+        assert sorted(p.parent.name for p in embeddings.glob("*/gt.npy")) == [
+            MOCK.effective_model_id, seed1.effective_model_id]
+        verify("p", "other words", 2, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert [p.parent.name for p in embeddings.glob("*/gt.npy")] == [
+            MOCK.effective_model_id]
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_json_vectors_of_older_caches_are_embedded_again_once(self, stub, tmp_path, k):
+        # Older versions stored each vector as a JSON array in <i>.json; those
+        # files are never read, so each vector misses and is embedded once more.
+        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        stub.state.embed_fn = lambda text, model: [float(len(text)), 1.0, 0.0, 0.5]
+        cache = tmp_path / "cache"
+        verify("q", "truth", k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        for vector in cache.glob("*/embeddings/*/*.npy"):
+            values = np.load(vector, allow_pickle=False).tolist()
+            vector.with_suffix(".json").write_text(json.dumps(values))
+            vector.unlink()
+        old = {p: p.read_bytes() for p in sorted(cache.glob("*/embeddings/*/*"))}
+        assert [p.name for p in old] == [f"{i}.json" for i in range(k)] + ["gt.json"]
+
+        chat, embed = stub.state.chat_calls, stub.state.embed_calls
+        requests = len(stub.state.requests)
+        report = verify("q", "truth", k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        assert stub.state.chat_calls == chat
+        assert stub.state.embed_calls - embed == math.ceil((k + 1) / EMBED_BATCH)
+        assert len(stub.state.requests) - requests == math.ceil((k + 1) / EMBED_BATCH)
+        assert {p: p.read_bytes() for p in old} == old  # ignored, left as they were
+
+        fresh = verify("q", "truth", k, gen_cfg(stub), http_embedder(stub),
+                       cache_dir=tmp_path / "fresh")
+
+        def untimed(r):
+            obj = json.loads(report_json_bytes(r))
+            del obj["provenance"]["generated_at"], obj["provenance"]["embedded_at"]
+            return obj
+
+        assert untimed(report) == untimed(fresh)
+        requests = len(stub.state.requests)
+        again = verify("q", "truth", k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        assert len(stub.state.requests) == requests
+        assert report_json_bytes(again) == report_json_bytes(report)
 
     def test_partial_failure_lists_indices(self, stub, tmp_path):
         # First two requests succeed, every later one returns HTTP 500, so
@@ -294,7 +355,7 @@ class TestVerify:
         assert report.k == k
         samples = [p.read_text() for p in cache.glob("*/samples/*.txt")]
         assert sorted(samples) == sorted(stub.state.chat_replies)
-        assert len(list(cache.glob("*/embeddings/stub-embed/*.json"))) == k
+        assert len(list(cache.glob("*/embeddings/stub-embed/*.npy"))) == k
         assert stub.state.embed_calls == math.ceil(k / EMBED_BATCH)
         assert stub.state.connections <= 8
 
@@ -335,6 +396,78 @@ class TestVerify:
         assert p["temperature"] == 0.5
         assert p["max_tokens"] == 1024 and p["top_p"] is None and p["top_k"] is None
         assert "generated_at" in p and "embedded_at" in p
+
+
+def _npy(values: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, values, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _npz(values: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, values=values)
+    return buf.getvalue()
+
+
+# Ways a cached vector file can be damaged: good .npy bytes -> bad bytes.
+CORRUPTIONS = {
+    "truncated_data": lambda good: good[:-8],
+    "truncated_header": lambda good: good[:20],
+    "empty": lambda good: b"",
+    "bad_header": lambda good: good.replace(b"'descr'", b"'descr!"),
+    "object_array": lambda good: _npy(np.array([1.0, "x"], dtype=object), allow_pickle=True),
+    "pickle": lambda good: pickle.dumps([1.0, 2.0]),
+    "json_text": lambda good: b"[1.0, 2.0]",
+    "float32": lambda good: _npy(np.ones(4, dtype=np.float32)),
+    "big_endian": lambda good: _npy(np.ones(4, dtype=">f8")),
+    "two_dim": lambda good: _npy(np.ones((2, 2))),
+    "scalar": lambda good: _npy(np.float64(1.0)),
+    "no_values": lambda good: _npy(np.zeros(0)),
+    "nan": lambda good: _npy(np.array([1.0, np.nan])),
+    "npz_archive": lambda good: _npz(np.ones(4)),
+}
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+class TestCacheEntries:
+    @given(arrays(np.float64, st.integers(1, 64), elements=finite_floats))
+    @example(np.array([-0.0]))
+    @example(np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308, -0.0]))
+    @example(np.tile([5e-324, -0.0, 1.7e308, -1.7e308], 1024))
+    @example(np.random.default_rng(0).normal(size=4096))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_bit_exact(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = _Cache(Path(tmp), "key")
+            emb = Embedding(values, model_id="m")
+            cache.store_embedding("m", 0, emb)
+            path = cache.embedding_path("m", 0)
+            stored = path.read_bytes()
+            loaded = cache.load_embedding("m", 0)
+            assert loaded.values.ndim == 1 and loaded.values.dtype.str == "<f8"
+            assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
+            assert loaded.model_id == "m"
+            cache.store_embedding("m", 0, emb)
+            assert path.read_bytes() == stored
+
+    def test_missing_entry_is_a_miss(self, tmp_path):
+        assert _Cache(tmp_path, "key").load_embedding("m", 0) is None
+
+    @pytest.mark.parametrize("damage", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+    def test_damaged_entry_raises_naming_the_file(self, stub, tmp_path, damage):
+        stub.state.chat_replies = DISJOINT
+        cache = tmp_path / "cache"
+        first = verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        path = cache / first.prompt_id / "embeddings" / MOCK.effective_model_id / "1.npy"
+        path.write_bytes(damage(path.read_bytes()))
+        requests = len(stub.state.requests)
+        with pytest.raises(CorruptCacheEntry) as err:
+            verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert err.value.path == path
+        assert str(path) in str(err.value)
+        assert len(stub.state.requests) == requests
 
 
 class TestChunkDocument:
