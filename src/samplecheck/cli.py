@@ -25,6 +25,7 @@ from .pipeline import (
     GeneratorConfig,
     VerificationReport,
     _atomic_write,
+    embed_cached,
     report_from_json,
     report_json_bytes,
     verify,
@@ -210,8 +211,8 @@ def _record_scorer(
                     f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
                 )
         score = evalmod.stability_scorer(
-            cfg.embedding.embedder(), cfg.measure, cfg.eval.statistic
-        )
+            lambda texts: embed_cached(texts, cfg.embedding, cfg.cache_dir),
+            cfg.measure, cfg.eval.statistic)
         return cfg.eval.statistic, lambda r: score(r.samples[:k])
     if scheme == "judge":
         if task != "wikibio":

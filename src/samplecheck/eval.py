@@ -199,8 +199,8 @@ def stability_scorer(
 ) -> RecordScorer:
     """Per-record confidence: embed the samples, build the matrix, reduce it.
 
-    `embed` is a batch embedder (texts -> embeddings in order), such as
-    EmbedderConfig.embedder(); it receives each record's samples in one call.
+    `embed` is a batch embedder (texts -> embeddings in order), such as the
+    cached pipeline.embed_cached the CLI passes; it gets a record's samples at once.
 
     The statistic is the off-diagonal mean by default; the normalized
     Frobenius norm is exposed as the alternative whole-matrix reduction.

@@ -1,24 +1,24 @@
 """End-to-end verification: sample, embed, score, summarize, persist.
 
-Every run is backed by a content-addressed disk cache so that re-runs skip
-completed stages entirely. The cache key hashes the prompt, the generation
-model and every sampling setting (temperature, max_tokens, top_p, top_k); the
-sample index is the file name, so editing the prompt invalidates precisely the
-affected artifacts and nothing else. Each reply and each embedding is written
-as soon as its provider call returns, so a failed run keeps the work it paid for.
+Every run is backed by a disk cache so that re-runs skip completed provider
+calls. Replies are cached per prompt key, which hashes the prompt, the
+generation model and every sampling setting (temperature, max_tokens, top_p,
+top_k); the sample index is the file name. Embeddings live in one store at the
+cache root, shared by every prompt and by the eval harness and keyed by the
+SHA-256 of the text, so each distinct text is embedded once per model and a new
+ground truth is simply a new key. Each reply and each embedding is written as
+soon as its provider call returns, so a failed run keeps the work it paid for.
 
-Cache layout, per prompt hash:
-    samples/<i>.txt                       reply text, one file per index
-    samples/gt.txt                        ground-truth text (when given)
-    embeddings/<model_id>/<i>.npy         embedding: 1-D little-endian float64 .npy
-    embeddings/<model_id>/gt.npy          ground-truth embedding
-    meta.json                             stage timestamps (stable on re-run)
+Cache layout:
+    <prompt key>/samples/<i>.txt          reply text, one file per index
+    <prompt key>/meta.json                stage timestamps (stable on re-run)
+    embeddings/<model dir>/<sha256>.npy   1-D little-endian float64 .npy
 
 float64 .npy round-trips every vector bit for bit, so a warm run reproduces
-the cold run's report exactly. The file extension is the format marker: vector
-files in any other format (older versions wrote <i>.json) are never opened,
-so they miss and are embedded again once. A .npy file that does not load as a
-1-D float64 array raises CorruptCacheEntry naming it.
+the cold run's report exactly. Vectors of older layouts (per prompt and index,
+<prompt key>/embeddings/...) are never opened: they miss, are embedded again
+once, and are left on disk. A store file that does not load as a 1-D float64
+array raises CorruptCacheEntry naming it. Nothing is ever evicted.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import tempfile
@@ -71,8 +72,9 @@ EMBED_BATCH = 4
 class PartialFailure(SampleCheckError):
     """One or more provider calls failed after retries.
 
-    failures maps every sample index the failed calls covered to the error; an
-    embeddings request covers all the texts of its batch. The run aborts rather
+    failures maps every sample index ("gt" for the ground truth) the failed
+    calls covered to the error; an embeddings request covers every index whose
+    text was in its batch. The run aborts rather
     than shrinking k: a silently smaller sample count would change the meaning
     of the confidence statistics.
     """
@@ -101,7 +103,7 @@ class EmptyDocument(SampleCheckError):
 
 
 class ParseError(SampleCheckError):
-    """A vector file line is not a JSON array of numbers."""
+    """A vector file line is not a JSON array of finite numbers."""
 
 
 class RaggedDims(SampleCheckError):
@@ -120,8 +122,8 @@ class GeneratorConfig:
     top_k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.top_p is not None and not 0 < self.top_p <= 1:
@@ -157,26 +159,12 @@ class EmbedderConfig:
         return self.model_id
 
     def embedder(self) -> Callable[[Sequence[str]], list[Embedding]]:
-        """A batch embedder: texts in, their embeddings in the same order.
-
-        The HTTP embedder sends EMBED_BATCH texts per request, one request at a
-        time.
-        """
+        """A batch embedder: texts in, embeddings in the same order, in one request."""
         if self.kind == "mock":
             return lambda texts: [providers.mock_embed(t, self.dim, self.seed) for t in texts]
         provider, model_id = self.provider, self.model_id
         assert provider is not None
-
-        def embed(texts: Sequence[str]) -> list[Embedding]:
-            return [
-                emb
-                for start in range(0, len(texts), EMBED_BATCH)
-                for emb in providers.embed_many(
-                    texts[start:start + EMBED_BATCH], provider, model_id
-                )
-            ]
-
-        return embed
+        return lambda texts: providers.embed_many(texts, provider, model_id)
 
 
 @dataclass(frozen=True)
@@ -278,30 +266,32 @@ _VECTOR_DTYPE = np.dtype("<f8")
 
 
 class _Cache:
-    """Disk cache for one prompt: samples, embeddings, timestamps."""
+    """Disk cache: the shared vector store, and one prompt's replies and timestamps."""
 
-    def __init__(self, root: Path, key: str) -> None:
-        self.dir = root / key
+    def __init__(self, root: Path, prompt_key: str = "") -> None:
+        self.root = root
+        self.dir = root / prompt_key
 
-    def sample_path(self, index: int | str) -> Path:
+    def sample_path(self, index: int) -> Path:
         return self.dir / "samples" / f"{index}.txt"
 
-    def embedding_path(self, model_id: str, index: int | str) -> Path:
+    def embedding_path(self, model_id: str, text: str) -> Path:
         name = re.sub(r"[^0-9A-Za-z._-]+", "_", model_id)
         if name != model_id or name in (".", ".."):
             # The escaped name never holds "~", so the suffix keeps ids apart.
             name += "~" + hashlib.sha256(model_id.encode("utf-8")).hexdigest()[:16]
-        return self.dir / "embeddings" / name / f"{index}.npy"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self.root / "embeddings" / name / f"{digest}.npy"
 
-    def load_text(self, index: int | str) -> str | None:
+    def load_text(self, index: int) -> str | None:
         p = self.sample_path(index)
         return p.read_text(encoding="utf-8") if p.exists() else None
 
-    def store_text(self, index: int | str, text: str) -> None:
+    def store_text(self, index: int, text: str) -> None:
         _atomic_write(self.sample_path(index), text.encode("utf-8"))
 
-    def load_embedding(self, model_id: str, index: int | str) -> Embedding | None:
-        p = self.embedding_path(model_id, index)
+    def load_embedding(self, model_id: str, text: str) -> Embedding | None:
+        p = self.embedding_path(model_id, text)
         if not p.exists():
             return None
         try:
@@ -316,26 +306,44 @@ class _Cache:
         except (EOFError, ValueError, NonFiniteInput) as exc:
             raise CorruptCacheEntry(p, str(exc)) from exc
 
-    def store_embedding(self, model_id: str, index: int | str, emb: Embedding) -> None:
+    def store_embedding(self, model_id: str, text: str, emb: Embedding) -> None:
         buf = io.BytesIO()
         np.save(buf, emb.values.astype(_VECTOR_DTYPE, copy=False), allow_pickle=False)
-        _atomic_write(self.embedding_path(model_id, index), buf.getvalue())
-
-    def meta(self) -> dict:
-        p = self.dir / "meta.json"
-        return json.loads(p.read_text(encoding="utf-8")) if p.exists() else {}
+        _atomic_write(self.embedding_path(model_id, text), buf.getvalue())
 
     def update_meta(self, updates: dict) -> dict:
-        meta = self.meta()
-        changed = False
-        for key, value in updates.items():
-            if key not in meta:
-                meta[key] = value
-                changed = True
-        if changed:
-            _atomic_write(self.dir / "meta.json",
-                          json.dumps(meta, sort_keys=True, indent=2).encode("utf-8"))
+        """meta.json with the keys it lacks added; a key once set never changes."""
+        p = self.dir / "meta.json"
+        meta = json.loads(p.read_text(encoding="utf-8")) if p.exists() else {}
+        if not updates.keys() <= meta.keys():
+            meta = {**updates, **meta}
+            _atomic_write(p, json.dumps(meta, sort_keys=True, indent=2).encode("utf-8"))
         return meta
+
+
+def embed_cached(
+    texts: Sequence[str], embed_cfg: EmbedderConfig, cache_dir: Path | str
+) -> list[Embedding]:
+    """Each text's embedding, in order, through the vector store under cache_dir.
+
+    Each distinct text is looked up once; misses go out EMBED_BATCH per request,
+    up to the endpoint's max_concurrency requests at a time (the mock embedder
+    runs serially). PartialFailure names the positions of a failed batch's texts.
+    """
+    cache = _Cache(Path(cache_dir))
+    model_id = embed_cfg.effective_model_id
+    try:
+        vectors = _cached_batches(
+            STAGE_EMBED, list(dict.fromkeys(texts)),
+            lambda text: cache.load_embedding(model_id, text), EMBED_BATCH,
+            embed_cfg.embedder(), lambda text, emb: cache.store_embedding(model_id, text, emb),
+            embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
+        )
+    except PartialFailure as err:
+        raise PartialFailure(STAGE_EMBED, {
+            i: err.failures[text] for i, text in enumerate(texts) if text in err.failures
+        }) from None
+    return [vectors[text] for text in texts]
 
 
 def verify(
@@ -351,13 +359,11 @@ def verify(
 ) -> VerificationReport:
     """Run the full verification pipeline for one prompt.
 
-    Stages: generate k replies, embed them (plus the optional ground truth),
-    build the pairwise similarity matrix, summarize. Each per-sample provider
-    call that is already cached under cache_dir is skipped; with a warm cache
-    the whole run makes zero network calls and the resulting report is
-    byte-identical. Each stage runs up to its endpoint's max_concurrency
-    requests at a time; the mock embedder, which has no endpoint, embeds
-    serially.
+    Stages: generate k replies, embed them and the optional ground truth
+    (embed_cached), build the pairwise similarity matrix, summarize. Every
+    provider call already cached under cache_dir is skipped, so a warm run
+    makes zero network calls and returns a byte-identical report. Each stage
+    runs up to its endpoint's max_concurrency requests at a time.
     """
     if k < 2:
         raise ValueError("k must be >= 2 for verification")
@@ -385,31 +391,19 @@ def verify(
     )
     cache.update_meta({"generated_at": _now_iso()})
 
-    # Ground truth is caller input, not generated: refresh the cache if the
-    # text changed since the last run, dropping the GT embedding of every
-    # embedder, not only the current one.
-    if gt is not None and cache.load_text("gt") != gt:
-        cache.store_text("gt", gt)
-        for stale in cache.dir.glob("embeddings/*/gt.npy"):
-            stale.unlink()
-
-    # Stage 2: embed replies and ground truth, EMBED_BATCH texts per request.
+    # Stage 2: embed the replies and, at position k, the ground truth.
+    texts = [replies[i] for i in range(k)] + ([] if gt is None else [gt])
+    try:
+        vectors = embed_cached(texts, embed_cfg, cache_dir)
+    except PartialFailure as err:
+        raise PartialFailure(STAGE_EMBED, {"gt" if i == k else i: exc
+                                           for i, exc in err.failures.items()}) from None
     model_id = embed_cfg.effective_model_id
-    embed = embed_cfg.embedder()
-    texts: dict[int | str, str] = {i: replies[i] for i in range(k)}
-    if gt is not None:
-        texts["gt"] = gt
-    embeddings = _cached_batches(
-        STAGE_EMBED, list(texts), lambda i: cache.load_embedding(model_id, i), EMBED_BATCH,
-        lambda batch: embed([texts[i] for i in batch]),
-        lambda i, emb: cache.store_embedding(model_id, i, emb),
-        embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
-    )
     embed_meta_key = f"embedded_at:{model_id}"
     meta = cache.update_meta({embed_meta_key: _now_iso()})
 
     # Stage 3: score and summarize.
-    matrix = build_matrix([embeddings[i] for i in range(k)], embeddings.get("gt"), measure)
+    matrix = build_matrix(vectors[:k], vectors[k] if gt is not None else None, measure)
     summary = summarize(matrix, thresholds)
     return VerificationReport(
         prompt_id=key,
@@ -554,13 +548,11 @@ def ingest_vectors(path: Path | str, model_id: str = "ingested") -> list[Embeddi
                 raise RaggedDims(
                     f"{path}:{lineno}: vector has dim {len(values)}, expected {dim}"
                 )
-            embeddings.append(Embedding(np.asarray(values, dtype=np.float64), model_id=model_id))
+            try:
+                values = np.asarray(values, dtype=np.float64)
+                embeddings.append(Embedding(values, model_id=model_id))
+            except (OverflowError, NonFiniteInput) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not embeddings:
         raise ParseError(f"{path}: no vectors found")
     return embeddings
-
-
-def write_vectors(path: Path | str, embeddings: Sequence[Embedding]) -> None:
-    """Write embeddings as JSON Lines; reading them back is bit-exact."""
-    lines = [json.dumps(e.tolist()) for e in embeddings]
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))

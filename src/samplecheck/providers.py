@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -78,12 +79,14 @@ class ProviderConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be finite and positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be finite and >= 0")
 
 
 def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:

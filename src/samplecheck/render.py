@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import io
 
-import numpy as np
-
 from .scorematrix import GT_LABEL, SimilarityMatrix
 
 _CELL = 64
@@ -40,18 +38,6 @@ def matrix_to_csv(matrix: SimilarityMatrix) -> str:
     for label, row in zip(matrix.labels, matrix.entries):
         out.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
     return out.getvalue()
-
-
-def csv_to_matrix(text: str, measure: str = "cosine") -> SimilarityMatrix:
-    lines = [line for line in text.splitlines() if line]
-    labels = tuple(lines[0].split(",")[1:])
-    entries = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        entries.append([float(v) for v in fields[1:]])
-    return SimilarityMatrix(
-        entries=np.asarray(entries, dtype=np.float64), labels=labels, measure=measure
-    )
 
 
 def matrix_to_svg(matrix: SimilarityMatrix) -> str:
@@ -106,7 +92,6 @@ def matrix_to_svg(matrix: SimilarityMatrix) -> str:
 
 __all__ = [
     "GT_LABEL",
-    "csv_to_matrix",
     "matrix_to_csv",
     "matrix_to_svg",
 ]

@@ -55,8 +55,8 @@ class ConfidenceThresholds:
     def __post_init__(self) -> None:
         if not (-1.0 < self.mean_min <= 1.0):
             raise ValueError("mean_min must lie in (-1, 1]")
-        if self.std_max < 0:
-            raise ValueError("std_max must be >= 0")
+        if not 0 <= self.std_max < math.inf:
+            raise ValueError("std_max must be finite and >= 0")
 
 
 DEFAULT_THRESHOLDS = ConfidenceThresholds()

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import io
 import json
-import math
 
 import numpy as np
 import pytest
 from test_eval import passages_from_sweep_records
-from test_pipeline import CORRUPTIONS
-from test_render import svg_cell_texts
+from test_pipeline import CORRUPTIONS, vector_path
+from test_render import csv_to_matrix, svg_cell_texts
 
 from samplecheck.cli import ConfigError, _write_outputs, load_config, main
 from samplecheck.eval import (
@@ -21,7 +20,6 @@ from samplecheck.eval import (
 )
 from samplecheck.pipeline import EMBED_BATCH, report_from_json
 from samplecheck.providers import mock_embed
-from samplecheck.render import csv_to_matrix
 
 DISJOINT = [
     " ".join(f"alpha{i}" for i in range(40)),
@@ -171,7 +169,7 @@ class TestVerifyCommand:
         config = write_config(tmp_path, stub)
         args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
         assert main(args) == 2
-        path = next((tmp_path / "cache").glob("*/embeddings/mock-d4096-s0/0.npy"))
+        path = vector_path(tmp_path / "cache", "mock-d4096-s0", DISJOINT[0])
         path.write_bytes(CORRUPTIONS[damage](path.read_bytes()))
         capsys.readouterr()
         assert main(args) == 1
@@ -202,6 +200,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("given", [
         {"top_p": 7.0}, {"top_p": 0}, {"top_p": -0.1}, {"top_p": "nan"}, {"top_p": [0.5]},
         {"top_p": "x"}, {"top_k": -2}, {"top_k": 0}, {"top_k": [3]}, {"top_k": "three"},
+        {"temperature": "nan"}, {"temperature": "inf"}, {"timeout": "nan"},
+        {"backoff_base": -1}, {"backoff_base": "nan"},
     ])
     def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
         with pytest.raises(ConfigError):
@@ -209,6 +209,14 @@ class TestLoadConfig:
         args = ["verify", "--config", str(tmp_path / "config.json"), "--prompt",
                 str(prompt_file)]
         assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: invalid config:")
+        assert stub.state.requests == []
+
+    def test_nan_std_max_rejected(self, stub, tmp_path, prompt_file, capsys):
+        config = write_config(tmp_path, stub, thresholds={"mean_min": 0.9, "std_max": "nan"})
+        with pytest.raises(ConfigError):
+            load_config(config)
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
         assert capsys.readouterr().err.startswith("error: invalid config:")
         assert stub.state.requests == []
 
@@ -247,13 +255,39 @@ class TestEvalCommand:
              "--scheme", "checkembed", "--task", "wikibio"]
         )
         assert code == 0
-        per_record = math.ceil(k / EMBED_BATCH)
-        assert stub.state.embed_calls == len(records) * per_record
-        batches = stub.state.embed_inputs
-        for i, record in enumerate(records):
-            sent = batches[i * per_record:(i + 1) * per_record]
-            assert [t for batch in sent for t in batch] == list(record.samples)
+        # Each record's texts that the run has not embedded yet, in order,
+        # EMBED_BATCH per request; the zero-corruption record's k replies are
+        # one text.
+        seen: set[str] = set()
+        expected = []
+        for record in records:
+            new = [t for t in dict.fromkeys(record.samples) if t not in seen]
+            seen.update(new)
+            expected += [new[i:i + EMBED_BATCH] for i in range(0, len(new), EMBED_BATCH)]
+        assert len(seen) < len(records) * k
+        assert stub.state.embed_inputs == expected
         assert stub.state.connections == 1
+
+    def test_second_run_sends_no_embeddings_request(self, stub, tmp_path):
+        records, _ = corruption_corpus(
+            n_levels=4, records_per_level=2, k=4, base_tokens=20, seed=5
+        )
+        dataset = tmp_path / "wikibio.jsonl"
+        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                     "timeout": 5, "max_retries": 0}
+        config = write_config(tmp_path, stub, k=4, embedding=embedding)
+        args = ["eval", "--config", str(config), "--dataset", str(dataset),
+                "--scheme", "checkembed", "--task", "wikibio"]
+        assert main(args) == 0
+        report = tmp_path / "out" / "eval_wikibio_checkembed.json"
+        first = report.read_bytes()
+        requests = len(stub.state.requests)
+        assert requests == stub.state.embed_calls > 0
+        assert main(args) == 0
+        assert len(stub.state.requests) == requests
+        assert report.read_bytes() == first
 
     def test_ragtruth_sweep_reports_best_threshold(self, stub, tmp_path):
         rng = np.random.default_rng(7)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
 import pickle
+import re
+import shutil
 import sys
 import tempfile
 import threading
@@ -31,7 +34,6 @@ from samplecheck.pipeline import (
     report_from_json,
     report_json_bytes,
     verify,
-    write_vectors,
     _Cache,
 )
 from samplecheck.providers import ProviderConfig, mock_embed
@@ -69,6 +71,15 @@ def fail_requests(stub, numbers):
             return 500 if served["n"] in numbers else None
 
     stub.state.next_failure = next_failure
+
+
+def vector_names(texts) -> list[str]:
+    """The store's file names for these texts, sorted."""
+    return sorted(hashlib.sha256(t.encode("utf-8")).hexdigest() + ".npy" for t in set(texts))
+
+
+def vector_path(cache: Path, model_id: str, text: str) -> Path:
+    return _Cache(cache).embedding_path(model_id, text)
 
 
 DISJOINT = [
@@ -141,16 +152,15 @@ class TestVerify:
         stub.state.chat_replies = ["x y z"]
         cache = tmp_path / "cache"
         report = verify("prompt text", "gt", 2, gen_cfg(stub), MOCK, cache_dir=cache)
-        root = cache / report.prompt_id
-        assert (root / "samples" / "0.txt").exists()
-        assert (root / "samples" / "1.txt").exists()
-        assert (root / "samples" / "gt.txt").exists()
-        model_dir = root / "embeddings" / report.provenance["embedding_model_id"]
-        assert (model_dir / "0.npy").exists()
-        assert (model_dir / "gt.npy").exists()
-        assert not (root / "report.json").exists()
-        for name, text in (("0", "x y z"), ("gt", "gt")):
-            values = np.load(model_dir / f"{name}.npy", allow_pickle=False)
+        model_id = report.provenance["embedding_model_id"]
+        files = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*") if p.is_file())
+        # Both replies are "x y z", so the store holds one vector for them.
+        assert files == sorted(
+            [f"{report.prompt_id}/{name}" for name in ("meta.json", "samples/0.txt",
+                                                       "samples/1.txt")]
+            + [f"embeddings/{model_id}/{name}" for name in vector_names(["x y z", "gt"])])
+        for text in ("x y z", "gt"):
+            values = np.load(vector_path(cache, model_id, text), allow_pickle=False)
             assert values.ndim == 1 and values.dtype == np.float64
             assert np.array_equal(values, mock_embed(text, MOCK.dim, MOCK.seed).values)
 
@@ -170,17 +180,17 @@ class TestVerify:
         assert stub.state.embed_calls == embed_calls + 2
         assert second.summary == fresh.summary
         assert second.summary.mean_offdiag < 1.0
-        names = sorted(p.name for p in next(cache.glob("*/embeddings")).iterdir())
+        names = sorted(p.name for p in (cache / "embeddings").iterdir())
         assert names[0] == "org_m"
         assert names[1].startswith("org_m~") and len(names[1]) == len("org_m~") + 16
 
     @pytest.mark.parametrize("model_id", [".", ".."])
     def test_dot_model_ids_stay_inside_the_embeddings_dir(self, stub, tmp_path, model_id):
         cache = tmp_path / "cache"
-        report = verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id=model_id),
-                        cache_dir=cache)
-        vectors = list((cache / report.prompt_id / "embeddings").glob("*/*.npy"))
-        assert len(vectors) == 2
+        verify("q", None, 2, gen_cfg(stub), http_embedder(stub, model_id=model_id),
+               cache_dir=cache)
+        vectors = list((cache / "embeddings").glob("*/*.npy"))
+        assert len(vectors) == 1  # both replies are the stub's one reply
         assert all(p.parent.name.startswith(model_id + "~") for p in vectors)
 
     def test_changed_gt_invalidates_gt_embedding(self, stub, tmp_path):
@@ -208,33 +218,51 @@ class TestVerify:
         assert third.summary == fresh.summary
         assert third.summary.gt_alignment < 0.5
 
-    def test_changed_gt_deletes_gt_vector_file_of_every_embedder(self, stub, tmp_path):
+    def test_changed_gt_keeps_old_gt_vector_and_serves_the_new_one(self, stub, tmp_path):
+        # A new GT text is a new key: the old GT's vector stays in the store of
+        # every embedder, and is not what the new GT is scored with.
         stub.state.chat_replies = ["x y z"]
         seed1 = EmbedderConfig(kind="mock", dim=4096, seed=1)
         cache = tmp_path / "cache"
-        verify("p", "x y z", 2, gen_cfg(stub), seed1, cache_dir=cache)
-        report = verify("p", "x y z", 2, gen_cfg(stub), MOCK, cache_dir=cache)
-        embeddings = cache / report.prompt_id / "embeddings"
-        assert sorted(p.parent.name for p in embeddings.glob("*/gt.npy")) == [
-            MOCK.effective_model_id, seed1.effective_model_id]
-        verify("p", "other words", 2, gen_cfg(stub), MOCK, cache_dir=cache)
-        assert [p.parent.name for p in embeddings.glob("*/gt.npy")] == [
-            MOCK.effective_model_id]
+        verify("p", "old words", 2, gen_cfg(stub), seed1, cache_dir=cache)
+        verify("p", "old words", 2, gen_cfg(stub), MOCK, cache_dir=cache)
+        report = verify("p", "other words", 2, gen_cfg(stub), MOCK, cache_dir=cache)
+        fresh = verify("p", "other words", 2, gen_cfg(stub), MOCK, cache_dir=tmp_path / "fresh")
+        assert report.summary == fresh.summary
+
+        def stored(embed_cfg):
+            return sorted(p.name for p in (cache / "embeddings" / embed_cfg.effective_model_id)
+                          .iterdir())
+
+        assert stored(MOCK) == vector_names(["x y z", "old words", "other words"])
+        assert stored(seed1) == vector_names(["x y z", "old words"])
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            ["embeddings", report.prompt_id])
+        assert not (cache / report.prompt_id / "samples" / "gt.txt").exists()
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_json_vectors_of_older_caches_are_embedded_again_once(self, stub, tmp_path, k):
-        # Older versions stored each vector as a JSON array in <i>.json; those
+        # Older versions kept vectors per prompt and index, as <i>.json and
+        # later <i>.npy (and gt.*), with the GT text in samples/gt.txt. Those
         # files are never read, so each vector misses and is embedded once more.
         stub.state.chat_replies = [f"reply {i}" for i in range(k)]
         stub.state.embed_fn = lambda text, model: [float(len(text)), 1.0, 0.0, 0.5]
         cache = tmp_path / "cache"
-        verify("q", "truth", k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
-        for vector in cache.glob("*/embeddings/*/*.npy"):
-            values = np.load(vector, allow_pickle=False).tolist()
-            vector.with_suffix(".json").write_text(json.dumps(values))
-            vector.unlink()
-        old = {p: p.read_bytes() for p in sorted(cache.glob("*/embeddings/*/*"))}
-        assert [p.name for p in old] == [f"{i}.json" for i in range(k)] + ["gt.json"]
+        first = verify("q", "truth", k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        named = {str(i): f"reply {i}" for i in range(k)} | {"gt": "truth"}
+        vectors = {name: np.load(vector_path(cache, "stub-embed", text), allow_pickle=False)
+                   for name, text in named.items()}
+        shutil.rmtree(cache / "embeddings")
+        prompt_dir = cache / first.prompt_id
+        (prompt_dir / "embeddings" / "stub-embed").mkdir(parents=True)
+        for name, values in vectors.items():
+            old_file = prompt_dir / "embeddings" / "stub-embed" / name
+            old_file.with_suffix(".npy").write_bytes(_npy(values))
+            old_file.with_suffix(".json").write_text(json.dumps(values.tolist()))
+        (prompt_dir / "samples" / "gt.txt").write_text("truth")
+        old = {p: p.read_bytes() for p in sorted(prompt_dir.glob("embeddings/*/*"))}
+        old[prompt_dir / "samples" / "gt.txt"] = b"truth"
+        assert len(old) == 2 * (k + 1) + 1
 
         chat, embed = stub.state.chat_calls, stub.state.embed_calls
         requests = len(stub.state.requests)
@@ -257,6 +285,24 @@ class TestVerify:
         again = verify("q", "truth", k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
         assert len(stub.state.requests) == requests
         assert report_json_bytes(again) == report_json_bytes(report)
+
+    def test_identical_replies_and_gt_send_one_text(self, stub, tmp_path):
+        stub.state.chat_replies = ["the same answer"]
+        report = verify("q", "the same answer", 5, gen_cfg(stub), http_embedder(stub),
+                        cache_dir=tmp_path / "cache")
+        assert stub.state.embed_inputs == [["the same answer"]]
+        assert report.summary.mean_offdiag == 1.0 and report.summary.gt_alignment == 1.0
+
+    def test_gt_shared_by_two_prompts_is_embedded_once(self, stub, tmp_path):
+        stub.state.chat_replies = [f"reply {i}" for i in range(4)]
+        cache = tmp_path / "cache"
+        first = verify("first prompt", "shared truth", 2, gen_cfg(stub), http_embedder(stub),
+                       cache_dir=cache)
+        second = verify("second prompt", "shared truth", 2, gen_cfg(stub),
+                        http_embedder(stub), cache_dir=cache)
+        assert first.prompt_id != second.prompt_id
+        assert stub.state.embed_inputs == [["reply 0", "reply 1", "shared truth"],
+                                           ["reply 2", "reply 3"]]
 
     def test_partial_failure_lists_indices(self, stub, tmp_path):
         # First two requests succeed, every later one returns HTTP 500, so
@@ -285,23 +331,26 @@ class TestVerify:
         assert report.k == 4 and (samples / "1.txt").exists()
 
     def test_partial_failure_in_embed_stage(self, stub, tmp_path):
-        # Texts 0..k-1 go out in batches of EMBED_BATCH, one at a time; the
-        # second embeddings request fails, and only its texts are named.
+        # The k distinct texts go out in batches of EMBED_BATCH, one at a time;
+        # the second embeddings request fails. It names its texts' indices, and
+        # "gt" too, since the GT repeats the last reply and was not sent again.
         k = EMBED_BATCH + 2
         stub.state.chat_replies = [f"reply {i}" for i in range(k)]
         cache = tmp_path / "cache"
+        gt = f"reply {k - 1}"
         fail_requests(stub, {k + 2})  # k chat requests, then the embeddings requests
         with pytest.raises(PartialFailure) as err:
-            verify("q", None, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+            verify("q", gt, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
         assert err.value.stage == "embed"
-        assert list(err.value.failures) == list(range(EMBED_BATCH, k))
+        assert list(err.value.failures) == [*range(EMBED_BATCH, k), "gt"]
         assert str(err.value).count("HTTP 500") == 1  # one failed request, named once
-        vectors = next(cache.glob("*/embeddings/stub-embed"))
-        assert sorted(int(p.stem) for p in vectors.iterdir()) == list(range(EMBED_BATCH))
+        vectors = cache / "embeddings" / "stub-embed"
+        assert sorted(p.name for p in vectors.iterdir()) == vector_names(
+            f"reply {i}" for i in range(EMBED_BATCH))
 
         stub.state.next_failure = lambda: None
         requests_before = len(stub.state.requests)
-        verify("q", None, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
+        verify("q", gt, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
         assert len(stub.state.requests) - requests_before == 1
         assert stub.state.embed_inputs[-1] == [f"reply {i}" for i in range(EMBED_BATCH, k)]
 
@@ -313,29 +362,32 @@ class TestVerify:
         with pytest.raises(PartialFailure) as err:
             verify("q", None, k, gen_cfg(stub), http_embedder(stub), cache_dir=cache)
         assert list(err.value.failures) == list(range(EMBED_BATCH))
-        vectors = next(cache.glob("*/embeddings/stub-embed"))
-        assert sorted(int(p.stem) for p in vectors.iterdir()) == list(range(EMBED_BATCH, k))
+        vectors = cache / "embeddings" / "stub-embed"
+        assert sorted(p.name for p in vectors.iterdir()) == vector_names(
+            f"reply {i}" for i in range(EMBED_BATCH, k))
 
     @pytest.mark.parametrize("k, gt", [(2, None), (EMBED_BATCH, None), (EMBED_BATCH, "truth"),
-                                       (10, "truth"), (13, None)])
+                                       (10, "truth"), (13, None), (EMBED_BATCH, "reply 0")])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_request_counts_cold_then_warm(self, stub, tmp_path, k, gt, workers):
-        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        # The stub cycles through 7 replies, so k=10 and k=13 repeat some.
+        stub.state.chat_replies = [f"reply {i}" for i in range(min(k, 7))]
         embed = http_embedder(stub, max_concurrency=workers)
         gen = GeneratorConfig(model_id="stub-model", provider=embed.provider)  # one endpoint
         cache = tmp_path / "cache"
         first = verify("q", gt, k, gen, embed, cache_dir=cache)
-        texts = k + (gt is not None)
+        distinct = set(stub.state.chat_replies) | ({gt} if gt else set())
+        requests = k + math.ceil(len(distinct) / EMBED_BATCH)
         assert stub.state.chat_calls == k
-        assert stub.state.embed_calls == math.ceil(texts / EMBED_BATCH)
-        assert len(stub.state.requests) == k + math.ceil(texts / EMBED_BATCH)
+        assert stub.state.embed_calls == math.ceil(len(distinct) / EMBED_BATCH)
+        assert len(stub.state.requests) == requests
         assert all(len(batch) <= EMBED_BATCH for batch in stub.state.embed_inputs)
         sent = sorted(t for batch in stub.state.embed_inputs for t in batch)
-        assert sent == sorted([f"reply {i}" for i in range(k)] + ([gt] if gt else []))
+        assert sent == sorted(distinct)
         assert stub.state.connections <= workers
 
         second = verify("q", gt, k, gen, embed, cache_dir=cache)
-        assert len(stub.state.requests) == k + math.ceil(texts / EMBED_BATCH)
+        assert len(stub.state.requests) == requests
         assert report_json_bytes(second) == report_json_bytes(first)
 
     def test_fan_out_stress_keeps_every_result(self, stub, tmp_path):
@@ -355,7 +407,7 @@ class TestVerify:
         assert report.k == k
         samples = [p.read_text() for p in cache.glob("*/samples/*.txt")]
         assert sorted(samples) == sorted(stub.state.chat_replies)
-        assert len(list(cache.glob("*/embeddings/stub-embed/*.npy"))) == k
+        assert len(list((cache / "embeddings" / "stub-embed").glob("*.npy"))) == k
         assert stub.state.embed_calls == math.ceil(k / EMBED_BATCH)
         assert stub.state.connections <= 8
 
@@ -442,25 +494,25 @@ class TestCacheEntries:
         with tempfile.TemporaryDirectory() as tmp:
             cache = _Cache(Path(tmp), "key")
             emb = Embedding(values, model_id="m")
-            cache.store_embedding("m", 0, emb)
-            path = cache.embedding_path("m", 0)
+            cache.store_embedding("m", "text", emb)
+            path = cache.embedding_path("m", "text")
             stored = path.read_bytes()
-            loaded = cache.load_embedding("m", 0)
+            loaded = cache.load_embedding("m", "text")
             assert loaded.values.ndim == 1 and loaded.values.dtype.str == "<f8"
             assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
             assert loaded.model_id == "m"
-            cache.store_embedding("m", 0, emb)
+            cache.store_embedding("m", "text", emb)
             assert path.read_bytes() == stored
 
     def test_missing_entry_is_a_miss(self, tmp_path):
-        assert _Cache(tmp_path, "key").load_embedding("m", 0) is None
+        assert _Cache(tmp_path, "key").load_embedding("m", "text") is None
 
     @pytest.mark.parametrize("damage", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
     def test_damaged_entry_raises_naming_the_file(self, stub, tmp_path, damage):
         stub.state.chat_replies = DISJOINT
         cache = tmp_path / "cache"
-        first = verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
-        path = cache / first.prompt_id / "embeddings" / MOCK.effective_model_id / "1.npy"
+        verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        path = cache / "embeddings" / MOCK.effective_model_id / vector_names([DISJOINT[1]])[0]
         path.write_bytes(damage(path.read_bytes()))
         requests = len(stub.state.requests)
         with pytest.raises(CorruptCacheEntry) as err:
@@ -518,6 +570,11 @@ class TestChunkDocument:
             chunk_document("   ", 25)
 
 
+def write_vectors(path: Path, embeddings: list[Embedding]) -> None:
+    """Write embeddings as JSON Lines, the format ingest_vectors reads."""
+    path.write_text("".join(json.dumps(e.tolist()) + "\n" for e in embeddings))
+
+
 class TestIngestVectors:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -542,9 +599,11 @@ class TestIngestVectors:
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('[1.0, 2.0]\n{"not": "array"}\n')
-        with pytest.raises(ParseError):
-            ingest_vectors(path)
+        for bad in ('{"not": "array"}', "[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, 1.0]",
+                    "[1e400, 1.0]", f"[{10 ** 400}, 1.0]"):
+            path.write_text(f"[1.0, 2.0]\n{bad}\n")
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "):
+                ingest_vectors(path)
 
     def test_ragged_dims(self, tmp_path):
         path = tmp_path / "ragged.jsonl"

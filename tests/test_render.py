@@ -8,7 +8,6 @@ import numpy as np
 
 from samplecheck.render import (
     _cell_color,
-    csv_to_matrix,
     matrix_to_csv,
     matrix_to_svg,
 )
@@ -18,6 +17,16 @@ from samplecheck.scorematrix import SimilarityMatrix
 def svg_cell_texts(svg: str) -> list[str]:
     """Extract the rendered cell values (two-decimal strings) from an SVG."""
     return re.findall(r">(-?\d+\.\d{2})</text>", svg)
+
+
+def csv_to_matrix(text: str, measure: str = "cosine") -> SimilarityMatrix:
+    """Parse matrix_to_csv output back into a matrix."""
+    lines = [line for line in text.splitlines() if line]
+    labels = tuple(lines[0].split(",")[1:])
+    entries = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
+    return SimilarityMatrix(
+        entries=np.asarray(entries, dtype=np.float64), labels=labels, measure=measure
+    )
 
 
 def matrix(entries, labels):
