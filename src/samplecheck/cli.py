@@ -62,11 +62,11 @@ class EvalSettings:
 class RunConfig:
     generation: GeneratorConfig
     embedding: EmbedderConfig
-    k: int
-    measure: str
     thresholds: ConfidenceThresholds
     cache_dir: Path
     output_dir: Path
+    k: int = 10
+    measure: str = "cosine"
     eval: EvalSettings = EvalSettings()
 
     def __post_init__(self) -> None:
@@ -76,19 +76,25 @@ class RunConfig:
             raise ConfigError("measure must be 'cosine' or 'pearson'")
 
 
-def _provider_from(obj: dict, max_concurrency: int) -> ProviderConfig:
-    return ProviderConfig(
-        base_url=obj["base_url"],
-        api_key_env=obj.get("api_key_env"),
-        timeout=float(obj.get("timeout", 30.0)),
-        max_retries=int(obj.get("max_retries", 3)),
-        max_concurrency=int(obj.get("max_concurrency", max_concurrency)),
-        backoff_base=float(obj.get("backoff_base", 1.0)),
-    )
+def _given(obj: dict, **convert: Callable[[object], object]) -> dict[str, object]:
+    """The keys of convert that obj sets, each converted; a key that is absent
+    or null is left out, so the dataclass default applies."""
+    return {key: fn(obj[key]) for key, fn in convert.items() if obj.get(key) is not None}
+
+
+def _provider_from(obj: dict, shared: dict[str, object]) -> ProviderConfig:
+    return ProviderConfig(base_url=obj["base_url"], **{**shared, **_given(
+        obj, api_key_env=str, timeout=float, max_retries=int, max_concurrency=int,
+        backoff_base=float)})
 
 
 def load_config(path: Path | str) -> RunConfig:
-    """Parse the JSON run configuration; relative paths resolve against it."""
+    """Parse the JSON run configuration; relative paths resolve against it.
+
+    Defaults live in the config dataclasses; a key that is absent or null
+    takes its default. The top-level max_concurrency is the default of both
+    endpoints.
+    """
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -97,56 +103,44 @@ def load_config(path: Path | str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     base = path.parent
+
+    def respath(key: str, default: str) -> Path:
+        p = Path(default if obj.get(key) is None else obj[key])
+        return p if p.is_absolute() else base / p
+
     try:
-        max_concurrency = int(obj.get("max_concurrency", 4))
+        shared = _given(obj, max_concurrency=int)
         gen = obj["generation"]
         generation = GeneratorConfig(
             model_id=gen["model_id"],
-            provider=_provider_from(gen, max_concurrency),
-            temperature=float(gen.get("temperature", 1.0)),
-            max_tokens=int(gen.get("max_tokens", 1024)),
-            top_p=None if gen.get("top_p") is None else float(gen["top_p"]),
-            top_k=None if gen.get("top_k") is None else int(gen["top_k"]),
+            provider=_provider_from(gen, shared),
+            **_given(gen, temperature=float, max_tokens=int, top_p=float, top_k=int),
         )
-        emb = obj.get("embedding", {"kind": "mock"})
-        kind = emb.get("kind", "http")
-        if kind == "mock":
-            embedding = EmbedderConfig(
-                kind="mock", dim=int(emb.get("dim", 4096)), seed=int(emb.get("seed", 0))
-            )
+        emb = obj.get("embedding")
+        if emb is None:
+            embedding = EmbedderConfig()
+        elif emb.get("kind") == "mock":
+            embedding = EmbedderConfig(kind="mock", **_given(emb, dim=int, seed=int))
         else:
             embedding = EmbedderConfig(
-                kind="http",
+                kind=emb.get("kind") or "http",
                 model_id=emb["model_id"],
-                provider=_provider_from(emb, max_concurrency),
+                provider=_provider_from(emb, shared),
             )
-        thresholds_obj = obj.get("thresholds", {})
-        thresholds = ConfidenceThresholds(
-            mean_min=float(thresholds_obj.get("mean_min", 0.9)),
-            std_max=float(thresholds_obj.get("std_max", 0.05)),
-        )
-        eval_obj = obj.get("eval", {})
-        settings = EvalSettings(
-            statistic=eval_obj.get("statistic", "mean_offdiag"),
-            polarity=eval_obj.get("polarity", "low_score_flags"),
-            grid_points=int(eval_obj.get("grid_points", 101)),
-        )
-
-        def respath(value: str) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
         return RunConfig(
             generation=generation,
             embedding=embedding,
-            k=int(obj.get("k", 10)),
-            measure=obj.get("measure", "cosine"),
-            thresholds=thresholds,
-            cache_dir=respath(obj.get("cache_dir", "cache")),
-            output_dir=respath(obj.get("output_dir", "out")),
-            eval=settings,
+            cache_dir=respath("cache_dir", "cache"),
+            output_dir=respath("output_dir", "out"),
+            thresholds=ConfidenceThresholds(
+                **_given(obj.get("thresholds") or {}, mean_min=float, std_max=float)
+            ),
+            eval=EvalSettings(
+                **_given(obj.get("eval") or {}, statistic=str, polarity=str, grid_points=int)
+            ),
+            **_given(obj, k=int, measure=str),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -250,7 +244,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     read = evalmod.read_passages_jsonl if task == "wikibio" else evalmod.read_binary_jsonl
     records = read(args.dataset)
     statistic, score = _record_scorer(cfg, args.scheme, task, records, k)
-    scores = [score(r) for r in records]
+    scores = []
+    for r in records:
+        try:
+            scores.append(score(r))
+        except SampleCheckError as exc:
+            raise SampleCheckError(f"record {r.id!r}: {exc}") from exc
 
     if task == "wikibio":
         gold = [evalmod.passage_score(r.labels) for r in records]

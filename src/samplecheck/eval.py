@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -321,86 +321,73 @@ def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag")
 # ---------------------------------------------------------------------------
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
+def _iter_jsonl(path: Path, error: type[SampleCheckError]) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSON Lines file.
+
+    A line that is not valid JSON raises `error` naming path:lineno.
+    """
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, value
+
+
+_Record = TypeVar("_Record", LabeledPassage, BinaryRecord)
+_TEXT_LISTS = ("sentences", "labels", "samples")
+
+
+def _read_records(path: Path | str, cls: type[_Record]) -> list[_Record]:
+    """One cls per non-blank line; DatasetError names path:lineno of a bad line.
+
+    Each line is a JSON object holding every field of cls that has no default.
+    sentences, labels and samples must be JSON lists of strings; the other
+    fields are converted with str.
+    """
+    path = Path(path)
+    records = []
+    for lineno, obj in _iter_jsonl(path, DatasetError):
+        try:
             if not isinstance(obj, dict):
-                raise DatasetError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+                raise DatasetError("expected a JSON object")
+            values: dict[str, object] = {}
+            for f in fields(cls):
+                if f.name not in obj and f.default is not MISSING:
+                    continue
+                value = obj[f.name]
+                if f.name not in _TEXT_LISTS:
+                    value = str(value)
+                elif isinstance(value, list) and all(isinstance(t, str) for t in value):
+                    value = tuple(value)
+                else:
+                    raise DatasetError(f"{f.name!r} must be a JSON list of strings")
+                values[f.name] = value
+            records.append(cls(**values))
+        except KeyError as exc:
+            raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+    if not records:
+        raise DatasetError(f"{path}: no records found")
+    return records
 
 
 def read_passages_jsonl(path: Path | str) -> list[LabeledPassage]:
-    records = []
-    for lineno, obj in _iter_jsonl(Path(path)):
-        try:
-            records.append(
-                LabeledPassage(
-                    id=str(obj["id"]),
-                    sentences=tuple(obj["sentences"]),
-                    labels=tuple(obj["labels"]),
-                    samples=tuple(obj.get("samples", ())),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: malformed passage record: {exc}") from exc
-    if not records:
-        raise DatasetError(f"{path}: no records found")
-    return records
+    return _read_records(path, LabeledPassage)
 
 
 def read_binary_jsonl(path: Path | str) -> list[BinaryRecord]:
-    records = []
-    for lineno, obj in _iter_jsonl(Path(path)):
-        try:
-            records.append(
-                BinaryRecord(
-                    id=str(obj["id"]),
-                    response=str(obj["response"]),
-                    label=str(obj["label"]),
-                    samples=tuple(obj["samples"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: malformed binary record: {exc}") from exc
-    if not records:
-        raise DatasetError(f"{path}: no records found")
-    return records
+    return _read_records(path, BinaryRecord)
 
 
-def write_passages_jsonl(path: Path | str, records: Sequence[LabeledPassage]) -> None:
-    lines = [
-        json.dumps(
-            {
-                "id": r.id,
-                "sentences": list(r.sentences),
-                "labels": list(r.labels),
-                "samples": list(r.samples),
-            },
-            ensure_ascii=False,
-        )
-        for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_binary_jsonl(path: Path | str, records: Sequence[BinaryRecord]) -> None:
-    lines = [
-        json.dumps(
-            {
-                "id": r.id,
-                "response": r.response,
-                "label": r.label,
-                "samples": list(r.samples),
-            },
-            ensure_ascii=False,
-        )
-        for r in records
-    ]
+def write_records_jsonl(
+    path: Path | str, records: Sequence[LabeledPassage | BinaryRecord]
+) -> None:
+    """One JSON object per record, keys in field order: the format read_*_jsonl read."""
+    lines = [json.dumps(asdict(r), ensure_ascii=False) for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

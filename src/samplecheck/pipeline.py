@@ -45,6 +45,7 @@ import numpy as np
 
 from . import providers
 from .errors import SampleCheckError
+from .eval import _iter_jsonl
 from .providers import ProviderConfig
 from .scorematrix import (
     DEFAULT_THRESHOLDS,
@@ -103,7 +104,7 @@ class EmptyDocument(SampleCheckError):
 
 
 class ParseError(SampleCheckError):
-    """A vector file line is not a JSON array of finite numbers."""
+    """A vector file line is not valid JSON or fails the Embedding rule."""
 
 
 class RaggedDims(SampleCheckError):
@@ -452,7 +453,7 @@ def report_json_bytes(report: VerificationReport) -> bytes:
 def report_from_json(data: bytes | str) -> VerificationReport:
     obj = json.loads(data)
     matrix = SimilarityMatrix(
-        entries=np.asarray(obj["matrix"]["entries"], dtype=np.float64),
+        entries=obj["matrix"]["entries"],
         labels=tuple(obj["matrix"]["labels"]),
         measure=obj["matrix"]["measure"],
     )
@@ -524,35 +525,21 @@ def ingest_vectors(path: Path | str, model_id: str = "ingested") -> list[Embeddi
 
     This is the entry point for any modality whose embeddings are produced
     elsewhere (e.g. image embeddings); the result feeds straight into
-    build_matrix / the eval harness.
+    build_matrix / the eval harness. Each line must pass the Embedding rule
+    (ParseError naming path:lineno otherwise), and all must share one dim.
     """
     path = Path(path)
     embeddings: list[Embedding] = []
-    dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(values, list) or not values or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-            ):
-                raise ParseError(f"{path}:{lineno}: expected a non-empty JSON array of numbers")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise RaggedDims(
-                    f"{path}:{lineno}: vector has dim {len(values)}, expected {dim}"
-                )
-            try:
-                values = np.asarray(values, dtype=np.float64)
-                embeddings.append(Embedding(values, model_id=model_id))
-            except (OverflowError, NonFiniteInput) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, values in _iter_jsonl(path, ParseError):
+        try:
+            emb = Embedding(values, model_id=model_id)
+        except (ValueError, NonFiniteInput) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if embeddings and emb.dim != embeddings[0].dim:
+            raise RaggedDims(
+                f"{path}:{lineno}: vector has dim {emb.dim}, expected {embeddings[0].dim}"
+            )
+        embeddings.append(emb)
     if not embeddings:
         raise ParseError(f"{path}: no vectors found")
     return embeddings

@@ -207,7 +207,8 @@ def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list
     """Embed texts in one request (list input); results follow the input order.
 
     The response must carry exactly one item per text, indexed 0..n-1 in any
-    order, and every item must be a finite list of numbers with the preset
+    order. Every item must pass the Embedding rule (a non-empty list of finite
+    numbers; booleans and numeric strings are not numbers) and have the preset
     length of the model.
     """
     if not texts:
@@ -233,18 +234,17 @@ def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list
 
 
 def _embedding(values: object, index: int, model_id: str) -> Embedding:
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-        raise MalformedResponse(f"embedding {index} is not a list of numbers")
-    preset = PRESET_DIMS.get(model_id)
-    if preset is not None and len(values) != preset:
-        raise DimMismatch(
-            f"model {model_id!r} returned {len(values)} values for input {index}, "
-            f"preset expects {preset}"
-        )
     try:
-        return Embedding(np.asarray(values, dtype=np.float64), model_id=model_id)
+        emb = Embedding(values, model_id=model_id)
     except (NonFiniteInput, ValueError) as exc:
         raise MalformedResponse(f"endpoint returned an invalid embedding {index}: {exc}") from exc
+    preset = PRESET_DIMS.get(model_id)
+    if preset is not None and emb.dim != preset:
+        raise DimMismatch(
+            f"model {model_id!r} returned {emb.dim} values for input {index}, "
+            f"preset expects {preset}"
+        )
+    return emb
 
 
 def embed_text(text: str, cfg: ProviderConfig, model_id: str) -> Embedding:

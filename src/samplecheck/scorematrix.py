@@ -15,7 +15,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .errors import SampleCheckError
-from .vectors import Embedding, _paired, _prepared, cosine, pearson
+from .vectors import Embedding, _paired, _prepared, _real_array, cosine, pearson
 
 Measure = Literal["cosine", "pearson"]
 Verdict = Literal["HighConfidence", "Inspect"]
@@ -75,7 +75,7 @@ class SimilarityMatrix:
     measure: str
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.float64)
+        arr = _real_array(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must be a square matrix")
         n = arr.shape[0]
@@ -91,7 +91,6 @@ class SimilarityMatrix:
             raise ValueError("matrix must be symmetric")
         if not np.all(np.diag(arr) == 1.0):
             raise ValueError("matrix diagonal must be exactly 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "labels", tuple(self.labels))

@@ -46,19 +46,16 @@ class Embedding:
     """A dense real vector representing one whole item (answer, image, ...).
 
     values is stored as a read-only float64 array; dim always equals the
-    number of values and every value is finite.
+    number of values and every value is finite. Input that is not a
+    non-empty 1-D sequence of real numbers (see _real_array) raises
+    ValueError, and NaN or infinity raises NonFiniteInput.
     """
 
     values: np.ndarray
     model_id: str = field(default="unknown")
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("embedding values must be a non-empty 1-D sequence")
-        if not np.isfinite(arr).all():
-            raise NonFiniteInput("embedding values must be finite (no NaN/Inf)")
-        arr = arr.copy()
+        arr = _finite_vector(self.values)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -76,15 +73,33 @@ class Embedding:
 VectorLike = Embedding | Sequence[float] | np.ndarray
 
 
-def _as_array(v: VectorLike) -> np.ndarray:
-    if isinstance(v, Embedding):
-        return v.values
-    arr = np.asarray(v, dtype=np.float64)
+def _real_array(values: object) -> np.ndarray:
+    """values as a new float64 array, if numpy reads them as real numbers.
+
+    One np.asarray call infers the dtype, and only integer and floating kinds
+    pass. So booleans, strings (numeric or not), None, mappings, ragged
+    nesting and integers beyond 64 bits raise ValueError. A boolean among
+    numbers is promoted by numpy and passes as 0 or 1. Shape and finiteness
+    are the caller's checks.
+    """
+    arr = np.asarray(values)  # raises ValueError on ragged nesting
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected real numbers, got {arr.dtype} data")
+    return arr.astype(np.float64)
+
+
+def _finite_vector(values: object) -> np.ndarray:
+    """The rule for every vector: a new non-empty 1-D float64 array of finite reals."""
+    arr = _real_array(values)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("expected a non-empty 1-D sequence of reals")
+        raise ValueError("expected a non-empty 1-D sequence of real numbers")
     if not np.isfinite(arr).all():
-        raise NonFiniteInput("input contains NaN or infinite values")
+        raise NonFiniteInput("values must be finite (no NaN/Inf)")
     return arr
+
+
+def _as_array(v: VectorLike) -> np.ndarray:
+    return v.values if isinstance(v, Embedding) else _finite_vector(v)
 
 
 def _clamp(x: float) -> float:

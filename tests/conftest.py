@@ -64,6 +64,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         super().setup()
+        # Headers and body go out in two writes; without this, Nagle's algorithm
+        # holds the body until the client's delayed ACK (~40 ms per response).
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.state.accept(self.connection)
 
     def log_message(self, *args) -> None:  # keep test output quiet

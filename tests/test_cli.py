@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -11,15 +12,22 @@ from test_eval import passages_from_sweep_records
 from test_pipeline import CORRUPTIONS, vector_path
 from test_render import csv_to_matrix, svg_cell_texts
 
-from samplecheck.cli import ConfigError, _write_outputs, load_config, main
+from samplecheck.cli import (
+    ConfigError,
+    EvalSettings,
+    RunConfig,
+    _write_outputs,
+    load_config,
+    main,
+)
 from samplecheck.eval import (
     BinaryRecord,
     corruption_corpus,
-    write_binary_jsonl,
-    write_passages_jsonl,
+    write_records_jsonl,
 )
-from samplecheck.pipeline import EMBED_BATCH, report_from_json
-from samplecheck.providers import mock_embed
+from samplecheck.pipeline import EMBED_BATCH, EmbedderConfig, GeneratorConfig, report_from_json
+from samplecheck.providers import ProviderConfig, mock_embed
+from samplecheck.scorematrix import ConfidenceThresholds
 
 DISJOINT = [
     " ".join(f"alpha{i}" for i in range(40)),
@@ -220,14 +228,93 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith("error: invalid config:")
         assert stub.state.requests == []
 
+    @pytest.mark.parametrize("nulls", [False, True], ids=["absent", "null"])
+    def test_minimal_config_takes_every_dataclass_default(self, stub, tmp_path, nulls):
+        generation = {"base_url": stub.url, "model_id": "m"}
+        obj = {"generation": generation}
+        if nulls:
+            generation.update(dict.fromkeys(
+                ["api_key_env", "timeout", "max_retries", "max_concurrency", "backoff_base",
+                 "temperature", "max_tokens", "top_p", "top_k"]))
+            obj.update(dict.fromkeys(["k", "measure", "max_concurrency", "cache_dir",
+                                      "output_dir", "thresholds", "eval", "embedding"]))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        cfg = load_config(path)
+        assert (cfg.cache_dir, cfg.output_dir) == (tmp_path / "cache", tmp_path / "out")
+        for section, cls in [(cfg, RunConfig), (cfg.generation, GeneratorConfig),
+                             (cfg.generation.provider, ProviderConfig),
+                             (cfg.embedding, EmbedderConfig),
+                             (cfg.thresholds, ConfidenceThresholds), (cfg.eval, EvalSettings)]:
+            for field in dataclasses.fields(cls):
+                if field.default is not dataclasses.MISSING:
+                    assert getattr(section, field.name) == field.default, (cls, field.name)
+
+    def test_null_sections_and_embedding_keys_take_defaults(self, stub, tmp_path):
+        config = write_config(tmp_path, stub, thresholds={"mean_min": None, "std_max": 0.1},
+                              embedding={"kind": "mock", "dim": None, "seed": 3})
+        cfg = load_config(config)
+        assert cfg.thresholds == ConfidenceThresholds(std_max=0.1)
+        assert cfg.embedding == EmbedderConfig(kind="mock", seed=3)
+
 
 class TestEvalCommand:
+    @pytest.mark.parametrize("scheme", ["checkembed", "judge"])
+    def test_failed_record_is_named(self, stub, tmp_path, capsys, scheme):
+        records, _ = corruption_corpus(
+            n_levels=3, records_per_level=1, k=3, base_tokens=10, seed=2
+        )
+        passages = passages_from_sweep_records(records)
+        dataset = tmp_path / "wikibio.jsonl"
+        write_records_jsonl(dataset, passages)
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                     "timeout": 5, "max_retries": 0}
+        config = write_config(tmp_path, stub, k=3, embedding=embedding)
+        obj = json.loads(config.read_text())
+        obj["generation"]["max_retries"] = 0
+        config.write_text(json.dumps(obj))
+        if scheme == "checkembed":
+            second = set(records[1].samples)
+
+            def embed(text, model):
+                if text in second:
+                    raise RuntimeError("injected")  # the stub answers HTTP 500
+                return mock_embed(text, 64, 0).tolist()
+
+            stub.state.embed_fn = embed
+        else:
+            stub.state.chat_replies = ["90", "not a score", "10"]
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", scheme, "--task", "wikibio"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: record {passages[1].id!r}: ")
+        assert len(stub.state.requests) == 2
+
+    @pytest.mark.parametrize("task, line", [
+        ("wikibio", '{"id": "x", "sentences": ["A."], "labels": ["accurate"], '
+                    '"samples": "hello world"}'),
+        ("wikibio", '{"id": "x", "sentences": ["A."], "labels": ["accurate"], "samples": [1, 2]}'),
+        ("wikibio", '{"id": "x", "sentences": "One.", "labels": ["accurate"], '
+                    '"samples": ["a b", "c d"]}'),
+        ("ragtruth", '{"id": "x", "response": "r", "label": "faithful", "samples": "ab cd"}'),
+    ], ids=["samples-string", "samples-numbers", "sentences-string", "binary-samples-string"])
+    def test_malformed_record_exit_one(self, stub, tmp_path, capsys, task, line):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(line + "\n")
+        config = write_config(tmp_path, stub, k=2)
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", task])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset}:1: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / f"eval_{task}_checkembed.json").exists()
+
     def test_wikibio_checkembed_reports_correlations(self, stub, tmp_path, capsys):
         records, _ = corruption_corpus(
             n_levels=5, records_per_level=4, k=4, base_tokens=30, seed=6
         )
         dataset = tmp_path / "wikibio.jsonl"
-        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        write_records_jsonl(dataset, passages_from_sweep_records(records))
         config = write_config(tmp_path, stub, k=4)
         code = main(
             ["eval", "--config", str(config), "--dataset", str(dataset),
@@ -245,7 +332,7 @@ class TestEvalCommand:
             n_levels=4, records_per_level=1, k=k, base_tokens=20, seed=3
         )
         dataset = tmp_path / "wikibio.jsonl"
-        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        write_records_jsonl(dataset, passages_from_sweep_records(records))
         stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
         embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
                      "timeout": 5, "max_retries": 0}
@@ -273,7 +360,7 @@ class TestEvalCommand:
             n_levels=4, records_per_level=2, k=4, base_tokens=20, seed=5
         )
         dataset = tmp_path / "wikibio.jsonl"
-        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        write_records_jsonl(dataset, passages_from_sweep_records(records))
         stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
         embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
                      "timeout": 5, "max_retries": 0}
@@ -310,7 +397,7 @@ class TestEvalCommand:
                 )
             )
         dataset = tmp_path / "rag.jsonl"
-        write_binary_jsonl(dataset, records)
+        write_records_jsonl(dataset, records)
         config = write_config(tmp_path, stub, k=3)
         code = main(
             ["eval", "--config", str(config), "--dataset", str(dataset),
@@ -327,7 +414,7 @@ class TestEvalCommand:
             n_levels=3, records_per_level=1, k=2, base_tokens=10, seed=8
         )
         dataset = tmp_path / "wikibio.jsonl"
-        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        write_records_jsonl(dataset, passages_from_sweep_records(records))
         config = write_config(tmp_path, stub, k=2)
         code = main(
             ["eval", "--config", str(config), "--dataset", str(dataset),
@@ -346,7 +433,7 @@ class TestEvalCommand:
             n_levels=4, records_per_level=3, k=3, base_tokens=20, seed=11
         )
         dataset = tmp_path / "wikibio.jsonl"
-        write_passages_jsonl(dataset, passages_from_sweep_records(records))
+        write_records_jsonl(dataset, passages_from_sweep_records(records))
         config = write_config(tmp_path, stub, k=3)
         args = ["eval", "--config", str(config), "--dataset", str(dataset),
                 "--scheme", "checkembed", "--task", "wikibio"]
@@ -436,6 +523,22 @@ class TestHeatmapCommand:
         code = main(["heatmap", "--report", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.svg")])
         assert code == 1
+
+    @pytest.mark.parametrize("entries", [
+        [["1", "0.5"], ["0.5", True]],
+        [[True, False], [False, True]],
+        [[1.0, None], [None, 1.0]],
+    ], ids=["strings-and-bool", "bools", "nulls"])
+    def test_non_number_entries_exit_one(self, stub, tmp_path, prompt_file, capsys, entries):
+        report_path = self._make_report(stub, tmp_path, prompt_file)
+        obj = json.loads(report_path.read_text())
+        obj["matrix"].update(entries=entries, labels=["0", "1"])
+        report_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out_svg = tmp_path / "render" / "heat.svg"
+        assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_svg.exists()
 
     def test_malformed_report_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +27,7 @@ from samplecheck.eval import (
     stability_scorer,
     sweep_records_from_passages,
     threshold_sweep,
-    write_binary_jsonl,
-    write_passages_jsonl,
+    write_records_jsonl,
 )
 from samplecheck.providers import mock_embed
 from samplecheck.vectors import ConstantSequence, pearson, spearman
@@ -263,7 +264,80 @@ class TestCorruptionCorpus:
         assert len(set(pristine.samples)) == 1
 
 
+def write_passages_jsonl(path, records) -> None:
+    """The passage writer that write_records_jsonl replaced, kept as its reference."""
+    lines = [
+        json.dumps(
+            {
+                "id": r.id,
+                "sentences": list(r.sentences),
+                "labels": list(r.labels),
+                "samples": list(r.samples),
+            },
+            ensure_ascii=False,
+        )
+        for r in records
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_binary_jsonl(path, records) -> None:
+    """The binary writer that write_records_jsonl replaced, kept as its reference."""
+    lines = [
+        json.dumps(
+            {
+                "id": r.id,
+                "response": r.response,
+                "label": r.label,
+                "samples": list(r.samples),
+            },
+            ensure_ascii=False,
+        )
+        for r in records
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+GOOD_PASSAGE = '{"id": "ok", "sentences": ["A."], "labels": ["accurate"], "samples": ["a", "b"]}'
+
+
 class TestDatasetIO:
+    @pytest.mark.parametrize("records, reference", [
+        ([LabeledPassage(id="r1", sentences=("Zoë’s first.", "Ünïcode — second."),
+                         labels=("accurate", "minor"), samples=("s1", "naïve \"quoted\"")),
+          LabeledPassage(id="r2", sentences=("Only.",), labels=("major",))],
+         write_passages_jsonl),
+        ([BinaryRecord(id="b1", response="réponse\n2", label="hallucinated", samples=("x", "y")),
+          BinaryRecord(id="b2", response="resp2", label="faithful", samples=())],
+         write_binary_jsonl),
+    ], ids=["passages", "binary"])
+    def test_writer_bytes_equal_the_old_writers(self, tmp_path, records, reference):
+        write_records_jsonl(tmp_path / "new.jsonl", records)
+        reference(tmp_path / "old.jsonl", records)
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("read, line", [
+        (read_passages_jsonl,
+         '{"id": "x", "sentences": ["A."], "labels": ["accurate"], "samples": "hello world"}'),
+        (read_passages_jsonl,
+         '{"id": "x", "sentences": ["A."], "labels": ["accurate"], "samples": [1, 2]}'),
+        (read_passages_jsonl,
+         '{"id": "x", "sentences": "One.", "labels": ["accurate"], "samples": ["a", "b"]}'),
+        (read_passages_jsonl, '{"id": "x", "sentences": ["A."], "labels": "accurate"}'),
+        (read_passages_jsonl, '{"id": "x", "labels": ["accurate"]}'),
+        (read_passages_jsonl, '["not", "an", "object"]'),
+        (read_binary_jsonl, '{"id": "x", "response": "r", "label": "faithful", "samples": "ab"}'),
+        (read_binary_jsonl, '{"id": "x", "response": "r", "label": "faithful"}'),
+    ], ids=["samples-string", "samples-numbers", "sentences-string", "labels-string",
+            "no-sentences", "not-an-object", "binary-samples-string", "binary-no-samples"])
+    def test_malformed_record_names_path_and_line(self, tmp_path, read, line):
+        path = tmp_path / "bad.jsonl"
+        good = (GOOD_PASSAGE if read is read_passages_jsonl else
+                '{"id": "ok", "response": "r", "label": "faithful", "samples": ["a", "b"]}')
+        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: "):
+            read(path)
+
     def test_passages_round_trip(self, tmp_path):
         records = [
             LabeledPassage(
@@ -275,7 +349,7 @@ class TestDatasetIO:
             LabeledPassage(id="r2", sentences=("Only.",), labels=("major",)),
         ]
         path = tmp_path / "passages.jsonl"
-        write_passages_jsonl(path, records)
+        write_records_jsonl(path, records)
         assert read_passages_jsonl(path) == records
 
     def test_binary_round_trip(self, tmp_path):
@@ -284,7 +358,7 @@ class TestDatasetIO:
             BinaryRecord(id="b2", response="resp2", label="faithful", samples=("z",)),
         ]
         path = tmp_path / "binary.jsonl"
-        write_binary_jsonl(path, records)
+        write_records_jsonl(path, records)
         assert read_binary_jsonl(path) == records
 
     def test_invalid_label_rejected(self, tmp_path):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_providers import cfg_for
 
+from samplecheck.pipeline import ParseError, ingest_vectors
+from samplecheck.providers import MalformedResponse, embed_many
 from samplecheck.vectors import (
     ConstantSequence,
     ConstantVector,
@@ -229,3 +234,74 @@ class TestEmbeddingType:
         assert e.dim == 3 and len(e) == 3
         with pytest.raises(ValueError):
             e.values[0] = 5.0
+
+    def test_does_not_alias_its_input(self):
+        values = np.array([1.0, 2.0])
+        e = Embedding(values)
+        values[0] = 9.0
+        assert e.values.tolist() == [1.0, 2.0] and values.flags.writeable
+
+
+# Each row is one JSON value that is not a vector; every entry path rejects it.
+REJECTED = {
+    "bools": "[true, false]",
+    "numeric-string": '["1.5"]',
+    "null": "[null]",
+    "nested": "[[1.0]]",
+    "ragged": "[[1.0], [2.0, 3.0]]",
+    "empty": "[]",
+    "nan": "[NaN]",
+    "float-overflow": "[1e400]",
+    "int-beyond-64-bits": f"[{10 ** 400}]",
+    "number-and-huge-int": f"[1.0, {10 ** 400}]",
+    "object": '{"0": 1.0}',
+    "bare-number": "1.0",
+}
+
+# Finite floats, ints within int64 and the edge values named in the README.
+vector_lists = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+        st.sampled_from([-0.0, 5e-324, 2 ** 53 + 1, 1.7e308, -1.7e308]),
+    ),
+    min_size=1, max_size=16,
+)
+
+
+class TestOneNumericRule:
+    """Embedding, embeddings responses and ingested lines share one rule."""
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_embedding_rejects(self, text):
+        with pytest.raises((ValueError, NonFiniteInput)):
+            Embedding(json.loads(text))
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_embed_many_rejects(self, stub, text):
+        stub.state.raw_body = (b'{"data": [{"index": 0, "embedding": [1.0, 0.0]},'
+                               b' {"index": 1, "embedding": ' + text.encode() + b"}]}")
+        with pytest.raises(MalformedResponse, match="embedding 1"):
+            embed_many(["x", "y"], cfg_for(stub), "custom-model")
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_ingest_vectors_rejects(self, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"[1.0, 2.0]\n{text}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "):
+            ingest_vectors(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=vector_lists)
+    def test_every_path_is_bit_identical(self, stub, tmp_path, values):
+        want = np.asarray(values, dtype=np.float64).view(np.uint64)
+        text = json.dumps(values)
+        stub.state.raw_body = f'{{"data": [{{"index": 0, "embedding": {text}}}]}}'.encode()
+        path = tmp_path / "v.jsonl"
+        path.write_text(text + "\n")
+        got = [Embedding(values).values, embed_many(["x"], cfg_for(stub), "m")[0].values,
+               ingest_vectors(path)[0].values]
+        for arr in got:
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr.view(np.uint64), want)
