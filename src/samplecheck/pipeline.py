@@ -17,8 +17,10 @@ Cache layout:
 float64 .npy round-trips every vector bit for bit, so a warm run reproduces
 the cold run's report exactly. Vectors of older layouts (per prompt and index,
 <prompt key>/embeddings/...) are never opened: they miss, are embedded again
-once, and are left on disk. A store file that does not load as a 1-D float64
-array raises CorruptCacheEntry naming it. Nothing is ever evicted.
+once, and are left on disk. A store file is valid only if it is exactly the
+header np.save writes for a 1-D "<f8" array of n >= 1 values, then those
+values, all finite; any other file raises CorruptCacheEntry naming it.
+Nothing is ever evicted.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
@@ -27,6 +29,7 @@ never share vectors.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -92,7 +95,7 @@ class PartialFailure(SampleCheckError):
 
 
 class CorruptCacheEntry(SampleCheckError):
-    """A cached embedding file is not a loadable 1-D float64 .npy array."""
+    """A cached embedding file is not the .npy file of a 1-D float64 array."""
 
     def __init__(self, path: Path, reason: str) -> None:
         super().__init__(f"corrupt cache entry {path}: {reason}")
@@ -266,6 +269,18 @@ def _cached_batches(
 _VECTOR_DTYPE = np.dtype("<f8")
 
 
+@functools.lru_cache(maxsize=16)
+def _npy_header(n: int) -> bytes:
+    """The .npy v1.0 header np.save writes for a 1-D array of n _VECTOR_DTYPE values."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": _VECTOR_DTYPE.str,
+        "fortran_order": False,
+        "shape": (n,),
+    })
+    return buf.getvalue()
+
+
 class _Cache:
     """Disk cache: the shared vector store, and one prompt's replies and timestamps."""
 
@@ -285,37 +300,45 @@ class _Cache:
         return self.root / "embeddings" / name / f"{digest}.npy"
 
     def load_text(self, index: int) -> str | None:
-        p = self.sample_path(index)
-        return p.read_text(encoding="utf-8") if p.exists() else None
+        try:
+            return self.sample_path(index).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
 
     def store_text(self, index: int, text: str) -> None:
         _atomic_write(self.sample_path(index), text.encode("utf-8"))
 
     def load_embedding(self, model_id: str, text: str) -> Embedding | None:
+        """The stored vector; None if there is no file, CorruptCacheEntry if the
+        file is anything but _npy_header(n) followed by n >= 1 values."""
         p = self.embedding_path(model_id, text)
-        if not p.exists():
-            return None
         try:
-            with p.open("rb") as fh:
-                values = np.load(fh, allow_pickle=False)
-            if not isinstance(values, np.ndarray):  # np.load also opens .npz archives
-                raise ValueError(f"holds a {type(values).__name__}, not an array")
-            if values.ndim != 1 or values.dtype != _VECTOR_DTYPE:
-                raise ValueError(f"holds a {values.dtype} array of shape {values.shape}, "
-                                 f"not a 1-D {_VECTOR_DTYPE} one")
-            return Embedding(values, model_id=model_id)
-        except (EOFError, ValueError, NonFiniteInput) as exc:
+            data = p.read_bytes()
+        except FileNotFoundError:
+            return None
+        # Bytes 8-9 of a v1.0 header hold the length of the rest of it.
+        start = 10 + int.from_bytes(data[8:10], "little")
+        n, odd = divmod(len(data) - start, _VECTOR_DTYPE.itemsize)
+        if n < 1 or odd or data[:start] != _npy_header(n):
+            raise CorruptCacheEntry(p, f"not a .npy file of a 1-D {_VECTOR_DTYPE} array "
+                                       "of at least one value")
+        try:
+            return Embedding(np.frombuffer(data, _VECTOR_DTYPE, offset=start), model_id=model_id)
+        except NonFiniteInput as exc:
             raise CorruptCacheEntry(p, str(exc)) from exc
 
     def store_embedding(self, model_id: str, text: str, emb: Embedding) -> None:
-        buf = io.BytesIO()
-        np.save(buf, emb.values.astype(_VECTOR_DTYPE, copy=False), allow_pickle=False)
-        _atomic_write(self.embedding_path(model_id, text), buf.getvalue())
+        values = emb.values.astype(_VECTOR_DTYPE, copy=False)
+        _atomic_write(self.embedding_path(model_id, text),
+                      _npy_header(values.size) + values.tobytes())
 
     def update_meta(self, updates: dict) -> dict:
         """meta.json with the keys it lacks added; a key once set never changes."""
         p = self.dir / "meta.json"
-        meta = json.loads(p.read_text(encoding="utf-8")) if p.exists() else {}
+        try:
+            meta = json.loads(p.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            meta = {}
         if not updates.keys() <= meta.keys():
             meta = {**updates, **meta}
             _atomic_write(p, json.dumps(meta, sort_keys=True, indent=2).encode("utf-8"))
@@ -424,7 +447,12 @@ def verify(
 
 
 def report_json_bytes(report: VerificationReport) -> bytes:
-    """Canonical JSON serialization: stable key order, full float precision."""
+    """Canonical JSON serialization: stable key order, full float precision.
+
+    The layout is json.dumps(..., sort_keys=True, indent=2). The entries block
+    is spliced in as that layout writes it, so the pure-Python encoder that
+    indent forces never walks the n-by-n matrix.
+    """
     obj = {
         "prompt_id": report.prompt_id,
         "k": report.k,
@@ -443,11 +471,18 @@ def report_json_bytes(report: VerificationReport) -> bytes:
         "matrix": {
             "labels": list(report.matrix.labels),
             "measure": report.matrix.measure,
-            "entries": [[float(v) for v in row] for row in report.matrix.entries],
+            # Placeholder: only the integer k is dumped before it, so the first
+            # "NaN" of the text is this one, whatever the strings after it hold.
+            "entries": math.nan,
         },
         "provenance": report.provenance,
     }
-    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    rows = report.matrix.entry_reprs
+    block = ("[\n      [\n        "
+             + "\n      ],\n      [\n        ".join(",\n        ".join(row) for row in rows)
+             + "\n      ]\n    ]")
+    return (text.replace("NaN", block, 1) + "\n").encode("utf-8")
 
 
 def report_from_json(data: bytes | str) -> VerificationReport:

@@ -9,9 +9,9 @@ reconstructs the matrix bit-exactly.
 
 from __future__ import annotations
 
-import io
+import numpy as np
 
-from .scorematrix import GT_LABEL, SimilarityMatrix
+from .scorematrix import GT_LABEL, SimilarityMatrix, mirrored
 
 _CELL = 64
 _MARGIN = 56
@@ -20,24 +20,24 @@ _MID = (255, 255, 255)  # anchor at 0
 _POS = (180, 4, 38)  # anchor at +1
 
 
-def _cell_color(value: float) -> str:
-    lo, hi = (_MID, _POS) if value >= 0 else (_MID, _NEG)
-    frac = min(1.0, abs(value))
-    rgb = tuple(round(a + (b - a) * frac) for a, b in zip(lo, hi))
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+def _fills(entries: np.ndarray) -> np.ndarray:
+    """Each cell's RGB triple on the diverging scale, as an n-by-n-by-3 int array.
 
-
-def _text_color(value: float) -> str:
-    return "#ffffff" if abs(value) > 0.6 else "#000000"
+    The anchor is _POS for values >= 0 (-0.0 included) and _NEG otherwise; the
+    channel is mid + (anchor - mid) * min(1, |value|) in float64, rounded half
+    to even.
+    """
+    mid = np.array(_MID)
+    anchor = np.where((entries >= 0)[..., None], _POS, _NEG)
+    frac = np.minimum(1.0, np.abs(entries))[..., None]
+    return np.rint(mid + (anchor - mid) * frac).astype(np.int64)
 
 
 def matrix_to_csv(matrix: SimilarityMatrix) -> str:
     """Header row of labels, then label-prefixed rows of exact values."""
-    out = io.StringIO()
-    out.write("," + ",".join(matrix.labels) + "\n")
-    for label, row in zip(matrix.labels, matrix.entries):
-        out.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()
+    lines = ["," + ",".join(matrix.labels)]
+    lines += [label + "," + ",".join(row) for label, row in zip(matrix.labels, matrix.entry_reprs)]
+    return "\n".join(lines) + "\n"
 
 
 def matrix_to_svg(matrix: SimilarityMatrix) -> str:
@@ -60,19 +60,21 @@ def matrix_to_svg(matrix: SimilarityMatrix) -> str:
             f'<text x="{_MARGIN - 12}" y="{cy + 5}" text-anchor="end" '
             f'font-family="monospace" font-size="14">{label}</text>'
         )
+    texts = mirrored(matrix.entries.tolist(), "{:.2f}".format)
+    fills = mirrored(_fills(matrix.entries).tolist(), "rgb({0[0]},{0[1]},{0[2]})".format)
+    inks = np.where(np.abs(matrix.entries) > 0.6, "#ffffff", "#000000").tolist()
+    # Numbers as strings: formatting ints per cell would cost as much as the rest.
+    cell = str(_CELL)
+    xs = [(str(_MARGIN + j * _CELL), str(_MARGIN + j * _CELL + _CELL // 2)) for j in range(n)]
     for i in range(n):
-        for j in range(n):
-            value = float(matrix.entries[i, j])
-            x = _MARGIN + j * _CELL
-            y = _MARGIN + i * _CELL
+        y = str(_MARGIN + i * _CELL)
+        ty = str(_MARGIN + i * _CELL + _CELL // 2 + 5)
+        for (x, tx), fill, ink, text in zip(xs, fills[i], inks[i], texts[i]):
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{_cell_color(value)}" stroke="#cccccc" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 5}" '
-                f'text-anchor="middle" font-family="monospace" font-size="14" '
-                f'fill="{_text_color(value)}">{value:.2f}</text>'
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>\n'
+                f'<text x="{tx}" y="{ty}" text-anchor="middle" font-family="monospace" '
+                f'font-size="14" fill="{ink}">{text}</text>'
             )
     if matrix.has_gt:
         # Rule separating the GT row/column from the replies.

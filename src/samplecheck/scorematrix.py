@@ -8,6 +8,7 @@ so appending a GT never changes them; GT alignment is reported separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
@@ -67,7 +68,8 @@ class SimilarityMatrix:
     """Symmetric n-by-n matrix of pairwise similarity scores.
 
     labels name the rows/columns: reply indices "0".."k-1" and, when a ground
-    truth is present, a final "GT" label.
+    truth is present, a final "GT" label. Symmetry is bitwise, sign of zero
+    included, so every writer may format a pair once and mirror it.
     """
 
     entries: np.ndarray
@@ -81,13 +83,16 @@ class SimilarityMatrix:
         n = arr.shape[0]
         if len(self.labels) != n:
             raise ValueError("labels must match the matrix order")
+        if not all(isinstance(label, str) for label in self.labels):
+            raise ValueError("labels must be strings")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         if np.abs(arr).max() > 1.0:
             raise ValueError("matrix entries must lie in [-1, 1]")
-        if not np.array_equal(arr, arr.T):
+        bits = arr.view(np.uint64)  # bitwise: -0.0 and 0.0 are not mirror images
+        if not np.array_equal(bits, bits.T):
             raise ValueError("matrix must be symmetric")
         if not np.all(np.diag(arr) == 1.0):
             raise ValueError("matrix diagonal must be exactly 1")
@@ -106,6 +111,20 @@ class SimilarityMatrix:
     @property
     def reply_count(self) -> int:
         return self.order - 1 if self.has_gt else self.order
+
+    @functools.cached_property
+    def entry_reprs(self) -> list[list[str]]:
+        """repr of every entry, the shortest text that parses back to it bit for bit.
+
+        Computed once per matrix and shared by the report and the CSV.
+        """
+        return mirrored(self.entries.tolist(), float.__repr__)
+
+
+def mirrored(rows: list[list], fmt: Callable[..., str]) -> list[list[str]]:
+    """fmt of every cell of a symmetric nested list, called once per unordered pair."""
+    upper = [list(map(fmt, row[i:])) for i, row in enumerate(rows)]
+    return [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(rows))]
 
 
 @dataclass(frozen=True)

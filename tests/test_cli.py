@@ -540,6 +540,22 @@ class TestHeatmapCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_svg.exists()
 
+    @pytest.mark.parametrize("matrix, message", [
+        ({"entries": [[1.0, -0.0], [0.0, 1.0]], "labels": ["0", "1"]}, "symmetric"),
+        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": [0, 1]}, "labels must be strings"),
+    ], ids=["mirrored-signed-zero", "integer-labels"])
+    def test_invalid_matrix_exit_one(self, stub, tmp_path, prompt_file, capsys, matrix, message):
+        report_path = self._make_report(stub, tmp_path, prompt_file)
+        obj = json.loads(report_path.read_text())
+        obj["matrix"].update(matrix)
+        report_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out_svg = tmp_path / "render" / "heat.svg"
+        assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out_svg.exists()
+
     def test_malformed_report_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -35,6 +35,7 @@ from samplecheck.pipeline import (
     report_json_bytes,
     verify,
     _Cache,
+    _npy_header,
 )
 from samplecheck.providers import ProviderConfig, mock_embed
 from samplecheck.scorematrix import build_matrix, summarize
@@ -503,6 +504,19 @@ class TestCacheEntries:
             assert loaded.model_id == "m"
             cache.store_embedding("m", "text", emb)
             assert path.read_bytes() == stored
+
+    @pytest.mark.parametrize("n", [1, 7, 4096, 100000])
+    def test_files_are_np_save_bytes(self, tmp_path, n):
+        values = np.random.default_rng(n).normal(size=n)
+        saved = _npy(values)
+        assert saved == _npy_header(n) + values.tobytes()
+        cache = _Cache(tmp_path, "key")
+        cache.store_embedding("m", "text", Embedding(values, model_id="m"))
+        path = cache.embedding_path("m", "text")
+        assert path.read_bytes() == saved
+        assert np.array_equal(np.load(path), values)
+        loaded = cache.load_embedding("m", "text")
+        assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         assert _Cache(tmp_path, "key").load_embedding("m", "text") is None

@@ -333,6 +333,17 @@ class TestMatrixValidation:
         with pytest.raises(ValueError):
             SimilarityMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), ("0", "1"), "cosine")
 
+    def test_rejects_mirrored_signed_zero(self):
+        # A writer formats each pair once and mirrors it, so -0.0 must face -0.0.
+        with pytest.raises(ValueError, match="symmetric"):
+            SimilarityMatrix(np.array([[1.0, -0.0], [0.0, 1.0]]), ("0", "1"), "cosine")
+        m = SimilarityMatrix(np.array([[1.0, -0.0], [-0.0, 1.0]]), ("0", "1"), "cosine")
+        assert np.signbit(m.entries[0, 1]) and np.signbit(m.entries[1, 0])
+
+    def test_rejects_non_string_labels(self):
+        with pytest.raises(ValueError, match="labels"):
+            SimilarityMatrix(np.eye(2), (0, 1), "cosine")
+
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ValueError):
             SimilarityMatrix(np.array([[0.9, 0.2], [0.2, 1.0]]), ("0", "1"), "cosine")
