@@ -16,13 +16,12 @@ from .pipeline import (
     ingest_vectors,
     verify,
 )
-from .providers import ProviderConfig, embed_many, embed_text, mock_embed
+from .providers import ProviderConfig, embed_many, mock_embed
 from .scorematrix import (
     ConfidenceThresholds,
     MatrixSummary,
     SimilarityMatrix,
     build_matrix,
-    heatmap_data,
     summarize,
 )
 from .vectors import Embedding, cosine, pearson, spearman
@@ -41,8 +40,6 @@ __all__ = [
     "chunk_document",
     "cosine",
     "embed_many",
-    "embed_text",
-    "heatmap_data",
     "ingest_vectors",
     "mock_embed",
     "pearson",

@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -54,6 +54,10 @@ class EvalSettings:
     grid_points: int = 101
 
     def __post_init__(self) -> None:
+        if self.statistic not in evalmod.STATISTICS:
+            raise ConfigError(f"eval.statistic must be one of {', '.join(evalmod.STATISTICS)}")
+        if self.polarity not in evalmod.POLARITIES:
+            raise ConfigError(f"eval.polarity must be one of {', '.join(evalmod.POLARITIES)}")
         if self.grid_points < 2:
             raise ConfigError("eval.grid_points must be >= 2")
 
@@ -283,11 +287,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "best_f1": sweep.best_f1,
             "precision": best.precision,
             "recall": best.recall,
-            "curve": [
-                {"threshold": p.threshold, "precision": p.precision,
-                 "recall": p.recall, "f1": p.f1}
-                for p in sweep.curve
-            ],
+            "curve": [asdict(p) for p in sweep.curve],
             "note": "threshold chosen by exhaustive sweep on this dataset",
         }
         print(f"{'metric':<16} {'value':>10}")
@@ -310,15 +310,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     params = costmodel.CostModelParams(
-        samples=args.samples,
-        embed_dim=args.embed_dim,
-        sentences=args.sentences,
-        tokens=args.tokens,
-        inference_work=args.inference_work,
-        inference_depth=args.inference_depth,
-        embed_work=args.embed_work,
-        embed_depth=args.embed_depth,
-    )
+        **{f.name: getattr(args, f.name) for f in fields(costmodel.CostModelParams)})
     schemes = (
         [s.strip() for s in args.schemes.split(",") if s.strip()]
         if args.schemes
@@ -327,7 +319,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     report = costmodel.compare(schemes, args.task, params)
     print(costmodel.render_table(report))
     if args.out:
-        _write_json(Path(args.out), costmodel.report_to_json_obj(report))
+        _write_json(Path(args.out), asdict(report))
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -367,14 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default=costmodel.TASK_VERIFICATION,
                    choices=list(costmodel.TASKS))
     p.add_argument("--schemes", help="comma-separated scheme names (default: all applicable)")
-    p.add_argument("--samples", type=float, default=10)
-    p.add_argument("--embed-dim", type=float, default=3072, dest="embed_dim")
-    p.add_argument("--sentences", type=float, default=10)
-    p.add_argument("--tokens", type=float, default=25)
-    p.add_argument("--inference-work", type=float, default=1e6, dest="inference_work")
-    p.add_argument("--inference-depth", type=float, default=1e3, dest="inference_depth")
-    p.add_argument("--embed-work", type=float, default=1e6, dest="embed_work")
-    p.add_argument("--embed-depth", type=float, default=1e3, dest="embed_depth")
+    for f in fields(costmodel.CostModelParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_cost)
     return parser

@@ -66,17 +66,19 @@ class CostModelParams:
     Counts (samples, embed_dim, sentences, tokens) must be >= 1; a run's
     depth can never exceed its own work, so inference_depth <= inference_work
     and embed_depth <= embed_work are required as well. Together these
-    guarantee depth <= work for every estimate this model produces.
+    guarantee depth <= work for every estimate this model produces. Each
+    field is also an option of the cost command (embed_dim as --embed-dim),
+    whose default is the field's default.
     """
 
-    samples: float  # answers requested from the generator (k)
-    embed_dim: float  # embedding dimensionality
-    sentences: float  # average sentences per passage
-    tokens: float  # average tokens per sentence
-    inference_work: float  # work of one generator inference run
-    inference_depth: float  # depth of one generator inference run
-    embed_work: float  # work of one embedding run
-    embed_depth: float  # depth of one embedding run
+    samples: float = 10  # answers requested from the generator (k)
+    embed_dim: float = 3072  # embedding dimensionality
+    sentences: float = 10  # average sentences per passage
+    tokens: float = 25  # average tokens per sentence
+    inference_work: float = 1e6  # work of one generator inference run
+    inference_depth: float = 1e3  # depth of one generator inference run
+    embed_work: float = 1e6  # work of one embedding run
+    embed_depth: float = 1e3  # depth of one embedding run
 
     def __post_init__(self) -> None:
         for name in ("samples", "embed_dim", "sentences", "tokens"):
@@ -97,7 +99,6 @@ class CostEstimate:
     task: str
     depth: float
     work: float
-    applicable: bool = True
 
 
 def _lg(x: float) -> float:
@@ -150,8 +151,7 @@ _UNKNOWN_CELLS = {("gptscore", TASK_SIMILARITY)}
 
 def is_applicable(scheme: str, task: str) -> bool:
     _validate_cell(scheme, task)
-    dummy = CostModelParams(1, 1, 1, 1, 1, 1, 1, 1)
-    return (scheme, task) in _formulas(dummy)
+    return (scheme, task) in _formulas(CostModelParams())
 
 
 def _validate_cell(scheme: str, task: str) -> None:
@@ -231,18 +231,3 @@ def render_table(report: CompareReport) -> str:
         )
     return "\n".join(lines)
 
-
-def report_to_json_obj(report: CompareReport) -> dict:
-    return {
-        "task": report.task,
-        "note": report.note,
-        "rows": [
-            {
-                "scheme": r.scheme,
-                "work": r.work,
-                "depth": r.depth,
-                "ratio_vs_checkembed": r.ratio_vs_checkembed,
-            }
-            for r in report.rows
-        ],
-    }

@@ -233,12 +233,6 @@ class SweepRow:
     spearman_pct: float
 
 
-def sweep_records_from_passages(passages: Sequence[LabeledPassage]) -> list[SweepRecord]:
-    return [
-        SweepRecord(samples=p.samples, gold=passage_score(p.labels)) for p in passages
-    ]
-
-
 def sample_sweep(
     records: Sequence[SweepRecord],
     k_values: Sequence[int],

@@ -39,7 +39,7 @@ import os
 import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Hashable, Sequence
@@ -159,7 +159,7 @@ class EmbedderConfig:
     @property
     def effective_model_id(self) -> str:
         if self.kind == "mock":
-            return f"mock-d{self.dim}-s{self.seed}"
+            return providers.mock_model_id(self.dim, self.seed)
         return self.model_id
 
     def embedder(self) -> Callable[[Sequence[str]], list[Embedding]]:
@@ -446,37 +446,25 @@ def verify(
     )
 
 
+def _field_map(obj: object) -> dict[str, object]:
+    """Each dataclass field of obj by name, values as they are (no deep copy)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def report_json_bytes(report: VerificationReport) -> bytes:
     """Canonical JSON serialization: stable key order, full float precision.
 
-    The layout is json.dumps(..., sort_keys=True, indent=2). The entries block
-    is spliced in as that layout writes it, so the pure-Python encoder that
-    indent forces never walks the n-by-n matrix.
+    The object holds exactly the fields of VerificationReport, each nested
+    dataclass as an object of its own fields. The layout is
+    json.dumps(..., sort_keys=True, indent=2). The entries block is spliced in
+    as that layout writes it, so the pure-Python encoder that indent forces
+    never walks the n-by-n matrix.
     """
-    obj = {
-        "prompt_id": report.prompt_id,
-        "k": report.k,
-        "measure": report.measure,
-        "thresholds": {
-            "mean_min": report.thresholds.mean_min,
-            "std_max": report.thresholds.std_max,
-        },
-        "summary": {
-            "frobenius_normalized": report.summary.frobenius_normalized,
-            "mean_offdiag": report.summary.mean_offdiag,
-            "std_offdiag": report.summary.std_offdiag,
-            "gt_alignment": report.summary.gt_alignment,
-            "verdict": report.summary.verdict,
-        },
-        "matrix": {
-            "labels": list(report.matrix.labels),
-            "measure": report.matrix.measure,
-            # Placeholder: only the integer k is dumped before it, so the first
-            # "NaN" of the text is this one, whatever the strings after it hold.
-            "entries": math.nan,
-        },
-        "provenance": report.provenance,
-    }
+    obj = {name: _field_map(value) if is_dataclass(value) else value
+           for name, value in _field_map(report).items()}
+    # Placeholder: only the integer k is dumped before it, so the first "NaN"
+    # of the text is this one, whatever the strings after it hold.
+    obj["matrix"]["entries"] = math.nan
     text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
     rows = report.matrix.entry_reprs
     block = ("[\n      [\n        "
@@ -486,30 +474,23 @@ def report_json_bytes(report: VerificationReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> VerificationReport:
+    """The report that report_json_bytes wrote as data.
+
+    ValueError if data is not JSON of exactly that shape: every field of each
+    dataclass present, and no other key.
+    """
     obj = json.loads(data)
-    matrix = SimilarityMatrix(
-        entries=obj["matrix"]["entries"],
-        labels=tuple(obj["matrix"]["labels"]),
-        measure=obj["matrix"]["measure"],
-    )
-    s = obj["summary"]
-    summary = MatrixSummary(
-        frobenius_normalized=s["frobenius_normalized"],
-        mean_offdiag=s["mean_offdiag"],
-        std_offdiag=s["std_offdiag"],
-        gt_alignment=s["gt_alignment"],
-        verdict=s["verdict"],
-    )
-    thresholds = ConfidenceThresholds(**obj["thresholds"])
-    return VerificationReport(
-        prompt_id=obj["prompt_id"],
-        k=obj["k"],
-        measure=obj["measure"],
-        summary=summary,
-        matrix=matrix,
-        thresholds=thresholds,
-        provenance=obj["provenance"],
-    )
+    try:
+        return VerificationReport(**{
+            **obj,
+            "summary": MatrixSummary(**obj["summary"]),
+            "matrix": SimilarityMatrix(**obj["matrix"]),
+            "thresholds": ConfidenceThresholds(**obj["thresholds"]),
+        })
+    except KeyError as exc:
+        raise ValueError(f"not a samplecheck report: no key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"not a samplecheck report: {exc}") from exc
 
 
 _SENTENCE_END = ".!?"

@@ -247,17 +247,17 @@ def _embedding(values: object, index: int, model_id: str) -> Embedding:
     return emb
 
 
-def embed_text(text: str, cfg: ProviderConfig, model_id: str) -> Embedding:
-    """Embed one text: the one-element case of embed_many."""
-    return embed_many([text], cfg, model_id)[0]
-
-
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; drops empty tokens."""
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+
+
+def mock_model_id(dim: int, seed: int) -> str:
+    """The model id of mock_embed's vectors for (dim, seed)."""
+    return f"mock-d{dim}-s{seed}"
 
 
 def mock_embed(text: str, dim: int, seed: int = 0) -> Embedding:
@@ -291,4 +291,4 @@ def mock_embed(text: str, dim: int, seed: int = 0) -> Embedding:
         )
         vec[h % dim] = 1.0
         norm = 1.0
-    return Embedding(vec / norm, model_id=f"mock-d{dim}-s{seed}")
+    return Embedding(vec / norm, model_id=mock_model_id(dim, seed))

@@ -83,7 +83,8 @@ class SimilarityMatrix:
         n = arr.shape[0]
         if len(self.labels) != n:
             raise ValueError("labels must match the matrix order")
-        if not all(isinstance(label, str) for label in self.labels):
+        if isinstance(self.labels, str) or not all(isinstance(label, str)
+                                                   for label in self.labels):
             raise ValueError("labels must be strings")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
@@ -225,12 +226,3 @@ def summarize(
         gt_alignment=gt_alignment,
         verdict=verdict,
     )
-
-
-def heatmap_data(matrix: SimilarityMatrix) -> list[tuple[str, str, float]]:
-    """Row-major (row_label, col_label, value) cells with exact values."""
-    cells: list[tuple[str, str, float]] = []
-    for i, row in enumerate(matrix.labels):
-        for j, col in enumerate(matrix.labels):
-            cells.append((row, col, float(matrix.entries[i, j])))
-    return cells

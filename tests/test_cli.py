@@ -462,6 +462,24 @@ class TestEvalCommand:
         assert "record 'short' has 2 samples, need k=3" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"eval_{task}_checkembed.json").exists()
 
+    @pytest.mark.parametrize("setting", [{"polarity": "low_scores_flag"},
+                                         {"statistic": "std_offdiag"}])
+    def test_unknown_eval_setting_exit_one_before_embedding(self, stub, tmp_path, capsys,
+                                                            setting):
+        records = [BinaryRecord(id=f"r{i}", response="a", label="faithful",
+                                samples=(f"x{i}", f"y{i}", f"z{i}")) for i in range(3)]
+        dataset = tmp_path / "rag.jsonl"
+        write_records_jsonl(dataset, records)
+        config = write_config(tmp_path, stub, eval=setting)
+        with pytest.raises(ConfigError):
+            load_config(config)
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "ragtruth"])
+        assert code == 1
+        name = next(iter(setting))
+        assert capsys.readouterr().err.startswith(f"error: eval.{name} must be one of ")
+        assert list(tmp_path.glob("cache/embeddings/**/*.npy")) == []
+
     def test_unknown_scheme_exit_one_lists_valid(self, stub, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text('{"id":"x","sentences":["a"],"labels":["accurate"],"samples":["s","t"]}\n')
@@ -543,7 +561,8 @@ class TestHeatmapCommand:
     @pytest.mark.parametrize("matrix, message", [
         ({"entries": [[1.0, -0.0], [0.0, 1.0]], "labels": ["0", "1"]}, "symmetric"),
         ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": [0, 1]}, "labels must be strings"),
-    ], ids=["mirrored-signed-zero", "integer-labels"])
+        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": "01"}, "labels must be strings"),
+    ], ids=["mirrored-signed-zero", "integer-labels", "labels-string"])
     def test_invalid_matrix_exit_one(self, stub, tmp_path, prompt_file, capsys, matrix, message):
         report_path = self._make_report(stub, tmp_path, prompt_file)
         obj = json.loads(report_path.read_text())
@@ -554,6 +573,21 @@ class TestHeatmapCommand:
         assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out_svg.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda obj: {**obj, "matrix": "0,1"},
+        lambda obj: {**obj, "summary": list(obj["summary"].values())},
+        lambda obj: [obj],
+        lambda obj: {**obj, "summary": {**obj["summary"], "verdict_note": "x"}},
+    ], ids=["matrix-string", "summary-list", "top-level-list", "summary-unknown-key"])
+    def test_wrong_shape_report_exit_one(self, stub, tmp_path, prompt_file, capsys, damage):
+        report_path = self._make_report(stub, tmp_path, prompt_file)
+        report_path.write_text(json.dumps(damage(json.loads(report_path.read_text()))))
+        capsys.readouterr()
+        out_svg = tmp_path / "render" / "heat.svg"
+        assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
+        assert capsys.readouterr().err.startswith("error: not a samplecheck report: ")
         assert not out_svg.exists()
 
     def test_malformed_report_exit_one(self, tmp_path, capsys):

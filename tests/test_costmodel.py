@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from samplecheck.costmodel import (
     compare,
     estimate,
     render_table,
-    report_to_json_obj,
 )
 
 
@@ -173,7 +173,7 @@ class TestCompare:
         report = compare({"checkembed"}, TASK_VERIFICATION, params())
         assert report.note == CONVENTION_NOTE
         assert "not measurements" in render_table(report)
-        assert report_to_json_obj(report)["note"] == CONVENTION_NOTE
+        assert asdict(report)["note"] == CONVENTION_NOTE
 
 
 param_values = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)

@@ -25,7 +25,6 @@ from samplecheck.eval import (
     read_passages_jsonl,
     sample_sweep,
     stability_scorer,
-    sweep_records_from_passages,
     threshold_sweep,
     write_records_jsonl,
 )
@@ -372,15 +371,6 @@ class TestDatasetIO:
         path.write_text("{broken\n")
         with pytest.raises(DatasetError):
             read_passages_jsonl(path)
-
-    def test_sweep_records_from_passages(self):
-        passages = [
-            LabeledPassage(
-                id="p", sentences=("a.", "b."), labels=("accurate", "major"), samples=("x", "y")
-            )
-        ]
-        records = sweep_records_from_passages(passages)
-        assert records[0].gold == 0.5 and records[0].samples == ("x", "y")
 
     def test_passages_encode_gold(self):
         records, _ = corruption_corpus(

@@ -29,6 +29,7 @@ from samplecheck.pipeline import (
     ParseError,
     PartialFailure,
     RaggedDims,
+    VerificationReport,
     chunk_document,
     ingest_vectors,
     report_from_json,
@@ -38,7 +39,7 @@ from samplecheck.pipeline import (
     _npy_header,
 )
 from samplecheck.providers import ProviderConfig, mock_embed
-from samplecheck.scorematrix import build_matrix, summarize
+from samplecheck.scorematrix import MEASURES, ConfidenceThresholds, build_matrix, summarize
 from samplecheck.vectors import Embedding
 
 
@@ -449,6 +450,31 @@ class TestVerify:
         assert p["temperature"] == 0.5
         assert p["max_tokens"] == 1024 and p["top_p"] is None and p["top_k"] is None
         assert "generated_at" in p and "embedded_at" in p
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text() | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+class TestReportJson:
+    @given(st.integers(2, 6), st.booleans(), st.sampled_from(sorted(MEASURES)),
+           st.integers(0, 2**32 - 1), st.text(), st.dictionaries(st.text(), JSON_SCALARS))
+    @example(2, False, "cosine", 0, "NaN", {})
+    @example(3, True, "pearson", 1, "α", {"NaN": "NaN"})
+    @settings(max_examples=60, deadline=None)
+    def test_written_report_reads_back_to_the_same_bytes(self, k, with_gt, measure, seed,
+                                                          prompt_id, extra):
+        rng = np.random.default_rng(seed)
+        vectors = [Embedding(rng.normal(size=8), model_id="m") for _ in range(k + with_gt)]
+        matrix = build_matrix(vectors[:k], vectors[k] if with_gt else None, measure)
+        thresholds = ConfidenceThresholds(rng.uniform(-0.99, 1.0), rng.uniform(0.0, 1.0))
+        report = VerificationReport(
+            prompt_id=prompt_id, k=k, measure=measure, summary=summarize(matrix, thresholds),
+            matrix=matrix, thresholds=thresholds,
+            provenance={**extra, "top_p": None, "note": "NaN", "model": "naïve-α"},
+        )
+        data = report_json_bytes(report)
+        assert report_json_bytes(report_from_json(data)) == data
 
 
 def _npy(values: np.ndarray, allow_pickle: bool = False) -> bytes:

@@ -19,7 +19,6 @@ from samplecheck.providers import (
     TransportError,
     complete_once,
     embed_many,
-    embed_text,
     mock_embed,
 )
 from samplecheck.vectors import cosine
@@ -164,30 +163,30 @@ class TestGenerateSamples:
 class TestEmbedText:
     def test_fixed_vector(self, stub):
         stub.state.embed_fn = lambda text, model: [0.5, 0.5, 0.0, 0.0]
-        e = embed_text("hello", cfg_for(stub), "custom-model")
+        e = embed_many(["hello"], cfg_for(stub), "custom-model")[0]
         assert e.dim == 4
         assert e.model_id == "custom-model"
 
     def test_request_shape(self, stub):
-        embed_text("hello", cfg_for(stub), "custom-model")
+        embed_many(["hello"], cfg_for(stub), "custom-model")[0]
         path, _, body = stub.state.requests[0]
         assert path.endswith("/embeddings")
         assert body == {"model": "custom-model", "input": ["hello"]}
 
     def test_preset_dim_enforced_gpt(self, stub):
         stub.state.embed_fn = lambda text, model: [0.0] * 3071 + [1.0]
-        e = embed_text("hello", cfg_for(stub), "gpt-text-embedding-large")
+        e = embed_many(["hello"], cfg_for(stub), "gpt-text-embedding-large")[0]
         assert e.dim == 3072
 
     def test_preset_dim_enforced_sfr(self, stub):
         stub.state.embed_fn = lambda text, model: [0.0] * 4095 + [1.0]
-        e = embed_text("hello", cfg_for(stub), "sfr-embedding-mistral")
+        e = embed_many(["hello"], cfg_for(stub), "sfr-embedding-mistral")[0]
         assert e.dim == 4096
 
     def test_preset_mismatch_raises(self, stub):
         stub.state.embed_fn = lambda text, model: [1.0, 2.0, 3.0]
         with pytest.raises(DimMismatch):
-            embed_text("hello", cfg_for(stub), "gpt-text-embedding-large")
+            embed_many(["hello"], cfg_for(stub), "gpt-text-embedding-large")[0]
 
     def test_presets_cover_known_models(self):
         assert PRESET_DIMS["gpt-text-embedding-large"] == 3072
@@ -201,11 +200,11 @@ class TestEmbedText:
     def test_nonfinite_rejected(self, stub):
         stub.state.raw_body = b'{"data": [{"index": 0, "embedding": [1.0, "x"]}]}'
         with pytest.raises(MalformedResponse):
-            embed_text("hello", cfg_for(stub), "custom-model")
+            embed_many(["hello"], cfg_for(stub), "custom-model")[0]
 
     def test_empty_text(self, stub):
         with pytest.raises(EmptyText):
-            embed_text("   ", cfg_for(stub), "custom-model")
+            embed_many(["   "], cfg_for(stub), "custom-model")[0]
 
 
 def embeddings_body(*items) -> bytes:

@@ -18,7 +18,6 @@ from samplecheck.scorematrix import (
     PairwiseKernelError,
     SimilarityMatrix,
     build_matrix,
-    heatmap_data,
     summarize,
 )
 from samplecheck.vectors import ConstantVector, Embedding, ZeroVector, cosine, pearson
@@ -295,37 +294,6 @@ class TestSummarize:
             ConfidenceThresholds(mean_min=1.5)
         with pytest.raises(ValueError):
             ConfidenceThresholds(std_max=-0.1)
-
-
-class TestHeatmapData:
-    def test_two_by_two_order(self):
-        m = SimilarityMatrix(np.array([[1.0, 0.25], [0.25, 1.0]]), ("0", "1"), "cosine")
-        cells = heatmap_data(m)
-        assert cells == [
-            ("0", "0", 1.0),
-            ("0", "1", 0.25),
-            ("1", "0", 0.25),
-            ("1", "1", 1.0),
-        ]
-
-    def test_gt_label_last(self):
-        e = np.eye(3)
-        e[e == 0] = 0.0
-        np.fill_diagonal(e, 1.0)
-        m = SimilarityMatrix(e, ("0", "1", "GT"), "cosine")
-        cells = heatmap_data(m)
-        assert cells[-1][0] == "GT" and cells[-1][1] == "GT"
-
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(15)
-        m = build_matrix(embs(rng.normal(size=(4, 8))))
-        cells = heatmap_data(m)
-        n = m.order
-        rebuilt = np.empty((n, n))
-        index = {label: i for i, label in enumerate(m.labels)}
-        for row, col, value in cells:
-            rebuilt[index[row], index[col]] = value
-        assert np.array_equal(rebuilt, m.entries)
 
 
 class TestMatrixValidation:
