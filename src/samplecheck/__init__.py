@@ -8,15 +8,8 @@ cost model for comparing verification schemes.
 """
 
 from .errors import SampleCheckError
-from .pipeline import (
-    EmbedderConfig,
-    GeneratorConfig,
-    VerificationReport,
-    chunk_document,
-    ingest_vectors,
-    verify,
-)
-from .providers import ProviderConfig, embed_many, mock_embed
+from .pipeline import VerificationReport, chunk_document, ingest_vectors, verify
+from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig, embed_many, mock_embed
 from .scorematrix import (
     ConfidenceThresholds,
     MatrixSummary,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping
 
 from ..errors import SampleCheckError
-from ..providers import DEFAULT_TEMPERATURE, ProviderConfig, complete_once
+from ..providers import GeneratorConfig, complete_once
 
 JUDGE_TASKS = (
     "similar_descriptions",
@@ -25,6 +25,9 @@ JUDGE_TASKS = (
     "wikibio_with_reference",
     "ragtruth",
 )
+
+# The reply is a bare integer in [0, 100], so a few tokens suffice.
+JUDGE_MAX_TOKENS = 16
 
 _INT_REPLY = re.compile(r"^[+-]?[0-9]+$")
 
@@ -86,18 +89,11 @@ def parse_verdict(reply: str) -> JudgeVerdict:
     return JudgeVerdict(score=score, raw_reply=reply)
 
 
-def llm_judge(
-    task: str,
-    inputs: Mapping[str, str],
-    cfg: ProviderConfig,
-    *,
-    model_id: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = 16,
-) -> JudgeVerdict:
-    """Assemble the task prompt, query the model once, parse the score."""
+def llm_judge(task: str, inputs: Mapping[str, str], gen: GeneratorConfig) -> JudgeVerdict:
+    """Assemble the task prompt, query the model once, parse the score.
+
+    The request is gen's, with max_tokens set to JUDGE_MAX_TOKENS.
+    """
     prompt = assemble_prompt(task, inputs)
-    reply = complete_once(
-        prompt, cfg, model_id=model_id, temperature=temperature, max_tokens=max_tokens
-    )
+    reply = complete_once(prompt, replace(gen, max_tokens=JUDGE_MAX_TOKENS))
     return parse_verdict(reply)

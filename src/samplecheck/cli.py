@@ -3,8 +3,8 @@ query the cost model.
 
 Exit codes are machine-actionable: 0 means the verification verdict was
 HighConfidence (or the command simply succeeded), 2 means the verdict was
-Inspect, 1 means any error. Configuration is a single JSON file; API keys are
-referenced by environment-variable name only.
+Inspect, 1 means any error, a usage error included. Configuration is a single
+JSON file; API keys are referenced by environment-variable name only.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import costmodel, eval as evalmod, render
 from .baselines import judge as judgemod
 from .errors import SampleCheckError
 from .pipeline import (
-    EmbedderConfig,
-    GeneratorConfig,
     VerificationReport,
     _atomic_write,
     embed_cached,
@@ -30,8 +28,8 @@ from .pipeline import (
     report_json_bytes,
     verify,
 )
-from .providers import ProviderConfig
-from .scorematrix import ConfidenceThresholds, SimilarityMatrix
+from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig
+from .scorematrix import MEASURES, ConfidenceThresholds, SimilarityMatrix
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +74,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ConfigError("k must be >= 2")
-        if self.measure not in ("cosine", "pearson"):
-            raise ConfigError("measure must be 'cosine' or 'pearson'")
+        if self.measure not in MEASURES:
+            raise ConfigError(f"measure must be one of {', '.join(MEASURES)}")
 
 
 def _given(obj: dict, **convert: Callable[[object], object]) -> dict[str, object]:
@@ -148,6 +146,14 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's RunConfig with the command's --k/--measure applied,
+    checked by RunConfig like the file's own values."""
+    cfg = load_config(args.config)
+    return replace(cfg, **{name: getattr(args, name) for name in ("k", "measure")
+                           if getattr(args, name, None) is not None})
+
+
 def _write_heatmap(matrix: SimilarityMatrix, svg_path: Path) -> Path:
     """Write the SVG and, next to it, the CSV; returns the CSV path."""
     csv_path = svg_path.with_suffix(".csv")
@@ -166,21 +172,19 @@ def _write_outputs(report: VerificationReport, output_dir: Path) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     prompt = Path(args.prompt).read_text(encoding="utf-8")
     if not prompt.strip():
         raise ConfigError(f"prompt file {args.prompt} is empty")
     gt = Path(args.gt).read_text(encoding="utf-8") if args.gt else None
-    k = args.k or cfg.k
-    measure = args.measure or cfg.measure
     report = verify(
         prompt,
         gt,
-        k,
+        cfg.k,
         cfg.generation,
         cfg.embedding,
         cfg.thresholds,
-        measure=measure,
+        measure=cfg.measure,
         cache_dir=cfg.cache_dir,
     )
     out_dir = Path(args.out) if args.out else cfg.output_dir
@@ -195,13 +199,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _record_scorer(
-    cfg: RunConfig, scheme: str, task: str, records: Sequence, k: int
+    cfg: RunConfig, scheme: str, task: str, records: Sequence
 ) -> tuple[str, Callable[[object], float]]:
     """The statistic a scheme reports, and its record -> score callable.
 
     checkembed scores each record's first k samples, so every record must
     have k of them; that is checked here, before any request.
     """
+    k = cfg.k
     if scheme == "checkembed":
         for r in records:
             if len(r.samples) < k:
@@ -216,13 +221,7 @@ def _record_scorer(
         if task != "wikibio":
             raise ConfigError("the judge scheme is only wired for the wikibio task")
         return "judge_score", lambda r: float(
-            judgemod.llm_judge(
-                "wikibio",
-                {"biography": r.text},
-                cfg.generation.provider,
-                model_id=cfg.generation.model_id,
-                temperature=cfg.generation.temperature,
-            ).score
+            judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score
         )
     raise ConfigError(
         f"unknown scheme {scheme!r}; valid schemes: {', '.join(EVAL_SCHEMES)}"
@@ -238,16 +237,13 @@ def _grid(scores: Sequence[float], points: int) -> list[float]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     task = args.task
-    if task not in EVAL_TASKS:
-        raise ConfigError(f"unknown task {task!r}; valid tasks: {', '.join(EVAL_TASKS)}")
-    k = args.k or cfg.k
     out_dir = Path(args.out) if args.out else cfg.output_dir
 
     read = evalmod.read_passages_jsonl if task == "wikibio" else evalmod.read_binary_jsonl
     records = read(args.dataset)
-    statistic, score = _record_scorer(cfg, args.scheme, task, records, k)
+    statistic, score = _record_scorer(cfg, args.scheme, task, records)
     scores = []
     for r in records:
         try:
@@ -262,7 +258,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "task": task,
             "scheme": args.scheme,
             "n_records": len(records),
-            "k": k,
+            "k": cfg.k,
             "statistic": statistic,
             "pearson_pct": pe,
             "spearman_pct": sp,
@@ -280,7 +276,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "task": task,
             "scheme": args.scheme,
             "n_records": len(records),
-            "k": k,
+            "k": cfg.k,
             "statistic": statistic,
             "polarity": cfg.eval.polarity,
             "best_threshold": sweep.best_threshold,
@@ -324,8 +320,17 @@ def cmd_cost(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that exits EXIT_ERROR on a usage error, since argparse's
+    own code 2 is EXIT_INSPECT. Subparsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="samplecheck",
         description="Stability-based verification of generative-model outputs.",
     )
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", required=True, help="file holding the prompt text")
     p.add_argument("--gt", help="optional file holding the ground-truth answer")
     p.add_argument("--k", type=int, help="override the configured sample count")
-    p.add_argument("--measure", choices=["cosine", "pearson"])
+    p.add_argument("--measure", choices=list(MEASURES))
     p.add_argument("--out", help="output directory (default: config output_dir)")
     p.set_defaults(func=cmd_verify)
 

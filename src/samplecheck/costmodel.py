@@ -63,7 +63,8 @@ class InvalidParams(SampleCheckError):
 class CostModelParams:
     """Positive quantities feeding the cost formulas.
 
-    Counts (samples, embed_dim, sentences, tokens) must be >= 1; a run's
+    Every quantity must be finite. Counts (samples, embed_dim, sentences,
+    tokens) must be >= 1, the other quantities positive; a run's
     depth can never exceed its own work, so inference_depth <= inference_work
     and embed_depth <= embed_work are required as well. Together these
     guarantee depth <= work for every estimate this model produces. Each
@@ -82,11 +83,11 @@ class CostModelParams:
 
     def __post_init__(self) -> None:
         for name in ("samples", "embed_dim", "sentences", "tokens"):
-            if getattr(self, name) < 1:
-                raise InvalidParams(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) < math.inf:
+                raise InvalidParams(f"{name} must be finite and >= 1")
         for name in ("inference_work", "inference_depth", "embed_work", "embed_depth"):
-            if getattr(self, name) <= 0:
-                raise InvalidParams(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParams(f"{name} must be finite and positive")
         if self.inference_depth > self.inference_work:
             raise InvalidParams("inference_depth cannot exceed inference_work")
         if self.embed_depth > self.embed_work:

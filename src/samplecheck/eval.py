@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Literal, Sequence, TypeVar
 import numpy as np
 
 from .errors import SampleCheckError
-from .providers import mock_embed
+from .providers import EmbedderConfig
 from .scorematrix import build_matrix, summarize
 from .vectors import ConstantSequence, Embedding, LengthMismatch, pearson, spearman
 
@@ -305,9 +305,7 @@ def corruption_corpus(
 
 def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag") -> RecordScorer:
     """Stability scorer backed by the deterministic offline embedder."""
-    return stability_scorer(
-        lambda texts: [mock_embed(t, dim, seed) for t in texts], "cosine", statistic
-    )
+    return stability_scorer(EmbedderConfig(dim=dim, seed=seed).embed, "cosine", statistic)
 
 
 # ---------------------------------------------------------------------------

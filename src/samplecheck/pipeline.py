@@ -2,8 +2,8 @@
 
 Every run is backed by a disk cache so that re-runs skip completed provider
 calls. Replies are cached per prompt key, which hashes the prompt, the
-generation model and every sampling setting (temperature, max_tokens, top_p,
-top_k); the sample index is the file name. Embeddings live in one store at the
+generation model and every sampling setting (GeneratorConfig.sampling); the
+sample index is the file name. Embeddings live in one store at the
 cache root, shared by every prompt and by the eval harness and keyed by the
 SHA-256 of the text, so each distinct text is embedded once per model and a new
 ground truth is simply a new key. Each reply and each embedding is written as
@@ -49,7 +49,7 @@ import numpy as np
 from . import providers
 from .errors import SampleCheckError
 from .eval import _iter_jsonl
-from .providers import ProviderConfig
+from .providers import EmbedderConfig, GeneratorConfig
 from .scorematrix import (
     DEFAULT_THRESHOLDS,
     ConfidenceThresholds,
@@ -115,63 +115,6 @@ class RaggedDims(SampleCheckError):
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    """Which model generates replies, and how to reach it."""
-
-    model_id: str
-    provider: ProviderConfig
-    temperature: float = providers.DEFAULT_TEMPERATURE
-    max_tokens: int = 1024
-    top_p: float | None = None
-    top_k: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError("temperature must be finite and >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.top_p is not None and not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-
-
-@dataclass(frozen=True)
-class EmbedderConfig:
-    """Which embedder to use: an HTTP endpoint or the offline mock.
-
-    kind "http" requires provider and model_id; kind "mock" is fully
-    deterministic and needs only (dim, seed).
-    """
-
-    kind: str = "mock"
-    model_id: str = ""
-    provider: ProviderConfig | None = None
-    dim: int = 4096
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("http", "mock"):
-            raise ValueError("embedder kind must be 'http' or 'mock'")
-        if self.kind == "http" and (self.provider is None or not self.model_id):
-            raise ValueError("http embedder needs provider and model_id")
-
-    @property
-    def effective_model_id(self) -> str:
-        if self.kind == "mock":
-            return providers.mock_model_id(self.dim, self.seed)
-        return self.model_id
-
-    def embedder(self) -> Callable[[Sequence[str]], list[Embedding]]:
-        """A batch embedder: texts in, embeddings in the same order, in one request."""
-        if self.kind == "mock":
-            return lambda texts: [providers.mock_embed(t, self.dim, self.seed) for t in texts]
-        provider, model_id = self.provider, self.model_id
-        assert provider is not None
-        return lambda texts: providers.embed_many(texts, provider, model_id)
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     prompt_id: str
     k: int
@@ -181,20 +124,21 @@ class VerificationReport:
     thresholds: ConfidenceThresholds
     provenance: dict[str, object]
 
-
-def _sampling(gen_cfg: GeneratorConfig) -> dict[str, object]:
-    """Every generation setting that changes what a reply can be."""
-    return {
-        "temperature": gen_cfg.temperature,
-        "max_tokens": gen_cfg.max_tokens,
-        "top_p": gen_cfg.top_p,
-        "top_k": gen_cfg.top_k,
-    }
+    def __post_init__(self) -> None:
+        if not isinstance(self.prompt_id, str):
+            raise ValueError("prompt_id must be a string")
+        if type(self.k) is not int or self.k != self.matrix.reply_count:
+            raise ValueError(f"k must be the integer {self.matrix.reply_count}, "
+                             "the matrix's reply count")
+        if self.measure != self.matrix.measure:
+            raise ValueError(f"measure must be the matrix's, {self.matrix.measure!r}")
+        if not isinstance(self.provenance, dict):
+            raise ValueError("provenance must be an object")
 
 
 def prompt_hash(prompt: str, gen_cfg: GeneratorConfig) -> str:
     payload = json.dumps(
-        {"prompt": prompt, "model_id": gen_cfg.model_id, **_sampling(gen_cfg)},
+        {"prompt": prompt, "model_id": gen_cfg.model_id, **gen_cfg.sampling},
         sort_keys=True,
         ensure_ascii=False,
     )
@@ -360,7 +304,7 @@ def embed_cached(
         vectors = _cached_batches(
             STAGE_EMBED, list(dict.fromkeys(texts)),
             lambda text: cache.load_embedding(model_id, text), EMBED_BATCH,
-            embed_cfg.embedder(), lambda text, emb: cache.store_embedding(model_id, text, emb),
+            embed_cfg.embed, lambda text, emb: cache.store_embedding(model_id, text, emb),
             embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
         )
     except PartialFailure as err:
@@ -396,18 +340,7 @@ def verify(
 
     # Stage 1: generate (or load) the k replies, one request per reply.
     def generate(batch: tuple) -> list[str]:
-        return [
-            providers.complete_once(
-                prompt,
-                gen_cfg.provider,
-                model_id=gen_cfg.model_id,
-                temperature=gen_cfg.temperature,
-                max_tokens=gen_cfg.max_tokens,
-                top_p=gen_cfg.top_p,
-                top_k=gen_cfg.top_k,
-            )
-            for _ in batch
-        ]
+        return [providers.complete_once(prompt, gen_cfg) for _ in batch]
 
     replies = _cached_batches(
         STAGE_GENERATE, range(k), cache.load_text, 1, generate, cache.store_text,
@@ -439,7 +372,7 @@ def verify(
         provenance={
             "generation_model_id": gen_cfg.model_id,
             "embedding_model_id": model_id,
-            **_sampling(gen_cfg),
+            **gen_cfg.sampling,
             "generated_at": meta["generated_at"],
             "embedded_at": meta[embed_meta_key],
         },

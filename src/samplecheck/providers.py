@@ -1,7 +1,9 @@
 """Clients for generation and embedding endpoints, plus an offline mock embedder.
 
-All model access in the repo flows through this module. The wire protocol is
-JSON-over-HTTP with chat-completions-shaped generation requests and
+All model access in the repo flows through this module. One record describes
+each kind of request: a GeneratorConfig is a chat request, and an
+EmbedderConfig is a batch embedder (an HTTP endpoint or the mock). The wire
+protocol is JSON-over-HTTP with chat-completions-shaped generation requests and
 embeddings-shaped embedding requests (list input, one item per text); API keys
 are read from environment variables only and never appear in config files or
 logs. Every request to one endpoint goes through that endpoint's keep-alive
@@ -19,7 +21,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +45,6 @@ PRESET_DIMS: dict[str, int] = {
     "roberta-large": 1024,
     "clip-vit-large": 768,
 }
-
-DEFAULT_TEMPERATURE = 1.0
 
 
 class AuthError(SampleCheckError):
@@ -87,6 +87,74 @@ class ProviderConfig:
             raise ValueError("max_concurrency must be >= 1")
         if not 0 <= self.backoff_base < math.inf:
             raise ValueError("backoff_base must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class GeneratorConfig:
+    """One chat request: which model, how to reach it, and how to sample.
+
+    Every field after provider is a sampling setting (see sampling).
+    """
+
+    model_id: str
+    provider: ProviderConfig
+    temperature: float = 1.0
+    max_tokens: int = 1024
+    top_p: float | None = None
+    top_k: int | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.top_p is not None and not 0 < self.top_p <= 1:
+            raise ValueError("top_p must be in (0, 1]")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+
+    @property
+    def sampling(self) -> dict[str, object]:
+        """Every setting that changes what a reply can be, None included, by field name.
+
+        complete_once sends those that are not None; the cache key and a
+        report's provenance hold all of them.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("model_id", "provider")}
+
+
+@dataclass(frozen=True)
+class EmbedderConfig:
+    """Which embedder to use: an HTTP endpoint or the offline mock.
+
+    kind "http" requires provider and model_id; kind "mock" is fully
+    deterministic and needs only (dim, seed).
+    """
+
+    kind: str = "mock"
+    model_id: str = ""
+    provider: ProviderConfig | None = None
+    dim: int = 4096
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("http", "mock"):
+            raise ValueError("embedder kind must be 'http' or 'mock'")
+        if self.kind == "http" and (self.provider is None or not self.model_id):
+            raise ValueError("http embedder needs provider and model_id")
+
+    @property
+    def effective_model_id(self) -> str:
+        if self.kind == "mock":
+            return mock_model_id(self.dim, self.seed)
+        return self.model_id
+
+    def embed(self, texts: Sequence[str]) -> list[Embedding]:
+        """The batch embedder: texts in, embeddings in the same order, in one request."""
+        if self.kind == "mock":
+            return [mock_embed(t, self.dim, self.seed) for t in texts]
+        return embed_many(texts, self.provider, self.model_id)
 
 
 def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:
@@ -171,29 +239,19 @@ def _log_attempt(path: str, attempt: int, status: int | str, auth: str,
               (time.perf_counter() - start) * 1000.0)
 
 
-def complete_once(
-    prompt: str,
-    cfg: ProviderConfig,
-    *,
-    model_id: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = 1024,
-    top_p: float | None = None,
-    top_k: int | None = None,
-) -> str:
-    """Request a single completion (no shared conversation state)."""
-    payload: dict = {
-        "model": model_id,
+def complete_once(prompt: str, gen: GeneratorConfig) -> str:
+    """Request a single completion (no shared conversation state).
+
+    The body holds gen's model, the prompt as one user message, n = 1, and
+    every sampling setting of gen that is not None.
+    """
+    payload = {
+        "model": gen.model_id,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": temperature,
-        "max_tokens": max_tokens,
         "n": 1,
+        **{name: value for name, value in gen.sampling.items() if value is not None},
     }
-    if top_p is not None:
-        payload["top_p"] = top_p
-    if top_k is not None:
-        payload["top_k"] = top_k
-    body = _post_json(cfg, "/chat/completions", payload)
+    body = _post_json(gen.provider, "/chat/completions", payload)
     try:
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

@@ -30,7 +30,8 @@ from samplecheck.baselines import (
     template_slots,
     template_text,
 )
-from samplecheck.providers import ProviderConfig
+from samplecheck.baselines.judge import JUDGE_MAX_TOKENS
+from samplecheck.providers import GeneratorConfig, ProviderConfig
 from samplecheck.vectors import Embedding, cosine
 
 
@@ -323,8 +324,7 @@ class TestLlmJudge:
         verdict = llm_judge(
             "similar_descriptions",
             {"description1": "a bike", "description2": "a bicycle"},
-            cfg,
-            model_id="judge-model",
+            GeneratorConfig(model_id="judge-model", provider=cfg),
         )
         assert verdict.score == 100
         _, _, body = stub.state.requests[0]
@@ -336,5 +336,17 @@ class TestLlmJudge:
         cfg = ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
                              max_concurrency=1, backoff_base=0.001)
         with pytest.raises(UnparsableVerdict) as err:
-            llm_judge("wikibio", {"biography": "text"}, cfg, model_id="j")
+            llm_judge("wikibio", {"biography": "text"}, GeneratorConfig(model_id="j", provider=cfg))
         assert err.value.raw_reply == "certainly! 95"
+
+    def test_request_carries_the_generation_settings(self, stub):
+        stub.state.chat_replies = ["70"]
+        cfg = ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
+                             max_concurrency=1, backoff_base=0.001)
+        gen = GeneratorConfig(model_id="j", provider=cfg, temperature=0.3, max_tokens=512,
+                              top_p=0.9, top_k=5)
+        assert llm_judge("wikibio", {"biography": "text"}, gen).score == 70
+        _, _, body = stub.state.requests[0]
+        assert JUDGE_MAX_TOKENS == 16
+        assert {name: body[name] for name in ("max_tokens", "temperature", "top_p", "top_k")} \
+            == {"max_tokens": 16, "temperature": 0.3, "top_p": 0.9, "top_k": 5}

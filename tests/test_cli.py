@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ class TestVerifyCommand:
         main(["verify", "--config", str(config), "--prompt", str(prompt_file), "--k", "5"])
         report = report_from_json((tmp_path / "out" / "report.json").read_bytes())
         assert report.k == 5 and report.matrix.order == 5
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    def test_bad_k_flag_exit_one_before_any_request(self, stub, tmp_path, prompt_file, capsys,
+                                                    command, k):
+        records = [BinaryRecord(id=f"r{i}", response="a", label="faithful",
+                                samples=(f"x{i}", f"y{i}", f"z{i}")) for i in range(3)]
+        dataset = tmp_path / "rag.jsonl"
+        write_records_jsonl(dataset, records)
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed"}
+        config = write_config(tmp_path, stub, k=3, embedding=embedding)
+        inputs = {"verify": ["--prompt", str(prompt_file)],
+                  "eval": ["--dataset", str(dataset), "--scheme", "checkembed",
+                           "--task", "ragtruth"]}[command]
+        assert main([command, "--config", str(config), *inputs, "--k", k]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 2\n"
+        assert stub.state.requests == []
 
     @pytest.mark.parametrize("damage", ["truncated_data", "bad_header", "object_array",
                                         "two_dim"])
@@ -493,6 +511,31 @@ class TestEvalCommand:
         assert "checkembed" in err and "judge" in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--config", "c.json"],
+        ["verify", "--config", "c.json", "--prompt", "p.txt", "--measure", "bogus"],
+        ["eval", "--config", "c.json", "--dataset", "d.jsonl", "--scheme", "checkembed",
+         "--task", "bogus"],
+        ["cost", "--samples", "many"],
+        ["bogus"],
+        [],
+    ], ids=["missing-required", "invalid-measure", "invalid-task", "not-a-number",
+            "unknown-command", "no-command"])
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: " in capsys.readouterr().out
+
+
 class TestHeatmapCommand:
     def _make_report(self, stub, tmp_path, prompt_file, with_gt=False):
         stub.state.chat_replies = ["alpha beta", "alpha gamma", "delta epsilon"]
@@ -590,6 +633,25 @@ class TestHeatmapCommand:
         assert capsys.readouterr().err.startswith("error: not a samplecheck report: ")
         assert not out_svg.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"k": math.nan}, "k must be the integer 3"),
+        ({"k": 3.0}, "k must be the integer 3"),
+        ({"k": 2}, "k must be the integer 3"),
+        ({"measure": "pearson"}, "measure must be the matrix's, 'cosine'"),
+        ({"prompt_id": 7}, "prompt_id must be a string"),
+        ({"provenance": []}, "provenance must be an object"),
+    ], ids=["k-nan", "k-float", "k-not-reply-count", "measure-not-matrix", "prompt-id-int",
+            "provenance-list"])
+    def test_inconsistent_report_exit_one(self, stub, tmp_path, prompt_file, capsys, change,
+                                          message):
+        report_path = self._make_report(stub, tmp_path, prompt_file)
+        report_path.write_text(json.dumps({**json.loads(report_path.read_text()), **change}))
+        capsys.readouterr()
+        out_svg = tmp_path / "render" / "heat.svg"
+        assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_svg.exists()
+
     def test_malformed_report_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -619,6 +681,14 @@ class TestCostCommand:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "geval" in stdout
+
+    @pytest.mark.parametrize("option", ["--samples", "--inference-work"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_quantity_exit_one_no_file(self, tmp_path, capsys, option, value):
+        out = tmp_path / "cost.json"
+        assert main(["cost", option, value, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inapplicable_scheme_exit_one(self, capsys):
         code = main(["cost", "--schemes", "bertscore", "--task",

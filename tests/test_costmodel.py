@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +203,12 @@ class TestInvariants:
             for scheme in applicable_schemes(task):
                 e = estimate(scheme, task, p)
                 assert e.depth <= e.work, (scheme, task, p)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CostModelParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be finite"):
+            params(**{name: value})
 
     def test_param_validation(self):
         with pytest.raises(InvalidParams):

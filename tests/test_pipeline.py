@@ -32,6 +32,7 @@ from samplecheck.pipeline import (
     VerificationReport,
     chunk_document,
     ingest_vectors,
+    prompt_hash,
     report_from_json,
     report_json_bytes,
     verify,
@@ -423,6 +424,17 @@ class TestVerify:
         assert second.prompt_id != first.prompt_id
         name, value = next(iter(setting.items()))
         assert all(body.get(name) == value for _, _, body in stub.state.requests[3:])
+
+    @pytest.mark.parametrize("sampling, key", [
+        ({}, "3d99d8132565f40a223126c7"),
+        ({"top_p": 0.5, "top_k": 3}, "5d963d0bdd4324de400c6160"),
+        ({"temperature": 0.0}, "f1615b9a103b063eb392c2f7"),
+    ])
+    def test_prompt_key_is_pinned(self, sampling, key):
+        # A changed key would leave every existing cache cold.
+        gen = GeneratorConfig(model_id="stub-model",
+                              provider=ProviderConfig(base_url="http://localhost:1"), **sampling)
+        assert prompt_hash("Define the term in question.", gen) == key
 
     def test_report_summary_recomputable_from_matrix(self, stub, tmp_path):
         stub.state.chat_replies = DISJOINT

@@ -46,7 +46,7 @@ class TestGenerateSamples:
 
     def test_single_sample(self, stub):
         stub.state.chat_replies = ["A"]
-        assert complete_once("hi", cfg_for(stub), model_id="m") == "A"
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == "A"
 
     def test_three_samples_in_index_order(self, stub, tmp_path):
         stub.state.chat_replies = ["A", "B", "C"]
@@ -62,8 +62,8 @@ class TestGenerateSamples:
         assert stub.state.chat_calls == 5
 
     def test_request_shape(self, stub):
-        complete_once("hi", cfg_for(stub), model_id="m", temperature=0.7, max_tokens=9,
-                      top_p=0.5, top_k=40)
+        complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub),
+                                            temperature=0.7, max_tokens=9, top_p=0.5, top_k=40))
         path, _, body = stub.state.requests[0]
         assert path.endswith("/chat/completions")
         assert body == {
@@ -76,48 +76,59 @@ class TestGenerateSamples:
             "top_k": 40,
         }
 
+    @pytest.mark.parametrize("sampling, expected", [
+        ({}, {"temperature": 1.0, "max_tokens": 1024}),
+        ({"temperature": 0.0}, {"temperature": 0.0, "max_tokens": 1024}),
+    ])
+    def test_request_shape_leaves_unset_settings_out(self, stub, sampling, expected):
+        complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub), **sampling))
+        assert stub.state.requests[0][2] == {
+            "model": "m", "messages": [{"role": "user", "content": "hi"}], "n": 1, **expected}
+
     def test_default_temperature_is_one(self, stub):
         assert GeneratorConfig(model_id="m", provider=cfg_for(stub)).temperature == 1.0
-        complete_once("hi", cfg_for(stub), model_id="m")
+        complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
         assert stub.state.requests[0][2]["temperature"] == 1.0
 
     def test_retries_then_succeeds(self, stub):
         stub.state.fail_statuses = [500, 500]
-        assert complete_once("hi", cfg_for(stub), model_id="m") == "A"
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == "A"
         assert len(stub.state.requests) == 3
 
     def test_transport_error_after_retries(self, stub):
         stub.state.fail_statuses = [500] * 10
         with pytest.raises(TransportError):
-            complete_once("hi", cfg_for(stub), model_id="m")
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
         assert len(stub.state.requests) == 3  # initial + 2 retries
 
     def test_auth_error_not_retried(self, stub):
         stub.state.fail_statuses = [401]
         with pytest.raises(AuthError):
-            complete_once("hi", cfg_for(stub), model_id="m")
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
         assert len(stub.state.requests) == 1
 
     def test_malformed_json(self, stub):
         stub.state.raw_body = b"not json"
         with pytest.raises(MalformedResponse):
-            complete_once("hi", cfg_for(stub), model_id="m")
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
 
     def test_missing_choices(self, stub):
         stub.state.raw_body = b'{"unexpected": true}'
         with pytest.raises(MalformedResponse):
-            complete_once("hi", cfg_for(stub), model_id="m")
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
 
     def test_api_key_header_sent(self, stub, monkeypatch):
         monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
-        complete_once("hi", cfg_for(stub, api_key_env="TEST_STUB_KEY"), model_id="m")
+        complete_once("hi", GeneratorConfig(
+            model_id="m", provider=cfg_for(stub, api_key_env="TEST_STUB_KEY")))
         _, headers, _ = stub.state.requests[0]
         assert headers.get("Authorization") == "Bearer sekrit"
 
     def test_missing_api_key_env(self, stub, monkeypatch):
         monkeypatch.delenv("TEST_MISSING_KEY", raising=False)
         with pytest.raises(AuthError):
-            complete_once("hi", cfg_for(stub, api_key_env="TEST_MISSING_KEY"), model_id="m")
+            complete_once("hi", GeneratorConfig(
+            model_id="m", provider=cfg_for(stub, api_key_env="TEST_MISSING_KEY")))
 
     def test_debug_logs_redact_api_key(self, stub, monkeypatch, caplog):
         monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
@@ -126,7 +137,7 @@ class TestGenerateSamples:
         stub.state.fail_statuses = [500]
         cfg = cfg_for(stub, api_key_env="TEST_STUB_KEY")
         with caplog.at_level("DEBUG", logger="samplecheck.providers"):
-            complete_once("the-private-prompt-text", cfg, model_id="m")
+            complete_once("the-private-prompt-text", GeneratorConfig(model_id="m", provider=cfg))
             embed_many(["the-private-embed-input"], cfg, "custom-model")
         messages = [r.getMessage() for r in caplog.records]
         logged = " ".join(messages)
@@ -270,14 +281,14 @@ class TestConnections:
     def test_sequential_calls_share_one_connection(self, stub):
         cfg = cfg_for(stub, max_concurrency=1)
         for _ in range(3):
-            complete_once("hi", cfg, model_id="m")
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg))
             embed_many(["a", "b"], cfg, "custom-model")
         assert len(stub.state.requests) == 6
         assert stub.state.connections == 1
 
     def test_retries_reuse_the_connection(self, stub):
         stub.state.fail_statuses = [500, 503]
-        assert complete_once("hi", cfg_for(stub), model_id="m") == "A"
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == "A"
         assert len(stub.state.requests) == 3
         assert stub.state.connections == 1
 
