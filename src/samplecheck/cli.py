@@ -10,6 +10,7 @@ JSON file; API keys are referenced by environment-variable name only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -78,24 +79,55 @@ class RunConfig:
             raise ConfigError(f"measure must be one of {', '.join(MEASURES)}")
 
 
+def _real(value: object) -> float:
+    """A float setting: a number or a numeric string; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: object) -> int:
+    """An int setting: an integral number or a string of one, never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    number = _real(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
 def _given(obj: dict, **convert: Callable[[object], object]) -> dict[str, object]:
     """The keys of convert that obj sets, each converted; a key that is absent
     or null is left out, so the dataclass default applies."""
-    return {key: fn(obj[key]) for key, fn in convert.items() if obj.get(key) is not None}
+    given = {}
+    for key, fn in convert.items():
+        if obj.get(key) is not None:
+            try:
+                given[key] = fn(obj[key])
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+    return given
 
 
 def _provider_from(obj: dict, shared: dict[str, object]) -> ProviderConfig:
     return ProviderConfig(base_url=obj["base_url"], **{**shared, **_given(
-        obj, api_key_env=str, timeout=float, max_retries=int, max_concurrency=int,
-        backoff_base=float)})
+        obj, api_key_env=str, timeout=_real, max_retries=_integer, max_concurrency=_integer,
+        backoff_base=_real)})
 
 
 def load_config(path: Path | str) -> RunConfig:
     """Parse the JSON run configuration; relative paths resolve against it.
 
     Defaults live in the config dataclasses; a key that is absent or null
-    takes its default. The top-level max_concurrency is the default of both
-    endpoints.
+    takes its default. A number may be given as a numeric string, but a
+    boolean is never a number, and an integer setting rejects a fractional
+    value instead of truncating it. The top-level max_concurrency is the
+    default of both endpoints.
     """
     path = Path(path)
     try:
@@ -111,18 +143,18 @@ def load_config(path: Path | str) -> RunConfig:
         return p if p.is_absolute() else base / p
 
     try:
-        shared = _given(obj, max_concurrency=int)
+        shared = _given(obj, max_concurrency=_integer)
         gen = obj["generation"]
         generation = GeneratorConfig(
             model_id=gen["model_id"],
             provider=_provider_from(gen, shared),
-            **_given(gen, temperature=float, max_tokens=int, top_p=float, top_k=int),
+            **_given(gen, temperature=_real, max_tokens=_integer, top_p=_real, top_k=_integer),
         )
         emb = obj.get("embedding")
         if emb is None:
             embedding = EmbedderConfig()
         elif emb.get("kind") == "mock":
-            embedding = EmbedderConfig(kind="mock", **_given(emb, dim=int, seed=int))
+            embedding = EmbedderConfig(kind="mock", **_given(emb, dim=_integer, seed=_integer))
         else:
             embedding = EmbedderConfig(
                 kind=emb.get("kind") or "http",
@@ -135,12 +167,13 @@ def load_config(path: Path | str) -> RunConfig:
             cache_dir=respath("cache_dir", "cache"),
             output_dir=respath("output_dir", "out"),
             thresholds=ConfidenceThresholds(
-                **_given(obj.get("thresholds") or {}, mean_min=float, std_max=float)
+                **_given(obj.get("thresholds") or {}, mean_min=_real, std_max=_real)
             ),
             eval=EvalSettings(
-                **_given(obj.get("eval") or {}, statistic=str, polarity=str, grid_points=int)
+                **_given(obj.get("eval") or {}, statistic=str, polarity=str,
+                        grid_points=_integer)
             ),
-            **_given(obj, k=int, measure=str),
+            **_given(obj, k=_integer, measure=str),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -329,7 +362,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The samplecheck parser, built once per process (building it takes about
+    a millisecond); parse_args returns a fresh Namespace on every call."""
     parser = _Parser(
         prog="samplecheck",
         description="Stability-based verification of generative-model outputs.",

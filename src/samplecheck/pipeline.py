@@ -225,6 +225,16 @@ def _npy_header(n: int) -> bytes:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=16)
+def _model_dir(root: Path, model_id: str) -> Path:
+    """The vector store directory of one model under a cache root."""
+    name = re.sub(r"[^0-9A-Za-z._-]+", "_", model_id)
+    if name != model_id or name in (".", ".."):
+        # The escaped name never holds "~", so the suffix keeps ids apart.
+        name += "~" + hashlib.sha256(model_id.encode("utf-8")).hexdigest()[:16]
+    return root / "embeddings" / name
+
+
 class _Cache:
     """Disk cache: the shared vector store, and one prompt's replies and timestamps."""
 
@@ -236,12 +246,8 @@ class _Cache:
         return self.dir / "samples" / f"{index}.txt"
 
     def embedding_path(self, model_id: str, text: str) -> Path:
-        name = re.sub(r"[^0-9A-Za-z._-]+", "_", model_id)
-        if name != model_id or name in (".", ".."):
-            # The escaped name never holds "~", so the suffix keeps ids apart.
-            name += "~" + hashlib.sha256(model_id.encode("utf-8")).hexdigest()[:16]
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return self.root / "embeddings" / name / f"{digest}.npy"
+        return _model_dir(self.root, model_id) / f"{digest}.npy"
 
     def load_text(self, index: int) -> str | None:
         try:

@@ -143,6 +143,8 @@ class EmbedderConfig:
             raise ValueError("embedder kind must be 'http' or 'mock'")
         if self.kind == "http" and (self.provider is None or not self.model_id):
             raise ValueError("http embedder needs provider and model_id")
+        if self.kind == "mock" and self.dim < 8:
+            raise ValueError("mock embedding dim must be >= 8")
 
     @property
     def effective_model_id(self) -> str:

@@ -18,6 +18,7 @@ from samplecheck.cli import (
     EvalSettings,
     RunConfig,
     _write_outputs,
+    build_parser,
     load_config,
     main,
 )
@@ -163,6 +164,21 @@ class TestVerifyCommand:
         assert report.summary.gt_alignment == pytest.approx(1.0)
         assert report.matrix.labels[-1] == "GT"
 
+    def test_parser_built_once_and_options_not_inherited(self, stub, tmp_path, prompt_file):
+        assert build_parser() is build_parser()
+        stub.state.chat_replies = DISJOINT
+        gt = tmp_path / "gt.txt"
+        gt.write_text(DISJOINT[0])
+        config = write_config(tmp_path, stub)
+        verify = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
+        report_path = tmp_path / "out" / "report.json"
+        assert main([*verify, "--gt", str(gt), "--measure", "pearson"]) == 2
+        first = report_from_json(report_path.read_bytes())
+        assert (first.matrix.has_gt, first.measure) == (True, "pearson")
+        assert main(verify) == 2
+        second = report_from_json(report_path.read_bytes())
+        assert (second.matrix.has_gt, second.measure) == (False, "cosine")
+
     def test_k_flag_overrides_config(self, stub, tmp_path, prompt_file):
         stub.state.chat_replies = ["stable answer"]
         config = write_config(tmp_path, stub, k=3)
@@ -217,6 +233,8 @@ class TestLoadConfig:
         ({"top_p": None, "top_k": None}, None, None),
         ({"top_p": "0.5", "top_k": "3"}, 0.5, 3),
         ({"top_p": 1, "top_k": 40}, 1.0, 40),
+        ({"top_p": "1", "top_k": 40.0}, 1.0, 40),
+        ({"top_k": "4e1"}, None, 40),
     ])
     def test_sampling_settings_converted(self, stub, tmp_path, given, top_p, top_k):
         gen = self._load(tmp_path, stub, **given).generation
@@ -228,6 +246,10 @@ class TestLoadConfig:
         {"top_p": "x"}, {"top_k": -2}, {"top_k": 0}, {"top_k": [3]}, {"top_k": "three"},
         {"temperature": "nan"}, {"temperature": "inf"}, {"timeout": "nan"},
         {"backoff_base": -1}, {"backoff_base": "nan"},
+        {"max_tokens": 100.7}, {"max_tokens": "100.7"}, {"top_k": 3.9}, {"top_k": True},
+        {"temperature": True}, {"top_p": True}, {"timeout": False}, {"max_retries": 1.5},
+        {"max_concurrency": 1.5}, {"max_concurrency": True}, {"max_tokens": 1e400},
+        {"timeout": 10 ** 400},
     ])
     def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
         with pytest.raises(ConfigError):
@@ -237,6 +259,32 @@ class TestLoadConfig:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error: invalid config:")
         assert stub.state.requests == []
+
+    @pytest.mark.parametrize("given", [
+        {"k": 2.9}, {"k": "2.9"}, {"k": True}, {"max_concurrency": 1.5},
+        {"thresholds": {"mean_min": True}}, {"eval": {"grid_points": 10.5}},
+        {"embedding": {"kind": "mock", "dim": 4096.5}},
+        {"embedding": {"kind": "mock", "dim": 4}},
+    ])
+    def test_bad_run_settings_rejected_before_any_request(self, stub, tmp_path, prompt_file,
+                                                          capsys, given):
+        config = write_config(tmp_path, stub, k=3)
+        obj = {**json.loads(config.read_text()), **given}
+        config.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError):
+            load_config(config)
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid config:")
+        assert stub.state.requests == []
+
+    def test_integral_numbers_load_as_integers(self, stub, tmp_path):
+        config = write_config(tmp_path, stub, k=3.0, max_concurrency="2",
+                              embedding={"kind": "mock", "dim": "16", "seed": 1.0})
+        cfg = load_config(config)
+        values = (cfg.k, cfg.generation.provider.max_concurrency, cfg.embedding.dim,
+                  cfg.embedding.seed)
+        assert values == (3, 2, 16, 1)
+        assert all(type(v) is int for v in values)
 
     def test_nan_std_max_rejected(self, stub, tmp_path, prompt_file, capsys):
         config = write_config(tmp_path, stub, thresholds={"mean_min": 0.9, "std_max": "nan"})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samplecheck.errors import SampleCheckError
+from samplecheck.pipeline import VerificationReport, report_json_bytes
 from samplecheck.scorematrix import (
+    DEFAULT_THRESHOLDS,
     MEASURES,
     ConfidenceThresholds,
     DegenerateMatrix,
@@ -20,7 +23,15 @@ from samplecheck.scorematrix import (
     build_matrix,
     summarize,
 )
-from samplecheck.vectors import ConstantVector, Embedding, ZeroVector, cosine, pearson
+from samplecheck.vectors import (
+    ConstantVector,
+    Embedding,
+    ZeroVector,
+    _prepared,
+    _row_dots,
+    cosine,
+    pearson,
+)
 from test_acceptance import oracle_cosine, oracle_pearson
 
 
@@ -168,6 +179,73 @@ class TestBuildMatrix:
         cause = err.value.__cause__
         assert (err.value.pair, type(cause), str(cause)) == expected
         assert isinstance(cause, ZeroVector if measure == "cosine" else ConstantVector)
+
+
+def golden_report_bytes(measure):
+    """report.json of one seeded k=64 + GT, d=4096 input.
+
+    Each row is 4 plus a zero-sum row of integers in [-4, 4] that holds a 4,
+    so both measures scale it by a power of two (after centring on exactly 4
+    for Pearson) and every dot product is exact: the bytes do not depend on
+    the order in which the CPU's BLAS kernel sums.
+    """
+    rng = np.random.default_rng(20240602)
+    base = rng.integers(-3, 4, size=2048)
+    half = np.clip(base + rng.integers(-1, 2, size=(65, 2048)), -4, 4)
+    half[:, 0] = 4
+    rows = 4.0 + np.concatenate([half, -half], axis=1)[:, rng.permutation(4096)]
+    items = embs(rows[:64], model="golden")
+    m = build_matrix(items, Embedding(rows[64], model_id="golden"), measure)
+    return report_json_bytes(VerificationReport(
+        prompt_id="golden", k=64, measure=measure, summary=summarize(m), matrix=m,
+        thresholds=DEFAULT_THRESHOLDS, provenance={"seed": 20240602}))
+
+
+class TestProductionShapes:
+    """build_matrix at the k and d that verify meets, where BLAS kernels unroll."""
+
+    @given(
+        st.integers(2, 65),
+        st.sampled_from([1024, 3072, 4096, 4097]),
+        st.integers(0, 2**31),
+        st.sampled_from(sorted(MEASURES)),
+        st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_entries_equal_kernel_symmetric_and_equivariant(self, k, dim, seed, measure,
+                                                           with_gt):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=dim) + rng.uniform(0.1, 2.0) * rng.normal(size=(k, dim))
+        items = embs(rows * 10.0 ** rng.integers(-3, 4, size=(k, 1)))
+        gt = Embedding(rng.normal(size=dim), model_id="gt-model") if with_gt else None
+        m = build_matrix(items, gt, measure)
+        everything = items + ([gt] if gt is not None else [])
+        kernel = MEASURES[measure]
+        n = len(everything)
+        expected = np.array([[1.0 if i == j else kernel(a, b) for j, b in enumerate(everything)]
+                             for i, a in enumerate(everything)])
+        assert np.array_equal(m.entries.view(np.uint64), expected.view(np.uint64))
+        bits = m.entries.view(np.uint64)
+        assert np.array_equal(bits, bits.T)
+
+        perm = list(rng.permutation(k)) + list(range(k, n))
+        permuted = build_matrix([items[i] for i in perm[:k]], gt, measure)
+        reordered = m.entries[np.ix_(perm, perm)]
+        assert np.array_equal(permuted.entries.view(np.uint64), reordered.view(np.uint64))
+
+        # Each batched dot is the np.dot of its pair alone.
+        prepared = np.array([_prepared(e.values, dim, measure == "pearson")[0]
+                             for e in everything])
+        dots = _row_dots(prepared[0], prepared)
+        assert all(dots[j] == np.dot(prepared[0], prepared[j]) for j in range(n))
+
+    @pytest.mark.parametrize("measure, digest", [
+        ("cosine", "431d96e25880cd710ace665c855b894afc498d9bb53d4b1efb00daa7f43d620a"),
+        ("pearson", "a2d331081b43d0cab9f2db7a6dfb0a4e9f0ad37de373440e348aafd76aadeeb8"),
+    ])
+    def test_golden_report(self, measure, digest):
+        # Computed with the scalar per-pair loop, the reference the matrix must match.
+        assert hashlib.sha256(golden_report_bytes(measure)).hexdigest() == digest
 
 
 class TestSummarize:
