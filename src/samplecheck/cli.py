@@ -14,7 +14,7 @@ import functools
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -63,11 +63,13 @@ class EvalSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's settings; each section of the config file holds exactly its fields."""
+
     generation: GeneratorConfig
-    embedding: EmbedderConfig
-    thresholds: ConfidenceThresholds
-    cache_dir: Path
-    output_dir: Path
+    embedding: EmbedderConfig = EmbedderConfig()
+    thresholds: ConfidenceThresholds = ConfidenceThresholds()
+    cache_dir: Path = Path("cache")
+    output_dir: Path = Path("out")
     k: int = 10
     measure: str = "cosine"
     eval: EvalSettings = EvalSettings()
@@ -79,56 +81,78 @@ class RunConfig:
             raise ConfigError(f"measure must be one of {', '.join(MEASURES)}")
 
 
-def _real(value: object) -> float:
-    """A float setting: a number or a numeric string; a boolean is not a number."""
+# What the dataclasses do not say: the top-level max_concurrency is the default
+# of both endpoints, and an embedding section without kind is an HTTP endpoint.
+_ENDPOINT_DEFAULTS = ("max_concurrency",)
+_PRESENT_DEFAULTS = {EmbedderConfig: {"kind": "http"}}
+_SECTIONS = {cls.__name__: cls for cls in (GeneratorConfig, EmbedderConfig,
+                                            ConfidenceThresholds, EvalSettings)}
+
+
+def _setting(kind: str, value: object) -> object:
+    """A JSON value as a field of declared type kind, such as "int" or "float | None":
+    a str or Path takes a string, a number may be a numeric string but never a
+    boolean, and an int is never truncated. Any other type is a TypeError."""
+    kind = kind.removesuffix(" | None")
+    if kind in ("str", "Path"):
+        if not isinstance(value, str):
+            raise ValueError(f"expected a string, got {value!r}")
+        return Path(value) if kind == "Path" else value
+    if kind not in ("float", "int"):
+        raise TypeError(f"no conversion to {kind}")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value: object) -> int:
-    """An int setting: an integral number or a string of one, never truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    number = _real(value)
+    if kind == "float":
+        return float(value)
+    try:
+        return int(str(value))  # an int, or a string of one
+    except ValueError:
+        number = float(value)  # a float, or a string such as "4e1"
     if not number.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(number)
 
 
-def _given(obj: dict, **convert: Callable[[object], object]) -> dict[str, object]:
-    """The keys of convert that obj sets, each converted; a key that is absent
-    or null is left out, so the dataclass default applies."""
-    given = {}
-    for key, fn in convert.items():
-        if obj.get(key) is not None:
-            try:
-                given[key] = fn(obj[key])
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from exc
+@functools.cache
+def _schema(cls: type) -> tuple[frozenset[str], tuple[tuple[str, str, object], ...]]:
+    """The keys of cls's section, and its fields as (name, type without "| None", default)."""
+    specs = tuple((f.name, f.type.removesuffix(" | None"), f.default) for f in fields(cls))
+    return frozenset(key for name, kind, _ in specs for key in (
+        _schema(ProviderConfig)[0] if kind == "ProviderConfig" else (name,))), specs
+
+
+def _given(cls: type, obj: object, prefix: str, defaults: dict) -> dict[str, object]:
+    """The arguments of cls set by obj, the JSON object of the config section
+    whose keys are named prefix + key, on top of defaults[cls]. Every key must
+    name a field; one that is absent or null takes the default. A dataclass
+    field is built from the section of its name, but a ProviderConfig's fields
+    are keys of this section; it is built if it has no default or one is set."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'the config'} must be a JSON object")
+    keys, specs = _schema(cls)
+    if unknown := obj.keys() - keys:
+        raise ValueError(f"unknown key {', '.join(prefix + key for key in sorted(unknown))}")
+    given = dict(defaults.get(cls, ()))
+    for field, kind, default in specs:
+        if kind == "ProviderConfig":
+            own = {key: obj[key] for key in obj.keys() & _schema(ProviderConfig)[0]}
+            if default is MISSING or any(v is not None for v in own.values()):
+                given[field] = ProviderConfig(**_given(ProviderConfig, own, prefix, defaults))
+            continue
+        if (value := obj.get(field)) is None:
+            continue
+        if section := _SECTIONS.get(kind):
+            given[field] = section(**_given(section, value, f"{prefix}{field}.", defaults))
+            continue
+        try:
+            given[field] = _setting(kind, value)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"{prefix}{field}: {exc}") from exc
     return given
 
 
-def _provider_from(obj: dict, shared: dict[str, object]) -> ProviderConfig:
-    return ProviderConfig(base_url=obj["base_url"], **{**shared, **_given(
-        obj, api_key_env=str, timeout=_real, max_retries=_integer, max_concurrency=_integer,
-        backoff_base=_real)})
-
-
 def load_config(path: Path | str) -> RunConfig:
-    """Parse the JSON run configuration; relative paths resolve against it.
-
-    Defaults live in the config dataclasses; a key that is absent or null
-    takes its default. A number may be given as a numeric string, but a
-    boolean is never a number, and an integer setting rejects a fractional
-    value instead of truncating it. The top-level max_concurrency is the
-    default of both endpoints.
-    """
+    """Parse the JSON run configuration (see _given); relative paths resolve against it."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -136,46 +160,14 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    base = path.parent
-
-    def respath(key: str, default: str) -> Path:
-        p = Path(default if obj.get(key) is None else obj[key])
-        return p if p.is_absolute() else base / p
-
     try:
-        shared = _given(obj, max_concurrency=_integer)
-        gen = obj["generation"]
-        generation = GeneratorConfig(
-            model_id=gen["model_id"],
-            provider=_provider_from(gen, shared),
-            **_given(gen, temperature=_real, max_tokens=_integer, top_p=_real, top_k=_integer),
-        )
-        emb = obj.get("embedding")
-        if emb is None:
-            embedding = EmbedderConfig()
-        elif emb.get("kind") == "mock":
-            embedding = EmbedderConfig(kind="mock", **_given(emb, dim=_integer, seed=_integer))
-        else:
-            embedding = EmbedderConfig(
-                kind=emb.get("kind") or "http",
-                model_id=emb["model_id"],
-                provider=_provider_from(emb, shared),
-            )
-        return RunConfig(
-            generation=generation,
-            embedding=embedding,
-            cache_dir=respath("cache_dir", "cache"),
-            output_dir=respath("output_dir", "out"),
-            thresholds=ConfidenceThresholds(
-                **_given(obj.get("thresholds") or {}, mean_min=_real, std_max=_real)
-            ),
-            eval=EvalSettings(
-                **_given(obj.get("eval") or {}, statistic=str, polarity=str,
-                        grid_points=_integer)
-            ),
-            **_given(obj, k=_integer, measure=str),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        shared = {k: obj.pop(k) for k in _ENDPOINT_DEFAULTS if isinstance(obj, dict) and k in obj}
+        defaults = {**_PRESENT_DEFAULTS, ProviderConfig: _given(ProviderConfig, shared, "", {})}
+        given = _given(RunConfig, obj, "", defaults)
+        given.update({field: path.parent / given.get(field, default)
+                      for field, kind, default in _schema(RunConfig)[1] if kind == "Path"})
+        return RunConfig(**given)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

@@ -23,6 +23,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from typing import Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 import requests
@@ -79,6 +80,9 @@ class ProviderConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self) -> None:
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an absolute http(s) URL, got {self.base_url!r}")
         if not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be finite and positive")
         if self.max_retries < 0:
@@ -129,7 +133,7 @@ class EmbedderConfig:
     """Which embedder to use: an HTTP endpoint or the offline mock.
 
     kind "http" requires provider and model_id; kind "mock" is fully
-    deterministic and needs only (dim, seed).
+    deterministic, takes no provider and needs only (dim, seed).
     """
 
     kind: str = "mock"
@@ -143,6 +147,8 @@ class EmbedderConfig:
             raise ValueError("embedder kind must be 'http' or 'mock'")
         if self.kind == "http" and (self.provider is None or not self.model_id):
             raise ValueError("http embedder needs provider and model_id")
+        if self.kind == "mock" and self.provider is not None:
+            raise ValueError("mock embedder takes no provider settings")
         if self.kind == "mock" and self.dim < 8:
             raise ValueError("mock embedding dim must be >= 8")
 

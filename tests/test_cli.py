@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from test_eval import passages_from_sweep_records
 from test_pipeline import CORRUPTIONS, vector_path
 from test_render import csv_to_matrix, svg_cell_texts
 
+from samplecheck import cli
 from samplecheck.cli import (
     ConfigError,
     EvalSettings,
@@ -30,6 +34,8 @@ from samplecheck.eval import (
 from samplecheck.pipeline import EMBED_BATCH, EmbedderConfig, GeneratorConfig, report_from_json
 from samplecheck.providers import ProviderConfig, mock_embed
 from samplecheck.scorematrix import ConfidenceThresholds
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DISJOINT = [
     " ".join(f"alpha{i}" for i in range(40)),
@@ -249,7 +255,8 @@ class TestLoadConfig:
         {"max_tokens": 100.7}, {"max_tokens": "100.7"}, {"top_k": 3.9}, {"top_k": True},
         {"temperature": True}, {"top_p": True}, {"timeout": False}, {"max_retries": 1.5},
         {"max_concurrency": 1.5}, {"max_concurrency": True}, {"max_tokens": 1e400},
-        {"timeout": 10 ** 400},
+        {"timeout": 10 ** 400}, {"base_url": 5}, {"api_key_env": ["KEY"]}, {"model_id": 7},
+        {"base_url": "api.example.com/v1"},
     ])
     def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
         with pytest.raises(ConfigError):
@@ -264,7 +271,9 @@ class TestLoadConfig:
         {"k": 2.9}, {"k": "2.9"}, {"k": True}, {"max_concurrency": 1.5},
         {"thresholds": {"mean_min": True}}, {"eval": {"grid_points": 10.5}},
         {"embedding": {"kind": "mock", "dim": 4096.5}},
-        {"embedding": {"kind": "mock", "dim": 4}},
+        {"embedding": {"kind": "mock", "dim": 4}}, {"measure": 3}, {"cache_dir": 5},
+        {"eval": {"polarity": ["low_score_flags"]}}, {"generation": "gpt"},
+        {"embedding": {"kind": "mock", "base_url": "http://localhost:1"}},
     ])
     def test_bad_run_settings_rejected_before_any_request(self, stub, tmp_path, prompt_file,
                                                           capsys, given):
@@ -276,6 +285,68 @@ class TestLoadConfig:
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
         assert capsys.readouterr().err.startswith("error: invalid config:")
         assert stub.state.requests == []
+
+    @pytest.mark.parametrize("section, given, key", [
+        ("generation", {"temprature": 0.0}, "generation.temprature"),
+        ("thresholds", {"mean_minimum": 0.5}, "thresholds.mean_minimum"),
+        ("generation", {"provider": {"timeout": 5}}, "generation.provider"),
+        (None, {"colour": "blue"}, "colour"),
+        ("eval", {"grid": 11}, "eval.grid"),
+        ("embedding", {"dims": 64}, "embedding.dims"),
+    ])
+    def test_unknown_key_exit_one_names_it(self, stub, tmp_path, prompt_file, capsys,
+                                           section, given, key):
+        config = write_config(tmp_path, stub)
+        obj = json.loads(config.read_text())
+        (obj.setdefault(section, {}) if section else obj).update(given)
+        config.write_text(json.dumps(obj))
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: unknown key {key}\n"
+        assert stub.state.requests == []
+
+    def test_every_config_field_type_is_converted(self):
+        sections = {"ProviderConfig", *cli._SECTIONS}
+        for cls in (RunConfig, GeneratorConfig, ProviderConfig, EmbedderConfig,
+                    ConfidenceThresholds, EvalSettings):
+            for _, kind, _ in cli._schema(cls)[1]:
+                if kind not in sections:
+                    cli._setting(kind, "1")  # a TypeError names a type it cannot convert
+        with pytest.raises(TypeError):
+            cli._setting("bool", "1")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Configuration", 1)[1].split("```json\n", 1)[1]
+        path = tmp_path / "config.json"
+        path.write_text(example.split("```", 1)[0])
+        endpoint = dict(base_url="https://api.example.com/v1", max_concurrency=4)
+        assert load_config(path) == RunConfig(
+            generation=GeneratorConfig(
+                model_id="gpt-4o", max_tokens=1024, temperature=1.0, provider=ProviderConfig(
+                    api_key_env="GENERATION_API_KEY", timeout=30.0, max_retries=3, **endpoint)),
+            embedding=EmbedderConfig(kind="http", model_id="sfr-embedding-mistral",
+                                     provider=ProviderConfig(api_key_env="EMBEDDING_API_KEY",
+                                                             **endpoint)),
+            thresholds=ConfidenceThresholds(0.9, 0.05), cache_dir=tmp_path / "cache",
+            output_dir=tmp_path / "out", k=10, measure="cosine", eval=EvalSettings())
+
+    def test_benchmark_config_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ on it
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)
+        spec.loader.exec_module(run)
+        path = run._config(tmp_path / "config.json", "http://127.0.0.1:9", tmp_path / "c",
+                           tmp_path / "o", 16)
+        provider = ProviderConfig(base_url="http://127.0.0.1:9", timeout=30.0, max_retries=3,
+                                  max_concurrency=run.CONCURRENCY, backoff_base=0.05)
+        assert load_config(path) == RunConfig(
+            generation=GeneratorConfig(model_id=run.CHAT_MODEL, max_tokens=512,
+                                       provider=provider),
+            embedding=EmbedderConfig(kind="http", model_id=run.EMBED_MODEL, provider=provider),
+            thresholds=ConfidenceThresholds(*run.THRESHOLDS), cache_dir=tmp_path / "c",
+            output_dir=tmp_path / "o", k=16, measure="cosine")
 
     def test_integral_numbers_load_as_integers(self, stub, tmp_path):
         config = write_config(tmp_path, stub, k=3.0, max_concurrency="2",
@@ -314,11 +385,15 @@ class TestLoadConfig:
                              (cfg.thresholds, ConfidenceThresholds), (cfg.eval, EvalSettings)]:
             for field in dataclasses.fields(cls):
                 if field.default is not dataclasses.MISSING:
-                    assert getattr(section, field.name) == field.default, (cls, field.name)
+                    default = field.default
+                    if field.type == "Path":  # a relative default resolves like a given path
+                        default = tmp_path / default
+                    assert getattr(section, field.name) == default, (cls, field.name)
 
     def test_null_sections_and_embedding_keys_take_defaults(self, stub, tmp_path):
         config = write_config(tmp_path, stub, thresholds={"mean_min": None, "std_max": 0.1},
-                              embedding={"kind": "mock", "dim": None, "seed": 3})
+                              embedding={"kind": "mock", "dim": None, "seed": 3,
+                                         "base_url": None})
         cfg = load_config(config)
         assert cfg.thresholds == ConfidenceThresholds(std_max=0.1)
         assert cfg.embedding == EmbedderConfig(kind="mock", seed=3)

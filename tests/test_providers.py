@@ -373,3 +373,13 @@ class TestProviderConfig:
             ProviderConfig(base_url="http://x", max_retries=-1)
         with pytest.raises(ValueError):
             ProviderConfig(base_url="http://x", max_concurrency=0)
+
+    @pytest.mark.parametrize("url", ["api.example.com/v1", "/v1", "http:///v1", "ftp://x/v1",
+                                     "localhost:8000", ""])
+    def test_base_url_must_be_absolute_http(self, url):
+        with pytest.raises(ValueError, match="base_url"):
+            ProviderConfig(base_url=url)
+
+    def test_mock_embedder_takes_no_provider(self):
+        with pytest.raises(ValueError, match="no provider"):
+            EmbedderConfig(kind="mock", provider=ProviderConfig(base_url="https://x/v1"))
