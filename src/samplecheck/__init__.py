@@ -9,7 +9,7 @@ cost model for comparing verification schemes.
 
 from .errors import SampleCheckError
 from .pipeline import VerificationReport, chunk_document, ingest_vectors, verify
-from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig, embed_many, mock_embed
+from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig
 from .scorematrix import (
     ConfidenceThresholds,
     MatrixSummary,
@@ -32,9 +32,7 @@ __all__ = [
     "build_matrix",
     "chunk_document",
     "cosine",
-    "embed_many",
     "ingest_vectors",
-    "mock_embed",
     "pearson",
     "spearman",
     "summarize",

@@ -17,7 +17,8 @@ from typing import Callable, Mapping, Sequence
 
 from ..errors import SampleCheckError
 from ..providers import ProviderConfig, _post_json
-from ..vectors import Embedding, cosine
+from ..scorematrix import build_matrix
+from ..vectors import Embedding
 
 
 class EmptySequence(SampleCheckError):
@@ -67,29 +68,23 @@ def _weighted_mean(values: Sequence[float], weights: Sequence[float] | None) -> 
     return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
 
 
-def _greedy_side(src: TokenEmbeddingSeq, dst: TokenEmbeddingSeq) -> float:
-    """For each src token, the max cosine to any dst token; idf-weighted mean."""
-    maxima = [
-        max(cosine(sv, dv) for dv in dst.vectors)
-        for sv in src.vectors
-    ]
-    return _weighted_mean(maxima, src.idf)
-
-
 def bertscore_greedy(
     candidate: TokenEmbeddingSeq, reference: TokenEmbeddingSeq
 ) -> tuple[float, float, float]:
     """Greedy-matching precision/recall/F1 over token embedding pairs.
 
-    Recall takes, for each reference token, the maximum similarity to any
-    candidate token, then averages (idf-weighted when weights are present);
-    precision swaps the roles. F1 is the harmonic mean, defined as 0 when
-    P + R == 0.
+    Each pair is scored once, in the candidate-by-reference block of one
+    build_matrix over both sequences, so it equals cosine of the pair bit for
+    bit. Precision is the mean of the block's row maxima, the best match of
+    each candidate token, and recall of its column maxima (idf-weighted when
+    weights are present). F1 is the harmonic mean, defined as 0 when P + R == 0.
+    build_matrix's checks apply: a zero vector raises PairwiseKernelError, and
+    vectors of two dims or models raise ValueError.
     """
-    if candidate.dim != reference.dim:
-        raise ValueError(f"dims differ: candidate {candidate.dim} vs reference {reference.dim}")
-    precision = _greedy_side(candidate, reference)
-    recall = _greedy_side(reference, candidate)
+    n = len(candidate.vectors)
+    block = build_matrix(candidate.vectors + reference.vectors).entries[:n, n:]
+    precision = _weighted_mean(block.max(axis=1).tolist(), candidate.idf)
+    recall = _weighted_mean(block.max(axis=0).tolist(), reference.idf)
     denom = precision + recall
     f1 = 0.0 if denom == 0.0 else 2.0 * precision * recall / denom
     return precision, recall, f1

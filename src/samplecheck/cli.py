@@ -89,6 +89,15 @@ _SECTIONS = {cls.__name__: cls for cls in (GeneratorConfig, EmbedderConfig,
                                             ConfidenceThresholds, EvalSettings)}
 
 
+class _Object(dict):
+    """A JSON object, and the keys it holds more than once (json.loads keeps the last)."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = sorted({key for key in keys if keys.count(key) > 1})
+
+
 def _setting(kind: str, value: object) -> object:
     """A JSON value as a field of declared type kind, such as "int" or "float | None":
     a str or Path takes a string, a number may be a numeric string but never a
@@ -124,7 +133,7 @@ def _schema(cls: type) -> tuple[frozenset[str], tuple[tuple[str, str, object], .
 def _given(cls: type, obj: object, prefix: str, defaults: dict) -> dict[str, object]:
     """The arguments of cls set by obj, the JSON object of the config section
     whose keys are named prefix + key, on top of defaults[cls]. Every key must
-    name a field; one that is absent or null takes the default. A dataclass
+    name a field, once; one that is absent or null takes the default. A dataclass
     field is built from the section of its name, but a ProviderConfig's fields
     are keys of this section; it is built if it has no default or one is set."""
     if not isinstance(obj, dict):
@@ -132,6 +141,8 @@ def _given(cls: type, obj: object, prefix: str, defaults: dict) -> dict[str, obj
     keys, specs = _schema(cls)
     if unknown := obj.keys() - keys:
         raise ValueError(f"unknown key {', '.join(prefix + key for key in sorted(unknown))}")
+    if repeated := getattr(obj, "repeated", None):
+        raise ValueError(f"duplicate key {', '.join(prefix + key for key in repeated)}")
     given = dict(defaults.get(cls, ()))
     for field, kind, default in specs:
         if kind == "ProviderConfig":
@@ -155,7 +166,7 @@ def load_config(path: Path | str) -> RunConfig:
     """Parse the JSON run configuration (see _given); relative paths resolve against it."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_Object)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -226,7 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _record_scorer(
     cfg: RunConfig, scheme: str, task: str, records: Sequence
 ) -> tuple[str, Callable[[object], float]]:
-    """The statistic a scheme reports, and its record -> score callable.
+    """The statistic a scheme of EVAL_SCHEMES reports, and its record -> score callable.
 
     checkembed scores each record's first k samples, so every record must
     have k of them; that is checked here, before any request.
@@ -242,14 +253,10 @@ def _record_scorer(
             lambda texts: embed_cached(texts, cfg.embedding, cfg.cache_dir),
             cfg.measure, cfg.eval.statistic)
         return cfg.eval.statistic, lambda r: score(r.samples[:k])
-    if scheme == "judge":
-        if task != "wikibio":
-            raise ConfigError("the judge scheme is only wired for the wikibio task")
-        return "judge_score", lambda r: float(
-            judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score
-        )
-    raise ConfigError(
-        f"unknown scheme {scheme!r}; valid schemes: {', '.join(EVAL_SCHEMES)}"
+    if task != "wikibio":
+        raise ConfigError("the judge scheme is only wired for the wikibio task")
+    return "judge_score", lambda r: float(
+        judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score
     )
 
 
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run a dataset evaluation protocol")
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True, help="JSON Lines dataset file")
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=list(EVAL_SCHEMES))
     p.add_argument("--task", required=True, choices=list(EVAL_TASKS))
     p.add_argument("--k", type=int, help="samples per record to use")
     p.add_argument("--out", help="output directory (default: config output_dir)")

@@ -170,23 +170,19 @@ def _cached_batches(
     call: Callable[[tuple], list],
     store: Callable[[Hashable, object], None],
     workers: int,
-) -> dict:
-    """Every key's value: from `load` if cached, else from `call`, then `store`d.
+) -> list:
+    """Each key's value, in key order: from `load` if cached, else from `call`, then `store`d.
 
-    The keys `load` returns None for go to `call` in consecutive batches of at
-    most `size` keys, `workers` batches at a time; `call` returns one result
-    per key of its batch. Each result goes to `store` as soon as its batch
-    returns, so a later failure cannot discard it. If any batch fails, the run
-    aborts with PartialFailure naming every key of every failed batch.
+    Each distinct key is loaded once; those `load` returns None for go to `call`
+    in consecutive batches of at most `size`, `workers` batches at a time, and
+    `call` returns one result per key of its batch. Each result goes to `store`
+    as soon as its batch returns, so a later failure cannot discard it. If a
+    batch fails, PartialFailure names every position of `keys` holding its keys.
     """
-    results: dict = {}
-    for key in keys:
-        value = load(key)
-        if value is not None:
-            results[key] = value
-    missing = [key for key in keys if key not in results]
+    results = {key: load(key) for key in dict.fromkeys(keys)}
+    missing = [key for key, value in results.items() if value is None]
     batches = [tuple(missing[i:i + size]) for i in range(0, len(missing), size)]
-    failures: dict[int | str, Exception] = {}
+    failures: dict[Hashable, Exception] = {}
 
     def run(batch: tuple) -> None:
         try:
@@ -205,8 +201,9 @@ def _cached_batches(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, batches))
     if failures:
-        raise PartialFailure(stage, failures)
-    return results
+        raise PartialFailure(stage, {i: failures[key] for i, key in enumerate(keys)
+                                     if key in failures})
+    return [results[key] for key in keys]
 
 
 # Cached embeddings are stored in this dtype whatever the host's byte order.
@@ -300,24 +297,17 @@ def embed_cached(
 ) -> list[Embedding]:
     """Each text's embedding, in order, through the vector store under cache_dir.
 
-    Each distinct text is looked up once; misses go out EMBED_BATCH per request,
-    up to the endpoint's max_concurrency requests at a time (the mock embedder
-    runs serially). PartialFailure names the positions of a failed batch's texts.
+    Misses go out EMBED_BATCH per request, up to the endpoint's max_concurrency
+    requests at a time (the mock embedder runs serially); see _cached_batches.
     """
     cache = _Cache(Path(cache_dir))
     model_id = embed_cfg.effective_model_id
-    try:
-        vectors = _cached_batches(
-            STAGE_EMBED, list(dict.fromkeys(texts)),
-            lambda text: cache.load_embedding(model_id, text), EMBED_BATCH,
-            embed_cfg.embed, lambda text, emb: cache.store_embedding(model_id, text, emb),
-            embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
-        )
-    except PartialFailure as err:
-        raise PartialFailure(STAGE_EMBED, {
-            i: err.failures[text] for i, text in enumerate(texts) if text in err.failures
-        }) from None
-    return [vectors[text] for text in texts]
+    return _cached_batches(
+        STAGE_EMBED, texts,
+        lambda text: cache.load_embedding(model_id, text), EMBED_BATCH,
+        embed_cfg.embed, lambda text, emb: cache.store_embedding(model_id, text, emb),
+        embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
+    )
 
 
 def verify(
@@ -355,9 +345,8 @@ def verify(
     cache.update_meta({"generated_at": _now_iso()})
 
     # Stage 2: embed the replies and, at position k, the ground truth.
-    texts = [replies[i] for i in range(k)] + ([] if gt is None else [gt])
     try:
-        vectors = embed_cached(texts, embed_cfg, cache_dir)
+        vectors = embed_cached(replies + ([] if gt is None else [gt]), embed_cfg, cache_dir)
     except PartialFailure as err:
         raise PartialFailure(STAGE_EMBED, {"gt" if i == k else i: exc
                                            for i, exc in err.failures.items()}) from None

@@ -83,6 +83,10 @@ class ProviderConfig:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an absolute http(s) URL, got {self.base_url!r}")
+        try:
+            url.port  # urlsplit parses the port only when it is read
+        except ValueError as exc:
+            raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
         if not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be finite and positive")
         if self.max_retries < 0:

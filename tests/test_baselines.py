@@ -32,6 +32,7 @@ from samplecheck.baselines import (
 )
 from samplecheck.baselines.judge import JUDGE_MAX_TOKENS
 from samplecheck.providers import GeneratorConfig, ProviderConfig
+from samplecheck.scorematrix import PairwiseKernelError
 from samplecheck.vectors import Embedding, cosine
 
 
@@ -121,6 +122,29 @@ class TestBertscoreGreedy:
         with pytest.raises(ValueError):
             seq([[1, 0], [0, 1]], idf=[-1.0, 1.0])
 
+    @pytest.mark.parametrize("with_idf", [False, True])
+    def test_production_shape_matches_oracle(self, with_idf):
+        # 25 tokens of d=1024, where BLAS dot kernels unroll; the fixtures above
+        # stop at d=8.
+        rng = np.random.default_rng(37)
+        c = random_seq(rng, 25, dim=1024, with_idf=with_idf)
+        r = random_seq(rng, 25, dim=1024, with_idf=with_idf)
+        assert bertscore_greedy(c, r) == oracle_bertscore(c, r)
+        assert bertscore_greedy(r, c) == oracle_bertscore(r, c)
+
+    @pytest.mark.parametrize("zero_in", ["candidate", "reference"])
+    def test_zero_token_vector_raises_pairwise_kernel_error(self, zero_in):
+        ok, zero = seq([[1.0, 0.0], [1.0, 1.0]]), seq([[0.5, 0.5], [0.0, 0.0]])
+        pair = (zero, ok) if zero_in == "candidate" else (ok, zero)
+        with pytest.raises(PairwiseKernelError, match="zero"):
+            bertscore_greedy(*pair)
+
+    def test_token_vectors_of_two_models_rejected(self):
+        other = TokenEmbeddingSeq(tokens=("t0",),
+                                  vectors=(Embedding(np.array([1.0, 0.0]), model_id="other"),))
+        with pytest.raises(ValueError, match="'other'"):
+            bertscore_greedy(seq([[1.0, 0.0]]), other)
+
 
 class TestSelfcheckBert:
     def test_verbatim_sentence_scores_one(self):
@@ -150,6 +174,18 @@ class TestSelfcheckBert:
                 per_sample.append(best)
             expected.append(math.fsum(per_sample) / len(per_sample))
         assert got == expected
+
+    def test_production_shape_matches_oracle(self):
+        # 25 tokens of d=1024 per sentence: 3 reply sentences, 2 samples of 2.
+        rng = np.random.default_rng(38)
+        sentences = [random_seq(rng, 25, dim=1024) for _ in range(3)]
+        samples = [[random_seq(rng, 25, dim=1024) for _ in range(2)] for _ in range(2)]
+        expected = []
+        for sent in sentences:
+            per_sample = [max(oracle_bertscore(sent, other)[2] for other in doc)
+                          for doc in samples]
+            expected.append(math.fsum(per_sample) / len(per_sample))
+        assert selfcheck_bert(sentences, samples) == expected
 
     def test_scores_bounded_by_best_pair(self):
         rng = np.random.default_rng(36)

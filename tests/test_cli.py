@@ -256,7 +256,8 @@ class TestLoadConfig:
         {"temperature": True}, {"top_p": True}, {"timeout": False}, {"max_retries": 1.5},
         {"max_concurrency": 1.5}, {"max_concurrency": True}, {"max_tokens": 1e400},
         {"timeout": 10 ** 400}, {"base_url": 5}, {"api_key_env": ["KEY"]}, {"model_id": 7},
-        {"base_url": "api.example.com/v1"},
+        {"base_url": "api.example.com/v1"}, {"base_url": "http://127.0.0.1:99999/v1"},
+        {"base_url": "http://h:abc/v1"},
     ])
     def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
         with pytest.raises(ConfigError):
@@ -303,6 +304,30 @@ class TestLoadConfig:
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
         assert capsys.readouterr().err == f"error: invalid config: unknown key {key}\n"
         assert stub.state.requests == []
+
+    @pytest.mark.parametrize("given, repeat, key", [
+        ('"k": 3,', '"k": 5,', "k"),
+        ('"model_id": "stub-model",', '"model_id": "other-model",', "generation.model_id"),
+        ('"mean_min": 0.9,', '"mean_min": 0.9,', "thresholds.mean_min"),
+        ('"kind": "mock",', '"kind": "mock",', "embedding.kind"),
+        ('"max_concurrency": 1,', '"max_concurrency": 4,', "max_concurrency"),
+    ])
+    def test_duplicate_key_exit_one_names_it(self, stub, tmp_path, prompt_file, capsys,
+                                             given, repeat, key):
+        config = write_config(tmp_path, stub)
+        text = config.read_text()
+        assert text.count(given) == 1
+        config.write_text(text.replace(given, f"{given} {repeat}"))
+        with pytest.raises(ConfigError, match=f"duplicate key {key}$"):
+            load_config(config)
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: duplicate key {key}\n"
+        assert stub.state.requests == []
+
+    def test_equal_keys_of_two_sections_load(self, stub, tmp_path):
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed"}
+        cfg = load_config(write_config(tmp_path, stub, embedding=embedding))
+        assert (cfg.generation.model_id, cfg.embedding.model_id) == ("stub-model", "stub-embed")
 
     def test_every_config_field_type_is_converted(self):
         sections = {"ProviderConfig", *cli._SECTIONS}
@@ -622,16 +647,17 @@ class TestEvalCommand:
         assert list(tmp_path.glob("cache/embeddings/**/*.npy")) == []
 
     def test_unknown_scheme_exit_one_lists_valid(self, stub, tmp_path, capsys):
-        dataset = tmp_path / "d.jsonl"
-        dataset.write_text('{"id":"x","sentences":["a"],"labels":["accurate"],"samples":["s","t"]}\n')
+        # A usage error, so it comes before the dataset (absent here) is read.
         config = write_config(tmp_path, stub)
-        code = main(
-            ["eval", "--config", str(config), "--dataset", str(dataset),
-             "--scheme", "mystery", "--task", "wikibio"]
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(config), "--dataset", str(tmp_path / "absent.jsonl"),
+                  "--scheme", "mystery", "--task", "wikibio"])
+        assert exc.value.code == 1
         err = capsys.readouterr().err
+        assert err.startswith("usage: samplecheck eval")
+        assert "argument --scheme: invalid choice: " in err and "mystery" in err
         assert "checkembed" in err and "judge" in err
+        assert stub.state.requests == []
 
 
 class TestUsageErrors:

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from samplecheck.pipeline import (
     RaggedDims,
     VerificationReport,
     chunk_document,
+    embed_cached,
     ingest_vectors,
     prompt_hash,
     report_from_json,
@@ -462,6 +464,73 @@ class TestVerify:
         assert p["temperature"] == 0.5
         assert p["max_tokens"] == 1024 and p["top_p"] is None and p["top_k"] is None
         assert "generated_at" in p and "embedded_at" in p
+
+
+
+# Distinct texts that fill one EMBED_BATCH batch and half of a second, in the
+# order REPEATED first holds them; REPEATED repeats texts of both batches.
+DISTINCT = [f"text {i}" for i in range(EMBED_BATCH + 2)]
+REPEATED = [*DISTINCT[:EMBED_BATCH + 1], DISTINCT[0], DISTINCT[-1], DISTINCT[EMBED_BATCH],
+            DISTINCT[1]]
+
+
+@pytest.fixture(params=["mock", "stub"])
+def recorded(request, monkeypatch):
+    """An embedder, with the batches its embed is called with and the texts the
+    store is asked for; fail_second() makes its second batch fail."""
+    rec = SimpleNamespace(batches=[], loads=[], failing=False)
+    if request.param == "mock":
+        rec.cfg = EmbedderConfig(kind="mock", dim=64, seed=0)
+        rec.vector = lambda text: mock_embed(text, 64, 0).tolist()
+        rec.fail_second = lambda: setattr(rec, "failing", True)
+        rec.sent = rec.batches  # the mock's requests are its embed calls
+    else:
+        stub = request.getfixturevalue("stub")
+        rec.vector = lambda text: [1.0, float(DISTINCT.index(text)), 0.0, 0.0]
+        stub.state.embed_fn = lambda text, model: rec.vector(text)
+        rec.cfg = http_embedder(stub)
+        rec.fail_second = lambda: fail_requests(stub, {2})
+        rec.sent = stub.state.embed_inputs
+    embed, load = EmbedderConfig.embed, _Cache.load_embedding
+
+    def recording_embed(self, texts):
+        rec.batches.append(list(texts))
+        if rec.failing and len(rec.batches) == 2:
+            raise RuntimeError("injected failure")
+        return embed(self, texts)
+
+    def recording_load(self, model_id, text):
+        rec.loads.append(text)
+        return load(self, model_id, text)
+
+    monkeypatch.setattr(EmbedderConfig, "embed", recording_embed)
+    monkeypatch.setattr(_Cache, "load_embedding", recording_load)
+    return rec
+
+
+class TestEmbedCached:
+    def test_each_distinct_text_loaded_and_sent_once(self, recorded, tmp_path):
+        vectors = embed_cached(REPEATED, recorded.cfg, tmp_path)
+        assert recorded.loads == DISTINCT
+        assert recorded.batches == [DISTINCT[:EMBED_BATCH], DISTINCT[EMBED_BATCH:]]
+        assert recorded.sent == recorded.batches
+        assert [v.tolist() for v in vectors] == [recorded.vector(t) for t in REPEATED]
+
+        again = embed_cached(REPEATED, recorded.cfg, tmp_path)
+        assert recorded.loads == DISTINCT * 2 and len(recorded.batches) == 2
+        assert [v.tolist() for v in again] == [v.tolist() for v in vectors]
+
+    def test_failed_batch_names_every_position_of_its_texts(self, recorded, tmp_path):
+        recorded.fail_second()
+        with pytest.raises(PartialFailure) as err:
+            embed_cached(REPEATED, recorded.cfg, tmp_path)
+        assert err.value.stage == "embed"
+        failed = [i for i, text in enumerate(REPEATED) if text in DISTINCT[EMBED_BATCH:]]
+        assert failed == [EMBED_BATCH, EMBED_BATCH + 2, EMBED_BATCH + 3]
+        assert list(err.value.failures) == failed
+        assert len({id(exc) for exc in err.value.failures.values()}) == 1
+        model_dir = _Cache(tmp_path).embedding_path(recorded.cfg.effective_model_id, "").parent
+        assert sorted(p.name for p in model_dir.iterdir()) == vector_names(DISTINCT[:EMBED_BATCH])
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text() | st.floats(

@@ -375,7 +375,8 @@ class TestProviderConfig:
             ProviderConfig(base_url="http://x", max_concurrency=0)
 
     @pytest.mark.parametrize("url", ["api.example.com/v1", "/v1", "http:///v1", "ftp://x/v1",
-                                     "localhost:8000", ""])
+                                     "localhost:8000", "", "http://127.0.0.1:99999/v1",
+                                     "http://h:abc/v1"])
     def test_base_url_must_be_absolute_http(self, url):
         with pytest.raises(ValueError, match="base_url"):
             ProviderConfig(base_url=url)
