@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 from ..errors import SampleCheckError
 from ..providers import ProviderConfig, _post_json
 from ..scorematrix import build_matrix
-from ..vectors import Embedding
+from ..vectors import Embedding, ZeroVector
 
 
 class EmptySequence(SampleCheckError):
@@ -35,7 +35,7 @@ class OutOfRangeScore(SampleCheckError):
 
 @dataclass(frozen=True)
 class TokenEmbeddingSeq:
-    """A token sequence with one embedding per token and optional idf weights."""
+    """A token sequence with one non-zero embedding per token and optional idf weights."""
 
     tokens: tuple[str, ...]
     vectors: tuple[Embedding, ...]
@@ -49,6 +49,9 @@ class TokenEmbeddingSeq:
         dims = {v.dim for v in self.vectors}
         if len(dims) != 1:
             raise ValueError(f"token vectors must share one dim, got {sorted(dims)}")
+        for i, (token, vector) in enumerate(zip(self.tokens, self.vectors)):
+            if not vector.values.any():
+                raise ZeroVector(f"token {i} ({token!r}) has a zero vector")
         if self.idf is not None:
             if len(self.idf) != len(self.tokens):
                 raise ValueError("idf weights must align with tokens")
@@ -78,8 +81,7 @@ def bertscore_greedy(
     bit. Precision is the mean of the block's row maxima, the best match of
     each candidate token, and recall of its column maxima (idf-weighted when
     weights are present). F1 is the harmonic mean, defined as 0 when P + R == 0.
-    build_matrix's checks apply: a zero vector raises PairwiseKernelError, and
-    vectors of two dims or models raise ValueError.
+    Vectors of two dims or models raise ValueError, as in build_matrix.
     """
     n = len(candidate.vectors)
     block = build_matrix(candidate.vectors + reference.vectors).entries[:n, n:]

@@ -49,16 +49,10 @@ class ConfigError(SampleCheckError):
 @dataclass(frozen=True)
 class EvalSettings:
     statistic: str = "mean_offdiag"
-    polarity: str = "low_score_flags"
-    grid_points: int = 101
 
     def __post_init__(self) -> None:
         if self.statistic not in evalmod.STATISTICS:
             raise ConfigError(f"eval.statistic must be one of {', '.join(evalmod.STATISTICS)}")
-        if self.polarity not in evalmod.POLARITIES:
-            raise ConfigError(f"eval.polarity must be one of {', '.join(evalmod.POLARITIES)}")
-        if self.grid_points < 2:
-            raise ConfigError("eval.grid_points must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -260,7 +254,15 @@ def _record_scorer(
     )
 
 
-def _grid(scores: Sequence[float], points: int) -> list[float]:
+# The ragtruth protocol. Every score that reaches the sweep is low for a suspect
+# record: checkembed's statistics rise as the samples agree, and the judge
+# template gives 0 to a completely hallucinated text.
+_RAGTRUTH_POLARITY = "low_score_flags"
+
+
+def _grid(scores: Sequence[float], points: int = 101) -> list[float]:
+    """points evenly spaced thresholds from the lowest score to the highest,
+    or the one score if all are equal."""
     lo, hi = min(scores), max(scores)
     if lo == hi:
         return [lo]
@@ -283,41 +285,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except SampleCheckError as exc:
             raise SampleCheckError(f"record {r.id!r}: {exc}") from exc
 
+    result = {"task": task, "scheme": args.scheme, "n_records": len(records), "k": cfg.k,
+              "statistic": statistic}
     if task == "wikibio":
         gold = [evalmod.passage_score(r.labels) for r in records]
         pe, sp = evalmod.correlate(scores, gold)
-        result = {
-            "task": task,
-            "scheme": args.scheme,
-            "n_records": len(records),
-            "k": cfg.k,
-            "statistic": statistic,
-            "pearson_pct": pe,
-            "spearman_pct": sp,
-        }
+        result.update(pearson_pct=pe, spearman_pct=sp)
         print(f"{'metric':<14} {'value':>8}")
         print(f"{'pearson_pct':<14} {pe:>8.1f}")
         print(f"{'spearman_pct':<14} {sp:>8.1f}")
     else:
         labels = [r.label for r in records]
-        sweep = evalmod.threshold_sweep(
-            scores, labels, cfg.eval.polarity, _grid(scores, cfg.eval.grid_points)
-        )
+        sweep = evalmod.threshold_sweep(scores, labels, _RAGTRUTH_POLARITY, _grid(scores))
         best = next(p for p in sweep.curve if p.threshold == sweep.best_threshold)
-        result = {
-            "task": task,
-            "scheme": args.scheme,
-            "n_records": len(records),
-            "k": cfg.k,
-            "statistic": statistic,
-            "polarity": cfg.eval.polarity,
-            "best_threshold": sweep.best_threshold,
-            "best_f1": sweep.best_f1,
-            "precision": best.precision,
-            "recall": best.recall,
-            "curve": [asdict(p) for p in sweep.curve],
-            "note": "threshold chosen by exhaustive sweep on this dataset",
-        }
+        result.update(
+            polarity=_RAGTRUTH_POLARITY,
+            best_threshold=sweep.best_threshold,
+            best_f1=sweep.best_f1,
+            precision=best.precision,
+            recall=best.recall,
+            curve=[asdict(p) for p in sweep.curve],
+            note="threshold chosen by exhaustive sweep on this dataset",
+        )
         print(f"{'metric':<16} {'value':>10}")
         for name in ("best_threshold", "best_f1", "precision", "recall"):
             print(f"{name:<16} {result[name]:>10.4f}")

@@ -28,19 +28,6 @@ TASKS = (TASK_SIMILARITY, TASK_VERIFICATION)
 
 SCHEME_CHECKEMBED = "checkembed"
 
-SCHEMES = (
-    "bartscore",
-    "unieval",
-    "selfcheckgpt_bert",
-    "selfcheckgpt_nli",
-    "halocheck",
-    "bertscore",
-    "sentencebert",
-    "geval",
-    "gptscore",
-    SCHEME_CHECKEMBED,
-)
-
 CONVENTION_NOTE = (
     "analytical model: big-O constants fixed to 1, log taken base 2; "
     "ratios are model predictions, not measurements"
@@ -145,14 +132,17 @@ def _formulas(p: CostModelParams) -> dict[tuple[str, str], tuple[float, float]]:
     }
 
 
-# Cells absent from _formulas: method undefined for the task (n/a) or its
-# operation count cannot be determined (unknown).
+# The cells that have a formula, in table order; SCHEMES lists their schemes by
+# first appearance. A cell absent from the table is a method undefined for the
+# task (n/a) or one whose operation count cannot be determined (unknown).
+_DEFINED_CELLS = _formulas(CostModelParams()).keys()
+SCHEMES = tuple(dict.fromkeys(scheme for scheme, _ in _DEFINED_CELLS))
 _UNKNOWN_CELLS = {("gptscore", TASK_SIMILARITY)}
 
 
 def is_applicable(scheme: str, task: str) -> bool:
     _validate_cell(scheme, task)
-    return (scheme, task) in _formulas(CostModelParams())
+    return (scheme, task) in _DEFINED_CELLS
 
 
 def _validate_cell(scheme: str, task: str) -> None:
@@ -167,10 +157,9 @@ def estimate(scheme: str, task: str, params: CostModelParams) -> CostEstimate:
     _validate_cell(scheme, task)
     if (scheme, task) in _UNKNOWN_CELLS:
         raise UnknownCost(f"operation count of {scheme!r} for {task!r} is unknown")
-    table = _formulas(params)
-    if (scheme, task) not in table:
+    if (scheme, task) not in _DEFINED_CELLS:
         raise NotApplicable(f"scheme {scheme!r} does not define task {task!r}")
-    depth, work = table[(scheme, task)]
+    depth, work = _formulas(params)[(scheme, task)]
     return CostEstimate(scheme=scheme, task=task, depth=depth, work=work)
 
 

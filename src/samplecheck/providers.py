@@ -84,9 +84,11 @@ class ProviderConfig:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an absolute http(s) URL, got {self.base_url!r}")
         try:
-            url.port  # urlsplit parses the port only when it is read
+            port = url.port  # urlsplit parses the port only when it is read
         except ValueError as exc:
             raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
+        if port == 0:  # requests would send to the scheme's default port
+            raise ValueError(f"base_url {self.base_url!r}: port must be in 1-65535")
         if not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be finite and positive")
         if self.max_retries < 0:

@@ -32,8 +32,7 @@ from samplecheck.baselines import (
 )
 from samplecheck.baselines.judge import JUDGE_MAX_TOKENS
 from samplecheck.providers import GeneratorConfig, ProviderConfig
-from samplecheck.scorematrix import PairwiseKernelError
-from samplecheck.vectors import Embedding, cosine
+from samplecheck.vectors import Embedding, ZeroVector, cosine
 
 
 def seq(vectors, tokens=None, idf=None) -> TokenEmbeddingSeq:
@@ -132,12 +131,14 @@ class TestBertscoreGreedy:
         assert bertscore_greedy(c, r) == oracle_bertscore(c, r)
         assert bertscore_greedy(r, c) == oracle_bertscore(r, c)
 
-    @pytest.mark.parametrize("zero_in", ["candidate", "reference"])
-    def test_zero_token_vector_raises_pairwise_kernel_error(self, zero_in):
-        ok, zero = seq([[1.0, 0.0], [1.0, 1.0]]), seq([[0.5, 0.5], [0.0, 0.0]])
-        pair = (zero, ok) if zero_in == "candidate" else (ok, zero)
-        with pytest.raises(PairwiseKernelError, match="zero"):
-            bertscore_greedy(*pair)
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_zero_token_vector_names_the_token(self, index):
+        # Rejected with the sequence, so a caller learns which side and token;
+        # build_matrix would name only a pair of rows of candidate + reference.
+        vectors = [[1.0, 0.0], [1.0, 1.0], [0.5, 0.5]]
+        vectors[index] = [0.0, 0.0]
+        with pytest.raises(ZeroVector, match=fr"^token {index} \('w{index}'\) has a zero vector$"):
+            seq(vectors, tokens=["w0", "w1", "w2"])
 
     def test_token_vectors_of_two_models_rejected(self):
         other = TokenEmbeddingSeq(tokens=("t0",),

@@ -257,7 +257,7 @@ class TestLoadConfig:
         {"max_concurrency": 1.5}, {"max_concurrency": True}, {"max_tokens": 1e400},
         {"timeout": 10 ** 400}, {"base_url": 5}, {"api_key_env": ["KEY"]}, {"model_id": 7},
         {"base_url": "api.example.com/v1"}, {"base_url": "http://127.0.0.1:99999/v1"},
-        {"base_url": "http://h:abc/v1"},
+        {"base_url": "http://h:abc/v1"}, {"base_url": "http://127.0.0.1:0/v1"},
     ])
     def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
         with pytest.raises(ConfigError):
@@ -573,6 +573,24 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "out" / "eval_ragtruth_checkembed.json").read_text())
         assert "best_threshold" in report
         assert report["best_f1"] == 1.0  # perfectly separable fixture
+        assert report["polarity"] == "low_score_flags"
+        assert len(report["curve"]) == 101
+
+    def test_ragtruth_equal_scores_sweep_one_threshold(self, stub, tmp_path):
+        records = [BinaryRecord(id=f"r{i}", response="a",
+                                label="hallucinated" if i % 2 else "faithful",
+                                samples=("the same reply",) * 3) for i in range(4)]
+        dataset = tmp_path / "rag.jsonl"
+        write_records_jsonl(dataset, records)
+        config = write_config(tmp_path, stub, k=3)
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "ragtruth"]) == 0
+        report = json.loads((tmp_path / "out" / "eval_ragtruth_checkembed.json").read_text())
+        # Every score is 1.0, so the grid is that one threshold, which flags every record.
+        assert report["curve"] == [{"threshold": 1.0, "precision": 0.5, "recall": 1.0,
+                                    "f1": 2 / 3}]
+        assert (report["best_threshold"], report["best_f1"]) == (1.0, 2 / 3)
+        assert stub.state.requests == []
 
     def test_judge_scheme_wikibio(self, stub, tmp_path):
         stub.state.chat_replies = ["90", "50", "10"]
@@ -628,8 +646,10 @@ class TestEvalCommand:
         assert "record 'short' has 2 samples, need k=3" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"eval_{task}_checkembed.json").exists()
 
-    @pytest.mark.parametrize("setting", [{"polarity": "low_scores_flag"},
-                                         {"statistic": "std_offdiag"}])
+    # The ragtruth polarity and threshold grid are fixed, so no longer settings.
+    @pytest.mark.parametrize("setting", [{"polarity": "low_score_flags"},
+                                         {"statistic": "std_offdiag"},
+                                         {"grid_points": 101}])
     def test_unknown_eval_setting_exit_one_before_embedding(self, stub, tmp_path, capsys,
                                                             setting):
         records = [BinaryRecord(id=f"r{i}", response="a", label="faithful",
@@ -643,8 +663,11 @@ class TestEvalCommand:
                      "--scheme", "checkembed", "--task", "ragtruth"])
         assert code == 1
         name = next(iter(setting))
-        assert capsys.readouterr().err.startswith(f"error: eval.{name} must be one of ")
+        expected = (f"error: eval.{name} must be one of " if name == "statistic"
+                    else f"error: invalid config: unknown key eval.{name}\n")
+        assert capsys.readouterr().err.startswith(expected)
         assert list(tmp_path.glob("cache/embeddings/**/*.npy")) == []
+        assert stub.state.requests == []
 
     def test_unknown_scheme_exit_one_lists_valid(self, stub, tmp_path, capsys):
         # A usage error, so it comes before the dataset (absent here) is read.
@@ -754,7 +777,12 @@ class TestHeatmapCommand:
         ({"entries": [[1.0, -0.0], [0.0, 1.0]], "labels": ["0", "1"]}, "symmetric"),
         ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": [0, 1]}, "labels must be strings"),
         ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": "01"}, "labels must be strings"),
-    ], ids=["mirrored-signed-zero", "integer-labels", "labels-string"])
+        ({"entries": [[1.0, 0.5]], "labels": ["0"]}, "square"),
+        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": ["0", "1", "2"]}, "matrix order"),
+        ({"measure": "euclidean"}, "unknown measure 'euclidean'"),
+        ({"entries": [[1.0, math.nan], [math.nan, 1.0]], "labels": ["0", "1"]}, "finite"),
+    ], ids=["mirrored-signed-zero", "integer-labels", "labels-string", "not-square",
+            "label-count", "unknown-measure", "non-finite"])
     def test_invalid_matrix_exit_one(self, stub, tmp_path, prompt_file, capsys, matrix, message):
         report_path = self._make_report(stub, tmp_path, prompt_file)
         obj = json.loads(report_path.read_text())

@@ -97,6 +97,17 @@ class TestEstimateAnchors:
     def test_scheme_count_covers_all_rows(self):
         assert len(SCHEMES) == 10
 
+    def test_schemes_and_applicable_schemes_in_table_order(self):
+        assert SCHEMES == ("bartscore", "unieval", "selfcheckgpt_bert", "selfcheckgpt_nli",
+                           "halocheck", "bertscore", "sentencebert", "geval", "gptscore",
+                           "checkembed")
+        assert applicable_schemes(TASK_SIMILARITY) == [
+            "bartscore", "selfcheckgpt_bert", "selfcheckgpt_nli", "halocheck", "bertscore",
+            "sentencebert", "checkembed"]
+        assert applicable_schemes(TASK_VERIFICATION) == [
+            "bartscore", "unieval", "selfcheckgpt_bert", "selfcheckgpt_nli", "halocheck",
+            "geval", "gptscore", "checkembed"]
+
 
 class TestPartialDifferences:
     def test_checkembed_similarity_independent_of_sentences_and_tokens(self):

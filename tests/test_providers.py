@@ -4,6 +4,8 @@ deterministic mock embedder."""
 from __future__ import annotations
 
 import json
+import logging
+import socket
 
 import numpy as np
 import pytest
@@ -106,6 +108,36 @@ class TestGenerateSamples:
         with pytest.raises(AuthError):
             complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
         assert len(stub.state.requests) == 1
+
+    def test_connection_error_retried_then_transport_error(self, caplog):
+        with socket.socket() as sock:  # a local port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        provider = ProviderConfig(base_url=f"http://127.0.0.1:{port}", timeout=5.0,
+                                  max_retries=1, backoff_base=0)
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            with pytest.raises(TransportError, match="failed after 2 attempts"):
+                complete_once("hi", GeneratorConfig(model_id="m", provider=provider))
+        attempts = [r.getMessage() for r in caplog.records if "attempt=" in r.getMessage()]
+        assert len(attempts) == 2
+        assert all("status=ConnectionError" in message for message in attempts)
+
+    def test_client_error_not_retried(self, stub):
+        stub.state.fail_statuses = [404]
+        with pytest.raises(MalformedResponse, match="unexpected HTTP 404"):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
+        assert len(stub.state.requests) == 1
+
+    def test_json_body_not_an_object(self, stub):
+        stub.state.raw_body = b'[{"choices": []}]'
+        with pytest.raises(MalformedResponse, match="expected a JSON object"):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
+        assert len(stub.state.requests) == 1
+
+    def test_content_not_a_string(self, stub):
+        stub.state.raw_body = b'{"choices": [{"message": {"content": 5}}]}'
+        with pytest.raises(MalformedResponse, match="not a string"):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
 
     def test_malformed_json(self, stub):
         stub.state.raw_body = b"not json"
@@ -351,6 +383,13 @@ class TestMockEmbed:
         )
         assert hits / 1000 >= 0.99
 
+    def test_cancelled_counts_fall_back_to_one_bucket(self):
+        # At dim 8 and seed 0, w1 and w2 hash to one bucket with opposite signs.
+        e = mock_embed("w1 w2", 8, 0)
+        assert np.count_nonzero(e.values) == 1
+        assert np.linalg.norm(e.values) == 1.0
+        assert np.array_equal(e.values, mock_embed("w2 w1", 8, 0).values)
+
     def test_min_dim(self):
         with pytest.raises(ValueError):
             mock_embed("abc", 4)
@@ -376,7 +415,7 @@ class TestProviderConfig:
 
     @pytest.mark.parametrize("url", ["api.example.com/v1", "/v1", "http:///v1", "ftp://x/v1",
                                      "localhost:8000", "", "http://127.0.0.1:99999/v1",
-                                     "http://h:abc/v1"])
+                                     "http://h:abc/v1", "http://127.0.0.1:0/v1"])
     def test_base_url_must_be_absolute_http(self, url):
         with pytest.raises(ValueError, match="base_url"):
             ProviderConfig(base_url=url)
