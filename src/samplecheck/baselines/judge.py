@@ -95,5 +95,5 @@ def llm_judge(task: str, inputs: Mapping[str, str], gen: GeneratorConfig) -> Jud
     The request is gen's, with max_tokens set to JUDGE_MAX_TOKENS.
     """
     prompt = assemble_prompt(task, inputs)
-    reply = complete_once(prompt, replace(gen, max_tokens=JUDGE_MAX_TOKENS))
+    [reply] = complete_once(prompt, replace(gen, max_tokens=JUDGE_MAX_TOKENS))
     return parse_verdict(reply)

@@ -261,13 +261,13 @@ _RAGTRUTH_POLARITY = "low_score_flags"
 
 
 def _grid(scores: Sequence[float], points: int = 101) -> list[float]:
-    """points evenly spaced thresholds from the lowest score to the highest,
-    or the one score if all are equal."""
+    """points evenly spaced thresholds from the lowest score to exactly the
+    highest, or the one score if all are equal."""
     lo, hi = min(scores), max(scores)
     if lo == hi:
         return [lo]
     step = (hi - lo) / (points - 1)
-    return [lo + i * step for i in range(points)]
+    return [lo + i * step for i in range(points - 1)] + [hi]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -72,13 +72,21 @@ STAGE_EMBED = "embed"
 # (2-vCPU Xeon, d=4096).
 EMBED_BATCH = 4
 
+# Most samples one chat request asks for (its "n"). verify asks for
+# min(GENERATE_BATCH, ceil(k / max_concurrency)) per request, so a cold run
+# fills max_concurrency requests at once; the cap bounds the size of one
+# response and the samples one failed request covers, and stays under the n
+# limits that providers put on one request.
+GENERATE_BATCH = 16
+
 
 class PartialFailure(SampleCheckError):
     """One or more provider calls failed after retries.
 
     failures maps every sample index ("gt" for the ground truth) the failed
-    calls covered to the error; an embeddings request covers every index whose
-    text was in its batch. The run aborts rather
+    calls covered to the error; a chat request covers every index it asked a
+    choice for, and an embeddings request covers every index whose text was in
+    its batch. The run aborts rather
     than shrinking k: a silently smaller sample count would change the meaning
     of the confidence statistics.
     """
@@ -174,10 +182,12 @@ def _cached_batches(
     """Each key's value, in key order: from `load` if cached, else from `call`, then `store`d.
 
     Each distinct key is loaded once; those `load` returns None for go to `call`
-    in consecutive batches of at most `size`, `workers` batches at a time, and
-    `call` returns one result per key of its batch. Each result goes to `store`
-    as soon as its batch returns, so a later failure cannot discard it. If a
-    batch fails, PartialFailure names every position of `keys` holding its keys.
+    in consecutive batches of at most `size`, `workers` batches at a time.
+    `call` returns results for a leading part of its batch, at least one: each
+    goes to `store` as soon as the call returns, so a later failure cannot
+    discard it, and `call` is called again with the rest of the batch. If a call
+    fails, PartialFailure names every position of `keys` holding the keys its
+    batch still lacked.
     """
     results = {key: load(key) for key in dict.fromkeys(keys)}
     missing = [key for key, value in results.items() if value is None]
@@ -185,14 +195,18 @@ def _cached_batches(
     failures: dict[Hashable, Exception] = {}
 
     def run(batch: tuple) -> None:
-        try:
-            values = call(batch)
-        except Exception as exc:  # collected, re-raised as PartialFailure
-            failures.update(dict.fromkeys(batch, exc))
-            return
-        for key, value in zip(batch, values):
-            store(key, value)
-            results[key] = value
+        while batch:
+            try:
+                values = call(batch)
+                if not values:
+                    raise ValueError(f"stage {stage!r} got no result for a batch")
+            except Exception as exc:  # collected, re-raised as PartialFailure
+                failures.update(dict.fromkeys(batch, exc))
+                return
+            for key, value in zip(batch, values):
+                store(key, value)
+                results[key] = value
+            batch = batch[len(values):]
 
     if len(batches) <= 1 or workers <= 1:
         for batch in batches:
@@ -334,13 +348,15 @@ def verify(
     key = prompt_hash(prompt, gen_cfg)
     cache = _Cache(Path(cache_dir), key)
 
-    # Stage 1: generate (or load) the k replies, one request per reply.
-    def generate(batch: tuple) -> list[str]:
-        return [providers.complete_once(prompt, gen_cfg) for _ in batch]
-
+    # Stage 1: generate (or load) the k replies. One chat request asks for a
+    # choice per missing index of its batch, and choice j becomes the batch's
+    # j-th index. The n choices of one request are independent samples at the
+    # same settings, so n is not part of the cache key.
+    workers = gen_cfg.provider.max_concurrency
     replies = _cached_batches(
-        STAGE_GENERATE, range(k), cache.load_text, 1, generate, cache.store_text,
-        gen_cfg.provider.max_concurrency,
+        STAGE_GENERATE, range(k), cache.load_text, min(GENERATE_BATCH, math.ceil(k / workers)),
+        lambda batch: providers.complete_once(prompt, gen_cfg, len(batch)), cache.store_text,
+        workers,
     )
     cache.update_meta({"generated_at": _now_iso()})
 

@@ -60,6 +60,14 @@ class MalformedResponse(SampleCheckError):
     """The endpoint answered, but not in the expected shape."""
 
 
+class RejectedRequest(MalformedResponse):
+    """The endpoint answered a request with a client error status (4xx other than 401/403/429)."""
+
+    def __init__(self, status: int, url: str) -> None:
+        super().__init__(f"unexpected HTTP {status} from {url}")
+        self.status = status
+
+
 class DimMismatch(SampleCheckError):
     """Endpoint returned an embedding whose length contradicts the model preset."""
 
@@ -181,6 +189,8 @@ def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:
 
 
 _sessions: dict[ProviderConfig, requests.Session] = {}
+# Chat endpoints that answered HTTP 400 to n > 1; every later request to them asks for one choice.
+_single_choice: set[ProviderConfig] = set()
 _sessions_lock = threading.Lock()
 
 
@@ -204,10 +214,15 @@ def _session(cfg: ProviderConfig) -> requests.Session:
 
 
 def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
-    """POST with retries (exponential backoff + jitter) on transient failures.
+    """POST with retries on transient failures.
 
-    Each attempt logs one debug event with sizes and latency only: request
-    and response bodies hold prompts and vectors, and the key is redacted.
+    The wait before a retry is the delta-seconds of a 429 or 503 response's
+    Retry-After header, capped at cfg.timeout; otherwise (no header, an
+    HTTP-date, anything unparsable, or a network error) it is exponential
+    backoff with jitter. Each attempt logs one debug event with sizes, latency
+    and that wait only: request and response bodies hold prompts and vectors,
+    and the key is redacted. A client error status raises RejectedRequest,
+    which carries it.
     """
     url = cfg.base_url.rstrip("/") + path
     headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
@@ -215,25 +230,30 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
     session = _session(cfg)
     last_exc: Exception | None = None
+    wait: float | None = None
     for attempt in range(1, cfg.max_retries + 2):
-        if attempt > 1:
-            delay = cfg.backoff_base * (2 ** (attempt - 2)) * (1.0 + random.random())
-            time.sleep(delay)
+        if wait is not None:
+            time.sleep(wait)
+        retry = attempt <= cfg.max_retries
         start = time.perf_counter()
         try:
             resp = session.post(url, data=data, headers=headers, timeout=cfg.timeout)
         except requests.RequestException as exc:
-            _log_attempt(path, attempt, type(exc).__name__, auth, len(data), 0, start)
+            wait = _retry_wait(cfg, attempt, None) if retry else None
+            _log_attempt(path, attempt, type(exc).__name__, auth, len(data), 0, start, wait)
             last_exc = exc
             continue
-        _log_attempt(path, attempt, resp.status_code, auth, len(data), len(resp.content), start)
+        transient = resp.status_code == 429 or resp.status_code >= 500
+        wait = _retry_wait(cfg, attempt, resp) if transient and retry else None
+        _log_attempt(path, attempt, resp.status_code, auth, len(data), len(resp.content), start,
+                     wait)
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
+        if transient:
             last_exc = TransportError(f"HTTP {resp.status_code} from {url}")
             continue
         if resp.status_code != 200:
-            raise MalformedResponse(f"unexpected HTTP {resp.status_code} from {url}")
+            raise RejectedRequest(resp.status_code, url)
         try:
             body = resp.json()
         except ValueError as exc:
@@ -246,33 +266,66 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
     ) from last_exc
 
 
+_DELTA_SECONDS = re.compile(r"[0-9]+")
+
+
+def _retry_wait(cfg: ProviderConfig, attempt: int, resp: requests.Response | None) -> float:
+    """Seconds to wait after a failed attempt (see _post_json)."""
+    if resp is not None and resp.status_code in (429, 503):
+        hint = resp.headers.get("Retry-After", "").strip()
+        if _DELTA_SECONDS.fullmatch(hint):  # RFC 9110 10.2.3: delay-seconds
+            return min(float(hint), cfg.timeout)
+    return cfg.backoff_base * (2 ** (attempt - 1)) * (1.0 + random.random())
+
+
 def _log_attempt(path: str, attempt: int, status: int | str, auth: str,
-                 sent: int, received: int, start: float) -> None:
-    log.debug("POST %s attempt=%d status=%s auth=%s sent=%dB received=%dB %.1fms",
+                 sent: int, received: int, start: float, wait: float | None) -> None:
+    log.debug("POST %s attempt=%d status=%s auth=%s sent=%dB received=%dB%s %.1fms",
               path or "/", attempt, status, auth, sent, received,
+              "" if wait is None else f" wait={wait:.3f}s",
               (time.perf_counter() - start) * 1000.0)
 
 
-def complete_once(prompt: str, gen: GeneratorConfig) -> str:
-    """Request a single completion (no shared conversation state).
+def complete_once(prompt: str, gen: GeneratorConfig, n: int = 1) -> list[str]:
+    """Request n independent completions of prompt in one request; their texts in choice order.
 
-    The body holds gen's model, the prompt as one user message, n = 1, and
-    every sampling setting of gen that is not None.
+    The body holds gen's model, the prompt as one user message, n, and every
+    sampling setting of gen that is not None. An endpoint may return fewer
+    choices than n (one that ignores n returns one), never none or more. An
+    endpoint that answers HTTP 400 to n > 1 is asked again with n = 1, and so is
+    every later request to it in this process.
     """
+    with _sessions_lock:
+        if gen.provider in _single_choice:
+            n = 1
     payload = {
         "model": gen.model_id,
         "messages": [{"role": "user", "content": prompt}],
-        "n": 1,
+        "n": n,
         **{name: value for name, value in gen.sampling.items() if value is not None},
     }
-    body = _post_json(gen.provider, "/chat/completions", payload)
     try:
-        text = body["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise MalformedResponse("completion response missing choices[0].message.content") from exc
-    if not isinstance(text, str):
-        raise MalformedResponse("completion content is not a string")
-    return text
+        body = _post_json(gen.provider, "/chat/completions", payload)
+    except RejectedRequest as exc:
+        if exc.status != 400 or n == 1:
+            raise
+        with _sessions_lock:
+            _single_choice.add(gen.provider)
+        n = payload["n"] = 1
+        body = _post_json(gen.provider, "/chat/completions", payload)
+    choices = body.get("choices")
+    if not isinstance(choices, list) or not 1 <= len(choices) <= n:
+        raise MalformedResponse(f"completion response must hold 1 to {n} choices")
+    texts = []
+    for j, choice in enumerate(choices):
+        try:
+            text = choice["message"]["content"]
+        except (KeyError, TypeError) as exc:
+            raise MalformedResponse(f"completion choice {j} has no message.content") from exc
+        if not isinstance(text, str):
+            raise MalformedResponse(f"completion content of choice {j} is not a string")
+        texts.append(text)
+    return texts
 
 
 def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list[Embedding]:

@@ -1,6 +1,8 @@
 """Shared fixtures: an in-process stub HTTP server speaking the wire formats
 (chat completions, embeddings with string or list input, NLI contradiction
 scores) with scriptable replies, failure injection, and request recording.
+Its chat endpoint ignores "n" and returns one choice unless StubState.choices
+says otherwise.
 It speaks HTTP/1.1 keep-alive and counts the connections it accepts."""
 
 from __future__ import annotations
@@ -19,14 +21,21 @@ class StubState:
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, body)
-        self.chat_replies: list[str] = ["A"]
-        self.chat_calls = 0
+        self.chat_replies: list[str] = ["A"]  # served in turn, one per choice
+        # How the chat endpoint treats a request's "n": "one" ignores it and returns
+        # one choice, "n" returns n choices, "reject_n" answers HTTP 400 to n > 1.
+        self.choices = "one"
+        # Most choices to return, one entry consumed per served chat request.
+        self.choice_caps: list[int] = []
+        self.chat_calls = 0  # chat requests served with a 200
+        self.chat_served = 0  # choices served
         self.embed_calls = 0
         self.embed_inputs: list[list[str]] = []  # the texts of each embeddings request
         self.connections = 0
         self.sockets: list[socket.socket] = []
-        # Statuses to emit (and consume) before serving real replies.
+        # Statuses to emit (and consume) before serving real replies, with these headers.
         self.fail_statuses: list[int] = []
+        self.fail_headers: dict[str, str] = {}
         self.raw_body: bytes | None = None  # overrides everything when set
         self.embed_fn = lambda text, model: [1.0, 0.0, 0.0, 0.0]
         self.nli_fn = lambda premise, hypothesis: 0.0
@@ -41,11 +50,19 @@ class StubState:
                 return self.fail_statuses.pop(0)
         return None
 
-    def next_chat_reply(self) -> str:
+    def next_chat_replies(self, n: int) -> list[str] | None:
+        """The replies of one chat request for n choices; None if it is rejected."""
         with self.lock:
-            reply = self.chat_replies[self.chat_calls % len(self.chat_replies)]
+            if self.choices == "reject_n" and n > 1:
+                return None
+            count = n if self.choices == "n" else 1
+            if self.choice_caps:
+                count = min(count, self.choice_caps.pop(0))
+            start = self.chat_served
+            self.chat_served += count
             self.chat_calls += 1
-            return reply
+            return [self.chat_replies[i % len(self.chat_replies)]
+                    for i in range(start, start + count)]
 
     def record_embed(self, texts: list[str]) -> None:
         with self.lock:
@@ -72,9 +89,11 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args) -> None:  # keep test output quiet
         pass
 
-    def _send_json(self, status: int, obj: dict) -> None:
+    def _send_json(self, status: int, obj: dict, headers: dict[str, str] | None = None) -> None:
         data = json.dumps(obj).encode("utf-8")
         self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -94,13 +113,18 @@ class _Handler(BaseHTTPRequestHandler):
             return
         failure = self.state.next_failure()
         if failure is not None:
-            self._send_json(failure, {"error": f"injected {failure}"})
+            self._send_json(failure, {"error": f"injected {failure}"}, self.state.fail_headers)
             return
 
         try:
             if self.path.endswith("/chat/completions"):
-                reply = self.state.next_chat_reply()
-                self._send_json(200, {"choices": [{"message": {"content": reply}}]})
+                replies = self.state.next_chat_replies(body.get("n", 1))
+                if replies is None:
+                    self._send_json(400, {"error": "n must be 1"})
+                else:
+                    self._send_json(200, {"choices": [
+                        {"index": j, "message": {"content": reply}}
+                        for j, reply in enumerate(replies)]})
             elif self.path.endswith("/embeddings"):
                 texts = body.get("input", "")
                 texts = texts if isinstance(texts, list) else [texts]

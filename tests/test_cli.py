@@ -115,6 +115,33 @@ class TestVerifyCommand:
         for name, data in first.items():
             assert (tmp_path / "out" / name).read_bytes() == data
 
+    @pytest.mark.parametrize("cold_choices", ["n", "one"])
+    def test_n_choices_per_request_then_warm_byte_identical(self, stub, tmp_path, prompt_file,
+                                                            cold_choices):
+        # k=10 at max_concurrency 2 asks for 5 choices per chat request. A cache
+        # filled one choice per request is just as warm for an endpoint honouring n.
+        stub.state.choices = cold_choices
+        stub.state.chat_replies = [f"reply {i} " + DISJOINT[i % 3] for i in range(10)]
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed"}
+        config = write_config(tmp_path, stub, k=10, max_concurrency=2, embedding=embedding)
+        args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
+        assert main(args) == 2
+        chat = [body["n"] for path, _, body in stub.state.requests
+                if path.endswith("/chat/completions")]
+        # An endpoint that ignores n answers each of 5, 4, ..., 1 choices with one.
+        assert sorted(chat) == ([5, 5] if cold_choices == "n" else sorted([1, 2, 3, 4, 5] * 2))
+        assert stub.state.embed_calls == math.ceil(10 / EMBED_BATCH)
+        first = {name: (tmp_path / "out" / name).read_bytes()
+                 for name in ("report.json", "heatmap.csv", "heatmap.svg")}
+
+        stub.state.choices = "n"
+        requests = len(stub.state.requests)
+        assert main(args) == 2
+        assert len(stub.state.requests) == requests
+        for name, data in first.items():
+            assert (tmp_path / "out" / name).read_bytes() == data
+
     def test_failed_write_keeps_previous_outputs(self, stub, tmp_path, prompt_file,
                                                  monkeypatch):
         stub.state.chat_replies = DISJOINT
@@ -575,6 +602,24 @@ class TestEvalCommand:
         assert report["best_f1"] == 1.0  # perfectly separable fixture
         assert report["polarity"] == "low_score_flags"
         assert len(report["curve"]) == 101
+
+    def test_ragtruth_top_threshold_is_the_highest_score(self, stub, tmp_path, monkeypatch):
+        # lo + 100 * (hi - lo) / 100 rounds to 0.8999999999999999 for these scores.
+        scores = {"r0": 0.2, "r1": 0.9, "r2": 0.5}
+        records = [BinaryRecord(id=rid, response="a", label=label, samples=("s", "t"))
+                   for rid, label in zip(scores, ("hallucinated", "faithful", "hallucinated"))]
+        dataset = tmp_path / "rag.jsonl"
+        write_records_jsonl(dataset, records)
+        monkeypatch.setattr(cli, "_record_scorer",
+                            lambda cfg, scheme, task, records: ("mean", lambda r: scores[r.id]))
+        config = write_config(tmp_path, stub, k=2)
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "ragtruth"]) == 0
+        report = json.loads((tmp_path / "out" / "eval_ragtruth_checkembed.json").read_text())
+        assert len(report["curve"]) == 101
+        assert report["curve"][0]["threshold"] == 0.2
+        assert report["curve"][-1]["threshold"] == 0.9
+        assert report["curve"][-1]["recall"] == 1.0
 
     def test_ragtruth_equal_scores_sweep_one_threshold(self, stub, tmp_path):
         records = [BinaryRecord(id=f"r{i}", response="a",

@@ -21,8 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from samplecheck import providers
 from samplecheck.pipeline import (
     EMBED_BATCH,
+    GENERATE_BATCH,
     CorruptCacheEntry,
     EmbedderConfig,
     EmptyDocument,
@@ -39,6 +41,7 @@ from samplecheck.pipeline import (
     report_json_bytes,
     verify,
     _Cache,
+    _cached_batches,
     _npy_header,
 )
 from samplecheck.providers import ProviderConfig, mock_embed
@@ -320,19 +323,21 @@ class TestVerify:
         assert list(err.value.failures) == [2]
 
     def test_partial_failure_keeps_generated_replies(self, stub, tmp_path):
+        # One batch of 4 indices; the stub returns one choice per request, so
+        # the second request asks for indices 1-3 and fails on both attempts.
         stub.state.chat_replies = ["one", "two", "three", "four"]
         cache = tmp_path / "cache"
-        fail_requests(stub, {2, 3})  # max_retries=1: sample 1 fails on both attempts
+        fail_requests(stub, {2, 3})  # max_retries=1
         with pytest.raises(PartialFailure) as err:
             verify("q", None, 4, gen_cfg(stub), MOCK, cache_dir=cache)
-        assert list(err.value.failures) == [1]
+        assert list(err.value.failures) == [1, 2, 3]
         samples = next(cache.glob("*/samples"))
-        assert sorted(p.name for p in samples.iterdir()) == ["0.txt", "2.txt", "3.txt"]
+        assert sorted(p.name for p in samples.iterdir()) == ["0.txt"]
 
         stub.state.next_failure = lambda: None
         chat_before = stub.state.chat_calls
         report = verify("q", None, 4, gen_cfg(stub), MOCK, cache_dir=cache)
-        assert stub.state.chat_calls - chat_before == 1
+        assert stub.state.chat_calls - chat_before == 3
         assert report.k == 4 and (samples / "1.txt").exists()
 
     def test_partial_failure_in_embed_stage(self, stub, tmp_path):
@@ -465,6 +470,117 @@ class TestVerify:
         assert p["max_tokens"] == 1024 and p["top_p"] is None and p["top_k"] is None
         assert "generated_at" in p and "embedded_at" in p
 
+
+def run_samples(stub, tmp_path, k) -> list[str]:
+    """The k samples of a verify at max_concurrency 1, in index order."""
+    report = verify("q", None, k, gen_cfg(stub), MOCK, cache_dir=tmp_path / "cache")
+    return [_Cache(tmp_path / "cache", report.prompt_id).load_text(i) for i in range(k)]
+
+
+class TestGenerateBatches:
+    """verify's generate stage: one chat request asks for a choice per index of its batch."""
+
+    @pytest.mark.parametrize("k, workers, ns", [
+        (10, 2, [5, 5]), (10, 1, [10]), (10, 4, [3, 3, 3, 1]),
+        (32, 2, [GENERATE_BATCH] * 2), (40, 2, [GENERATE_BATCH] * 2 + [8]),
+    ])
+    def test_request_counts_cold_then_warm(self, stub, tmp_path, k, workers, ns):
+        stub.state.choices = "n"
+        stub.state.chat_replies = [f"reply {i}" for i in range(k)]
+        embed = http_embedder(stub, max_concurrency=workers)
+        gen = GeneratorConfig(model_id="stub-model", provider=embed.provider)  # one endpoint
+        cache = tmp_path / "cache"
+        first = verify("q", None, k, gen, embed, cache_dir=cache)
+        chat = [body["n"] for path, _, body in stub.state.requests
+                if path.endswith("/chat/completions")]
+        assert sorted(chat, reverse=True) == ns
+        assert stub.state.embed_calls == math.ceil(k / EMBED_BATCH)
+        assert len(stub.state.requests) == len(ns) + math.ceil(k / EMBED_BATCH)
+        assert stub.state.connections <= workers
+
+        requests = len(stub.state.requests)
+        second = verify("q", None, k, gen, embed, cache_dir=cache)
+        assert len(stub.state.requests) == requests
+        assert report_json_bytes(second) == report_json_bytes(first)
+
+    def test_choice_j_becomes_the_batch_index_j(self, stub, tmp_path):
+        stub.state.choices = "n"
+        stub.state.chat_replies = [f"reply {i}" for i in range(10)]
+        assert run_samples(stub, tmp_path, 10) == stub.state.chat_replies
+        assert stub.state.chat_calls == 1
+
+    def test_endpoint_rejecting_n_costs_one_request_per_process(self, stub, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setattr(providers, "_single_choice", set())
+        stub.state.choices = "reject_n"
+        stub.state.chat_replies = [f"reply {i}" for i in range(6)]
+        assert run_samples(stub, tmp_path, 6) == stub.state.chat_replies
+        assert [body["n"] for _, _, body in stub.state.requests] == [6] + [1] * 6
+        verify("another prompt", None, 6, gen_cfg(stub), MOCK, cache_dir=tmp_path / "cache")
+        assert len(stub.state.requests) == 7 + 6
+
+    def test_short_choice_list_then_failure(self, stub, tmp_path):
+        # One batch of 8: the first request returns 3 of its 8 choices, and the
+        # request for the other 5 fails on both attempts (max_retries=1).
+        stub.state.choices = "n"
+        stub.state.choice_caps = [3]
+        stub.state.chat_replies = [f"reply {i}" for i in range(8)]
+        cache = tmp_path / "cache"
+        fail_requests(stub, {2, 3})
+        with pytest.raises(PartialFailure) as err:
+            verify("q", None, 8, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert err.value.stage == "generate"
+        assert list(err.value.failures) == [3, 4, 5, 6, 7]
+        assert [body["n"] for _, _, body in stub.state.requests] == [8, 5, 5]
+        samples = next(cache.glob("*/samples"))
+        assert sorted(p.name for p in samples.iterdir()) == ["0.txt", "1.txt", "2.txt"]
+
+        stub.state.next_failure = lambda: None
+        report = verify("q", None, 8, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert [body["n"] for _, _, body in stub.state.requests[3:]] == [5]
+        assert report.k == 8
+        assert [(samples / f"{i}.txt").read_text() for i in range(8)] == stub.state.chat_replies
+
+
+class TestCachedBatches:
+    """_cached_batches with a call that may answer only a leading part of its batch."""
+
+    @staticmethod
+    def _run(keys, cached, call, size=4):
+        stored = {}
+        values = _cached_batches("generate", keys, cached.get, size, call,
+                                 stored.__setitem__, 1)
+        return values, stored
+
+    def test_prefix_results_are_stored_and_the_rest_is_asked_again(self):
+        calls = []
+
+        def call(batch):
+            calls.append(batch)
+            return [f"v{key}" for key in batch[:2]]
+
+        values, stored = self._run(range(6), {1: "cached"}, call)
+        assert calls == [(0, 2, 3, 4), (3, 4), (5,)]
+        assert values == ["v0", "cached", "v2", "v3", "v4", "v5"]
+        assert stored == {key: f"v{key}" for key in (0, 2, 3, 4, 5)}
+
+    def test_failure_names_only_the_keys_still_missing(self):
+        def call(batch):
+            if len(batch) < 4:
+                raise RuntimeError("injected")
+            return [f"v{key}" for key in batch[:1]]
+
+        stored = {}
+        with pytest.raises(PartialFailure) as err:
+            _cached_batches("generate", [0, 1, 2, 3, 1], {}.get, 4, call,
+                            stored.__setitem__, 1)
+        assert list(err.value.failures) == [1, 2, 3, 4]
+        assert stored == {0: "v0"}
+
+    def test_a_call_with_no_result_fails_its_batch(self):
+        with pytest.raises(PartialFailure, match="no result") as err:
+            self._run(range(3), {}, lambda batch: [])
+        assert list(err.value.failures) == [0, 1, 2]
 
 
 # Distinct texts that fill one EMBED_BATCH batch and half of a second, in the

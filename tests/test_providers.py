@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from samplecheck.providers import (
     MalformedResponse,
     PRESET_DIMS,
     ProviderConfig,
+    RejectedRequest,
     TransportError,
     complete_once,
     embed_many,
@@ -48,7 +50,7 @@ class TestGenerateSamples:
 
     def test_single_sample(self, stub):
         stub.state.chat_replies = ["A"]
-        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == "A"
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == ["A"]
 
     def test_three_samples_in_index_order(self, stub, tmp_path):
         stub.state.chat_replies = ["A", "B", "C"]
@@ -94,7 +96,7 @@ class TestGenerateSamples:
 
     def test_retries_then_succeeds(self, stub):
         stub.state.fail_statuses = [500, 500]
-        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == "A"
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == ["A"]
         assert len(stub.state.requests) == 3
 
     def test_transport_error_after_retries(self, stub):
@@ -201,6 +203,110 @@ class TestGenerateSamples:
         with pytest.raises(ValueError):
             GeneratorConfig(model_id="m", provider=cfg_for(stub), max_tokens=0)
         GeneratorConfig(model_id="m", provider=cfg_for(stub), temperature=0.0, max_tokens=1)
+
+
+class TestChoices:
+    """complete_once with n > 1: one request, up to n choices in list order."""
+
+    def test_n_choices_in_one_request(self, stub):
+        stub.state.choices = "n"
+        stub.state.chat_replies = ["A", "B", "C"]
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)),
+                             3) == ["A", "B", "C"]
+        assert [body["n"] for _, _, body in stub.state.requests] == [3]
+
+    def test_endpoint_that_ignores_n_gives_one_choice(self, stub):
+        stub.state.chat_replies = ["A", "B"]
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)),
+                             4) == ["A"]
+
+    @pytest.mark.parametrize("choices", [[], [{"message": {"content": c}} for c in "ABC"]])
+    def test_no_choice_or_more_than_n_rejected(self, stub, choices):
+        stub.state.raw_body = json.dumps({"choices": choices}).encode()
+        with pytest.raises(MalformedResponse, match="1 to 2 choices"):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)), 2)
+
+    def test_one_bad_choice_rejected(self, stub):
+        stub.state.raw_body = b'{"choices": [{"message": {"content": "A"}}, {"message": {}}]}'
+        with pytest.raises(MalformedResponse, match="choice 1"):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)), 2)
+
+    def test_http_400_to_n_falls_back_to_one_choice_for_the_process(self, stub):
+        stub.state.choices = "reject_n"
+        stub.state.chat_replies = ["A", "B"]
+        gen = GeneratorConfig(model_id="m", provider=cfg_for(stub))
+        assert complete_once("hi", gen, 3) == ["A"]
+        assert complete_once("hi", gen, 3) == ["B"]
+        assert [body["n"] for _, _, body in stub.state.requests] == [3, 1, 1]
+
+    def test_http_400_to_one_choice_raises(self, stub):
+        stub.state.fail_statuses = [400]
+        with pytest.raises(RejectedRequest, match="unexpected HTTP 400") as err:
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
+        assert err.value.status == 400
+        assert len(stub.state.requests) == 1
+
+    def test_other_client_error_to_n_is_not_retried(self, stub):
+        stub.state.fail_statuses = [422]
+        with pytest.raises(RejectedRequest):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)), 3)
+        assert len(stub.state.requests) == 1
+
+
+class TestRetryAfter:
+    """A 429 or 503 response's Retry-After delta-seconds replaces the backoff."""
+
+    @staticmethod
+    def _waits(caplog) -> list[str]:
+        return [m.split(" wait=")[1].split()[0] for m in
+                (r.getMessage() for r in caplog.records) if " wait=" in m]
+
+    def test_zero_overrides_a_long_backoff(self, stub, caplog):
+        stub.state.fail_statuses = [429]
+        stub.state.fail_headers = {"Retry-After": "0"}
+        start = time.perf_counter()
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            assert complete_once("hi", GeneratorConfig(
+                model_id="m", provider=cfg_for(stub, backoff_base=30.0))) == ["A"]
+        assert time.perf_counter() - start < 1.0
+        assert self._waits(caplog) == ["0.000s"]
+
+    def test_capped_at_the_timeout(self, stub, caplog):
+        stub.state.fail_statuses = [503]
+        stub.state.fail_headers = {"Retry-After": "3600"}
+        start = time.perf_counter()
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            assert complete_once("hi", GeneratorConfig(
+                model_id="m", provider=cfg_for(stub, timeout=0.2))) == ["A"]
+        assert time.perf_counter() - start < 1.0
+        assert self._waits(caplog) == ["0.200s"]
+
+    @pytest.mark.parametrize("hint", ["Wed, 21 Oct 2015 07:28:00 GMT", "1.5", "-1", "\u00b2"])
+    def test_http_date_or_unparsable_keeps_the_backoff(self, stub, caplog, hint):
+        stub.state.fail_statuses = [429]
+        stub.state.fail_headers = {"Retry-After": hint}
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            complete_once("hi", GeneratorConfig(
+                model_id="m", provider=cfg_for(stub, backoff_base=0.01, timeout=3.0)))
+        [wait] = self._waits(caplog)
+        assert 0.01 <= float(wait[:-1]) <= 0.02  # backoff_base * (1 + jitter)
+
+    def test_ignored_on_other_statuses(self, stub, caplog):
+        stub.state.fail_statuses = [500]
+        stub.state.fail_headers = {"Retry-After": "0"}
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            complete_once("hi", GeneratorConfig(
+                model_id="m", provider=cfg_for(stub, backoff_base=0.01)))
+        [wait] = self._waits(caplog)
+        assert float(wait[:-1]) >= 0.01
+
+    def test_no_wait_after_the_last_attempt(self, stub, caplog):
+        stub.state.fail_statuses = [429] * 3
+        stub.state.fail_headers = {"Retry-After": "0"}
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            with pytest.raises(TransportError):
+                complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
+        assert self._waits(caplog) == ["0.000s", "0.000s"]
 
 
 class TestEmbedText:
@@ -320,7 +426,7 @@ class TestConnections:
 
     def test_retries_reuse_the_connection(self, stub):
         stub.state.fail_statuses = [500, 503]
-        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == "A"
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub))) == ["A"]
         assert len(stub.state.requests) == 3
         assert stub.state.connections == 1
 
