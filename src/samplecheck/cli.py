@@ -260,16 +260,6 @@ def _record_scorer(
 _RAGTRUTH_POLARITY = "low_score_flags"
 
 
-def _grid(scores: Sequence[float], points: int = 101) -> list[float]:
-    """points evenly spaced thresholds from the lowest score to exactly the
-    highest, or the one score if all are equal."""
-    lo, hi = min(scores), max(scores)
-    if lo == hi:
-        return [lo]
-    step = (hi - lo) / (points - 1)
-    return [lo + i * step for i in range(points - 1)] + [hi]
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     task = args.task
@@ -296,7 +286,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"{'spearman_pct':<14} {sp:>8.1f}")
     else:
         labels = [r.label for r in records]
-        sweep = evalmod.threshold_sweep(scores, labels, _RAGTRUTH_POLARITY, _grid(scores))
+        # Each flagging a threshold can make is "score <= s" for an observed
+        # score s, so the distinct scores are exactly the thresholds to try.
+        sweep = evalmod.threshold_sweep(scores, labels, _RAGTRUTH_POLARITY,
+                                         sorted(set(scores)))
         best = next(p for p in sweep.curve if p.threshold == sweep.best_threshold)
         result.update(
             polarity=_RAGTRUTH_POLARITY,

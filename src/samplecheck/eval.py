@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Literal, Sequence, TypeVar
@@ -107,49 +108,6 @@ def correlate(predicted: Sequence[float], gold: Sequence[float]) -> tuple[float,
     return round(pe * 100.0, 1), round(sp * 100.0, 1)
 
 
-def _predict_positive(score: float, threshold: float, polarity: str) -> bool:
-    if polarity == "low_score_flags":
-        return score <= threshold
-    if polarity == "high_score_flags":
-        return score >= threshold
-    raise ValueError(f"unknown polarity {polarity!r}; choose from {POLARITIES}")
-
-
-def pr_f1(
-    scores: Sequence[float],
-    labels: Sequence[str],
-    threshold: float,
-    polarity: str,
-) -> tuple[float, float, float]:
-    """Precision/recall/F1 with 'hallucinated' as the positive class.
-
-    Prediction is positive when the score falls on the flagged side of the
-    threshold (inclusive): at or below it for low_score_flags (stability- and
-    judge-style scores), at or above it for high_score_flags (contradiction-
-    style scores). Degenerate denominators yield 0 by convention.
-    """
-    if len(scores) != len(labels):
-        raise ValueError("scores and labels must have equal length")
-    if not scores:
-        raise ValueError("need at least one record")
-    tp = fp = fn = 0
-    for score, label in zip(scores, labels):
-        if label not in ("hallucinated", "faithful"):
-            raise DatasetError(f"unknown label {label!r}")
-        positive = _predict_positive(score, threshold, polarity)
-        actual = label == "hallucinated"
-        if positive and actual:
-            tp += 1
-        elif positive and not actual:
-            fp += 1
-        elif not positive and actual:
-            fn += 1
-    precision = tp / (tp + fp) if (tp + fp) else 0.0
-    recall = tp / (tp + fn) if (tp + fn) else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
-    return precision, recall, f1
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     threshold: float
@@ -171,18 +129,61 @@ def threshold_sweep(
     polarity: str,
     grid: Sequence[float],
 ) -> ThresholdSweep:
-    """Exhaustive threshold search; ties break toward the smaller threshold."""
+    """Precision/recall/F1 at every threshold of grid, and the best F1.
+
+    'hallucinated' is the positive class. A record is flagged when its score
+    is at or below the threshold for low_score_flags (stability- and judge-
+    style scores), at or above it for high_score_flags (contradiction-style
+    scores). Degenerate denominators yield 0; F1 ties go to the smaller
+    threshold. Each class is sorted once and each threshold's flags counted
+    by bisection: O((R + G) log R) for R records and G thresholds.
+
+    ValueError on unequal lengths, no records, an unknown polarity, an empty
+    grid or a non-finite score or threshold; DatasetError on an unknown label.
+    """
     if not grid:
         raise ValueError("threshold grid must be nonempty")
+    if len(scores) != len(labels):
+        raise ValueError("scores and labels must have equal length")
+    if not scores:
+        raise ValueError("need at least one record")
+    by_label: dict[str, list[float]] = {"hallucinated": [], "faithful": []}
+    for score, label in zip(scores, labels):
+        if label not in by_label:
+            raise DatasetError(f"unknown label {label!r}")
+        by_label[label].append(score)
+    if polarity not in POLARITIES:
+        raise ValueError(f"unknown polarity {polarity!r}; choose from {POLARITIES}")
+    if not all(map(math.isfinite, scores)) or not all(map(math.isfinite, grid)):
+        raise ValueError("scores and thresholds must be finite")
+    hallucinated, faithful = sorted(by_label["hallucinated"]), sorted(by_label["faithful"])
+
+    if polarity == "low_score_flags":
+        flags = [(bisect_right(hallucinated, t), bisect_right(faithful, t)) for t in grid]
+    else:
+        flags = [(len(hallucinated) - bisect_left(hallucinated, t),
+                  len(faithful) - bisect_left(faithful, t)) for t in grid]
     curve = []
-    for threshold in grid:
-        p, r, f1 = pr_f1(scores, labels, threshold, polarity)
-        curve.append(SweepPoint(threshold=float(threshold), precision=p, recall=r, f1=f1))
-    best = curve[0]
-    for point in curve[1:]:
-        if point.f1 > best.f1 or (point.f1 == best.f1 and point.threshold < best.threshold):
-            best = point
+    for threshold, (tp, fp) in zip(grid, flags):
+        fn = len(hallucinated) - tp
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
+        curve.append(SweepPoint(float(threshold), precision, recall, f1))
+    best = max(curve, key=lambda point: (point.f1, -point.threshold))
     return ThresholdSweep(best_threshold=best.threshold, best_f1=best.f1, curve=tuple(curve))
+
+
+def pr_f1(
+    scores: Sequence[float],
+    labels: Sequence[str],
+    threshold: float,
+    polarity: str,
+) -> tuple[float, float, float]:
+    """Precision/recall/F1 at one threshold: the one-point threshold_sweep,
+    with its flagging rule, its errors and its O(R log R) cost."""
+    point = threshold_sweep(scores, labels, polarity, [threshold]).curve[0]
+    return point.precision, point.recall, point.f1
 
 
 # ---------------------------------------------------------------------------

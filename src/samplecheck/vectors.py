@@ -78,14 +78,25 @@ def _real_array(values: object) -> np.ndarray:
 
     One np.asarray call infers the dtype, and only integer and floating kinds
     pass. So booleans, strings (numeric or not), None, mappings, ragged
-    nesting and integers beyond 64 bits raise ValueError. A boolean among
-    numbers is promoted by numpy and passes as 0 or 1. Shape and finiteness
+    nesting and integers beyond 64 bits raise ValueError. numpy would promote
+    a boolean among numbers to 0 or 1, so list and tuple input is also scanned
+    for one (an ndarray is not: its dtype already tells). Shape and finiteness
     are the caller's checks.
     """
     arr = np.asarray(values)  # raises ValueError on ragged nesting
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"expected real numbers, got {arr.dtype} data")
+    if _holds_bool(values):
+        raise ValueError("expected real numbers, got a boolean among them")
     return arr.astype(np.float64)
+
+
+def _holds_bool(values: object) -> bool:
+    """Whether a list or tuple, nested ones included, holds a bool."""
+    if not isinstance(values, (list, tuple)):
+        return False
+    kinds = set(map(type, values))
+    return bool in kinds or bool(kinds & {list, tuple}) and any(map(_holds_bool, values))
 
 
 def _finite_vector(values: object) -> np.ndarray:
@@ -171,18 +182,8 @@ def pearson(a: VectorLike, b: VectorLike) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank of their run."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share ranks i+1..j+1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) -> float:

@@ -29,6 +29,8 @@ from samplecheck.cli import (
 from samplecheck.eval import (
     BinaryRecord,
     corruption_corpus,
+    mock_scorer,
+    threshold_sweep,
     write_records_jsonl,
 )
 from samplecheck.pipeline import EMBED_BATCH, EmbedderConfig, GeneratorConfig, report_from_json
@@ -601,13 +603,14 @@ class TestEvalCommand:
         assert "best_threshold" in report
         assert report["best_f1"] == 1.0  # perfectly separable fixture
         assert report["polarity"] == "low_score_flags"
-        assert len(report["curve"]) == 101
+        # One point per distinct score: the 12 records have 4, as every faithful one scores 1.0.
+        scores = sorted({mock_scorer(4096, 0)(r.samples) for r in records})
+        assert [p["threshold"] for p in report["curve"]] == scores
+        assert len(scores) == 4
 
-    def test_ragtruth_top_threshold_is_the_highest_score(self, stub, tmp_path, monkeypatch):
-        # lo + 100 * (hi - lo) / 100 rounds to 0.8999999999999999 for these scores.
-        scores = {"r0": 0.2, "r1": 0.9, "r2": 0.5}
+    def _ragtruth_report(self, stub, tmp_path, monkeypatch, scores, labels):
         records = [BinaryRecord(id=rid, response="a", label=label, samples=("s", "t"))
-                   for rid, label in zip(scores, ("hallucinated", "faithful", "hallucinated"))]
+                   for rid, label in zip(scores, labels)]
         dataset = tmp_path / "rag.jsonl"
         write_records_jsonl(dataset, records)
         monkeypatch.setattr(cli, "_record_scorer",
@@ -615,11 +618,26 @@ class TestEvalCommand:
         config = write_config(tmp_path, stub, k=2)
         assert main(["eval", "--config", str(config), "--dataset", str(dataset),
                      "--scheme", "checkembed", "--task", "ragtruth"]) == 0
-        report = json.loads((tmp_path / "out" / "eval_ragtruth_checkembed.json").read_text())
-        assert len(report["curve"]) == 101
-        assert report["curve"][0]["threshold"] == 0.2
-        assert report["curve"][-1]["threshold"] == 0.9
+        return json.loads((tmp_path / "out" / "eval_ragtruth_checkembed.json").read_text())
+
+    def test_ragtruth_top_threshold_is_the_highest_score(self, stub, tmp_path, monkeypatch):
+        # A 101-point grid's lo + 100 * (hi - lo) / 100 rounds to 0.8999999999999999 here.
+        report = self._ragtruth_report(stub, tmp_path, monkeypatch,
+                                       {"r0": 0.2, "r1": 0.9, "r2": 0.5},
+                                       ("hallucinated", "faithful", "hallucinated"))
+        assert [p["threshold"] for p in report["curve"]] == [0.2, 0.5, 0.9]
         assert report["curve"][-1]["recall"] == 1.0
+
+    def test_ragtruth_finds_the_optimum_between_grid_points(self, stub, tmp_path, monkeypatch):
+        scores = {"r0": 0.0, "r1": 0.001, "r2": 0.002, "r3": 1.0}
+        labels = ("hallucinated", "hallucinated", "faithful", "faithful")
+        # 101 evenly spaced thresholds step by 0.01, past the gap between 0.001 and 0.002.
+        grid = threshold_sweep(list(scores.values()), labels, "low_score_flags",
+                               np.linspace(0.0, 1.0, 101).tolist())
+        assert (grid.best_f1, grid.best_threshold) == (0.8, 0.01)
+        report = self._ragtruth_report(stub, tmp_path, monkeypatch, scores, labels)
+        assert (report["best_f1"], report["best_threshold"]) == (1.0, 0.001)
+        assert [p["threshold"] for p in report["curve"]] == [0.0, 0.001, 0.002, 1.0]
 
     def test_ragtruth_equal_scores_sweep_one_threshold(self, stub, tmp_path):
         records = [BinaryRecord(id=f"r{i}", response="a",
@@ -826,8 +844,9 @@ class TestHeatmapCommand:
         ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": ["0", "1", "2"]}, "matrix order"),
         ({"measure": "euclidean"}, "unknown measure 'euclidean'"),
         ({"entries": [[1.0, math.nan], [math.nan, 1.0]], "labels": ["0", "1"]}, "finite"),
+        ({"entries": [[1.0, True], [True, 1.0]], "labels": ["0", "1"]}, "boolean"),
     ], ids=["mirrored-signed-zero", "integer-labels", "labels-string", "not-square",
-            "label-count", "unknown-measure", "non-finite"])
+            "label-count", "unknown-measure", "non-finite", "bool-among-numbers"])
     def test_invalid_matrix_exit_one(self, stub, tmp_path, prompt_file, capsys, matrix, message):
         report_path = self._make_report(stub, tmp_path, prompt_file)
         obj = json.loads(report_path.read_text())

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from samplecheck.eval import (
+    POLARITIES,
     BinaryRecord,
     DatasetError,
     EmptyLabels,
@@ -194,6 +196,79 @@ class TestThresholdSweep:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             threshold_sweep([0.5], ["faithful"], "low_score_flags", [])
+
+    @pytest.mark.parametrize("polarity", POLARITIES)
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.5, 0.2, 0.5, 0.2, 0.9, 0.5], ["hallucinated", "faithful", "faithful",
+                                          "hallucinated", "hallucinated", "faithful"]),
+        ([0.3], ["hallucinated"]),
+        ([0.3], ["faithful"]),
+        ([0.1, 0.4, 0.4], ["faithful"] * 3),
+        ([0.1, 0.4, 0.4], ["hallucinated"] * 3),
+    ], ids=["ties", "one-hallucinated", "one-faithful", "only-faithful", "only-hallucinated"])
+    def test_every_point_equals_the_oracle(self, scores, labels, polarity):
+        # Each score, the midpoints between neighbours and one threshold past either end.
+        ranked = sorted(set(scores))
+        grid = ranked + [(a + b) / 2 for a, b in zip(ranked, ranked[1:])] + [-1.0, 2.0]
+        sweep = threshold_sweep(scores, labels, polarity, grid)
+        assert [(p.threshold, p.precision, p.recall, p.f1) for p in sweep.curve] == [
+            (t, *oracle_pr_f1(scores, labels, t, polarity)) for t in grid]
+        best = max(sweep.curve, key=lambda p: (p.f1, -p.threshold))
+        assert (sweep.best_threshold, sweep.best_f1) == (best.threshold, best.f1)
+
+    def test_random_sets_equal_the_oracle(self):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            scores = rng.uniform(size=n).round(int(rng.integers(1, 4))).tolist()  # ties
+            labels = ["hallucinated" if x < 0.5 else "faithful" for x in rng.uniform(size=n)]
+            grid = rng.uniform(-0.1, 1.1, size=int(rng.integers(1, 12))).tolist() + scores
+            for polarity in POLARITIES:
+                sweep = threshold_sweep(scores, labels, polarity, grid)
+                assert [(p.precision, p.recall, p.f1) for p in sweep.curve] == [
+                    oracle_pr_f1(scores, labels, t, polarity) for t in grid]
+                assert sweep.best_f1 == max(p.f1 for p in sweep.curve)
+                assert sweep.best_threshold == min(
+                    p.threshold for p in sweep.curve if p.f1 == sweep.best_f1)
+
+    def test_observed_scores_never_lose_to_a_101_point_grid(self):
+        rng = np.random.default_rng(46)
+        misses = 0
+        for _ in range(200):
+            n = int(rng.integers(10, 101))
+            hallucinated = rng.uniform(size=n) < 0.5
+            scores = (rng.normal(size=n) - hallucinated).tolist()
+            labels = ["hallucinated" if h else "faithful" for h in hallucinated]
+            lo, hi = min(scores), max(scores)
+            grid = [lo + i * (hi - lo) / 100 for i in range(100)] + [hi]
+            exact = threshold_sweep(scores, labels, "low_score_flags", sorted(set(scores)))
+            coarse = threshold_sweep(scores, labels, "low_score_flags", grid)
+            assert exact.best_f1 >= coarse.best_f1
+            assert exact.best_threshold in scores
+            misses += exact.best_f1 > coarse.best_f1
+        assert misses > 0
+
+    @pytest.mark.parametrize("scores, grid", [
+        ([0.1, math.nan], [0.5]),
+        ([0.1, 0.2], [math.inf]),
+    ], ids=["nan-score", "inf-threshold"])
+    def test_non_finite_input_rejected(self, scores, grid):
+        labels = ["hallucinated", "faithful"]
+        with pytest.raises(ValueError, match="finite"):
+            threshold_sweep(scores, labels, "low_score_flags", grid)
+        with pytest.raises(ValueError, match="finite"):
+            pr_f1(scores, labels, grid[0], "low_score_flags")
+
+    @pytest.mark.parametrize("scores, labels, error", [
+        ([0.1, 0.2], ["faithful"], ValueError),
+        ([], [], ValueError),
+        ([0.1, 0.2], ["faithful", "unsure"], DatasetError),
+    ], ids=["length-mismatch", "no-records", "unknown-label"])
+    def test_bad_records_rejected(self, scores, labels, error):
+        with pytest.raises(error):
+            threshold_sweep(scores, labels, "low_score_flags", [0.5])
+        with pytest.raises(error):
+            pr_f1(scores, labels, 0.5, "low_score_flags")
 
 
 class TestStabilityScorer:

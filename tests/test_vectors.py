@@ -22,6 +22,7 @@ from samplecheck.vectors import (
     LengthMismatch,
     NonFiniteInput,
     ZeroVector,
+    _average_ranks,
     cosine,
     pearson,
     spearman,
@@ -220,6 +221,34 @@ class TestSpearman:
         assert -1.0 <= spearman(a, b) <= 1.0
 
 
+def loop_average_ranks(values: np.ndarray) -> np.ndarray:
+    """Average-tie ranks by walking each run of equal values in stable order."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def test_equals_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(2000):
+            n = int(rng.integers(1, 60))
+            values = rng.integers(-3, 4, size=n) / 2.0  # runs of ties
+            values[rng.uniform(size=n) < 0.2] = -0.0  # equal to 0.0, other bits
+            if rng.uniform() < 0.3:
+                values = values + rng.uniform(size=n)  # mostly distinct
+            got = _average_ranks(values)
+            assert got.dtype == np.float64
+            assert got.tobytes() == loop_average_ranks(values).tobytes()
+
+
 class TestEmbeddingType:
     def test_validates_finiteness(self):
         with pytest.raises(NonFiniteInput):
@@ -245,6 +274,8 @@ class TestEmbeddingType:
 # Each row is one JSON value that is not a vector; every entry path rejects it.
 REJECTED = {
     "bools": "[true, false]",
+    "bool-among-floats": "[1.0, true]",
+    "bool-among-ints": "[0, false, 2]",
     "numeric-string": '["1.5"]',
     "null": "[null]",
     "nested": "[[1.0]]",
