@@ -297,7 +297,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             best_f1=sweep.best_f1,
             precision=best.precision,
             recall=best.recall,
-            curve=[asdict(p) for p in sweep.curve],
+            curve=[vars(p) for p in sweep.curve],  # shallow: asdict deep-copies
             note="threshold chosen by exhaustive sweep on this dataset",
         )
         print(f"{'metric':<16} {'value':>10}")

@@ -73,10 +73,13 @@ STAGE_EMBED = "embed"
 EMBED_BATCH = 4
 
 # Most samples one chat request asks for (its "n"). verify asks for
-# min(GENERATE_BATCH, ceil(k / max_concurrency)) per request, so a cold run
-# fills max_concurrency requests at once; the cap bounds the size of one
-# response and the samples one failed request covers, and stays under the n
-# limits that providers put on one request.
+# ceil(k / m) per request, where m = w * ceil(k / (GENERATE_BATCH * w)) is the
+# fewest batches of at most GENERATE_BATCH that w = max_concurrency workers
+# can share equally: no worker carries more samples than another, also when
+# an endpoint returns fewer choices than asked and the rest of a batch stays
+# on its worker. The cap bounds the size of one response and the samples one
+# failed request covers, and stays under the n limits that providers put on
+# one request.
 GENERATE_BATCH = 16
 
 
@@ -353,8 +356,9 @@ def verify(
     # j-th index. The n choices of one request are independent samples at the
     # same settings, so n is not part of the cache key.
     workers = gen_cfg.provider.max_concurrency
+    size = math.ceil(k / (workers * math.ceil(k / (GENERATE_BATCH * workers))))
     replies = _cached_batches(
-        STAGE_GENERATE, range(k), cache.load_text, min(GENERATE_BATCH, math.ceil(k / workers)),
+        STAGE_GENERATE, range(k), cache.load_text, size,
         lambda batch: providers.complete_once(prompt, gen_cfg, len(batch)), cache.store_text,
         workers,
     )

@@ -4,30 +4,28 @@ The matrix is symmetric with a unit diagonal; an optional ground-truth (GT)
 embedding occupies the last row/column. Confidence statistics (off-diagonal
 mean/std, normalized Frobenius norm) are computed over the reply-only block,
 so appending a GT never changes them; GT alignment is reported separately.
-Every entry is computed with the pair kernels' own dot product, so the
-matrix equals the scalar kernels bit for bit.
+Every entry is computed with the pair kernels' own call, one ndarray.dot of
+the two prepared vectors, so the matrix equals the scalar kernels bit for bit
+by construction, on any numpy and BLAS.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import mmap
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .errors import SampleCheckError
-from .vectors import Embedding, _prepared, _real_array, _row_dots, cosine, pearson
+from .vectors import Embedding, _prepared, _real_array, cosine, pearson
 
 Measure = Literal["cosine", "pearson"]
 Verdict = Literal["HighConfidence", "Inspect"]
 
 GT_LABEL = "GT"
-# Rows that build_matrix batches into one buffer: 16 rows of d=4096 are 512 KB,
-# a quarter of all 65 rows of a k=64 + GT matrix.
-_BATCH_ROWS = 16
 MEASURES: dict[str, Callable[[Embedding, Embedding], float]] = {
     "cosine": cosine,
     "pearson": pearson,
@@ -158,13 +156,12 @@ def build_matrix(
     """Score every unordered pair once and mirror into a symmetric matrix.
 
     Each row is prepared once (centred for Pearson, scaled by its largest
-    magnitude, squared norm taken). The prepared rows after the first are
-    copied, _BATCH_ROWS at a time, into one buffer, and one _row_dots call
-    gives a row's dots with every buffered row after it: one ddot per pair,
-    the same call the pair kernels make. Dividing by the root of the two
-    squared norms and clamping are elementwise and IEEE-exact, so every
-    off-diagonal entry equals MEASURES[measure](items[i], items[j]) bit for
-    bit, whatever the order and the number of items. The unit diagonal is
+    magnitude, squared norm taken). Each pair's dot is one ndarray.dot of its
+    two prepared rows, the call the pair kernels make on the same operands.
+    Dividing by the root of the two squared norms and clamping are
+    elementwise and IEEE-exact, so every off-diagonal entry equals
+    MEASURES[measure](items[i], items[j]) bit for bit by construction,
+    whatever the order and the number of items. The unit diagonal is
     definitional, not computed. A degenerate row raises PairwiseKernelError
     naming the first failing pair in row-major order.
     """
@@ -195,22 +192,13 @@ def build_matrix(
             # or (0, 1) when i is 0.
             raise PairwiseKernelError((0, max(i, 1)), exc) from exc
     n = len(rows)
-    dots = np.zeros((n, n), dtype=np.float64)
-    # An anonymous mapping, not malloc: glibc raises its mmap threshold to the
-    # size of each mmapped block it frees, so freeing a malloc'd buffer this
-    # large would move later large strings (SVG, report) onto the heap, where
-    # fragmentation grows peak RSS.
-    batch = np.frombuffer(mmap.mmap(-1, min(_BATCH_ROWS, n - 1) * dim * 8),
-                          dtype=np.float64).reshape(-1, dim)
-    for lo in range(1, n, _BATCH_ROWS):
-        hi = min(lo + _BATCH_ROWS, n)
-        ys = np.stack([x for x, _ in rows[lo:hi]], out=batch[:hi - lo])
-        for i in range(hi - 1):
-            first = max(lo, i + 1)
-            dots[i, first:hi] = _row_dots(rows[i][0], ys[first - lo:])
+    # combinations yields the pairs in row-major order, the order of triu_indices.
+    dots = np.fromiter(itertools.starmap(np.ndarray.dot,
+                                         itertools.combinations([x for x, _ in rows], 2)),
+                       np.float64, n * (n - 1) // 2)
     upper = np.triu_indices(n, 1)
     sq = np.array([norm for _, norm in rows])
-    vals = np.clip(dots[upper] / np.sqrt(sq[upper[0]] * sq[upper[1]]), -1.0, 1.0)
+    vals = np.clip(dots / np.sqrt(sq[upper[0]] * sq[upper[1]]), -1.0, 1.0)
     out = np.eye(n, dtype=np.float64)
     out[upper] = vals
     out[upper[::-1]] = vals

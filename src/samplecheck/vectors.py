@@ -139,21 +139,13 @@ def _prepared(x: np.ndarray, dim: int, centred: bool) -> tuple[np.ndarray, float
     return x, float(np.dot(x, x))
 
 
-def _row_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The dot product of x with each row of ys, one BLAS ddot call per row.
-
-    matmul sends each 1-by-d @ d-by-1 pair to numpy's dot loop, the cblas_ddot
-    that np.dot of two vectors calls, so every entry is the dot of that pair
-    alone: it does not depend on the row's position or on how many rows there
-    are. A gemv (ys @ x) or a Gram matrix sums in another order.
-    """
-    return np.matmul(ys[:, None, :], x[:, None])[:, 0, 0]
-
-
 def _paired(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
-    """Pair half of cosine/pearson over two _prepared vectors, clamped to [-1, 1]."""
-    dot = float(_row_dots(x[0], y[0][None, :])[0])
-    return _clamp(dot / float(np.sqrt(x[1] * y[1])))
+    """Pair half of cosine/pearson over two _prepared vectors, clamped to [-1, 1].
+
+    The dot is one ndarray.dot of the two vectors, the call build_matrix makes
+    for each of its pairs.
+    """
+    return _clamp(float(x[0].dot(y[0])) / float(np.sqrt(x[1] * y[1])))
 
 
 def cosine(a: VectorLike, b: VectorLike) -> float:

@@ -482,7 +482,7 @@ class TestGenerateBatches:
 
     @pytest.mark.parametrize("k, workers, ns", [
         (10, 2, [5, 5]), (10, 1, [10]), (10, 4, [3, 3, 3, 1]),
-        (32, 2, [GENERATE_BATCH] * 2), (40, 2, [GENERATE_BATCH] * 2 + [8]),
+        (32, 2, [GENERATE_BATCH] * 2), (40, 2, [10] * 4),
     ])
     def test_request_counts_cold_then_warm(self, stub, tmp_path, k, workers, ns):
         stub.state.choices = "n"
@@ -502,6 +502,16 @@ class TestGenerateBatches:
         second = verify("q", None, k, gen, embed, cache_dir=cache)
         assert len(stub.state.requests) == requests
         assert report_json_bytes(second) == report_json_bytes(first)
+
+    def test_batches_balanced_when_endpoint_ignores_n(self, stub, tmp_path):
+        # Each request returns one choice and the rest of its batch stays on
+        # its worker, so equal batches give both workers the same share.
+        stub.state.chat_replies = [f"reply {i}" for i in range(40)]
+        provider = http_embedder(stub, max_concurrency=2).provider
+        gen = GeneratorConfig(model_id="stub-model", provider=provider)
+        verify("q", None, 40, gen, MOCK, cache_dir=tmp_path / "cache")
+        assert sorted(body["n"] for _, _, body in stub.state.requests) == sorted(
+            list(range(1, 11)) * 4)
 
     def test_choice_j_becomes_the_batch_index_j(self, stub, tmp_path):
         stub.state.choices = "n"
