@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from .errors import SampleCheckError
-
-Task = Literal["pairwise_similarity", "open_ended_verification"]
 
 TASK_SIMILARITY = "pairwise_similarity"
 TASK_VERIFICATION = "open_ended_verification"

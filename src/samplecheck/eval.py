@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Literal, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from .errors import SampleCheckError
 from .providers import EmbedderConfig
 from .scorematrix import build_matrix, summarize
 from .vectors import ConstantSequence, Embedding, LengthMismatch, pearson, spearman
-
-PassageLabel = Literal["major", "minor", "accurate"]
-BinaryLabel = Literal["hallucinated", "faithful"]
-Polarity = Literal["low_score_flags", "high_score_flags"]
 
 PASSAGE_LABEL_VALUES: dict[str, float] = {"major": 0.0, "minor": 0.5, "accurate": 1.0}
 POLARITIES = ("low_score_flags", "high_score_flags")

@@ -211,12 +211,8 @@ def _cached_batches(
                 results[key] = value
             batch = batch[len(values):]
 
-    if len(batches) <= 1 or workers <= 1:
-        for batch in batches:
-            run(batch)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, batches))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, batches))
     if failures:
         raise PartialFailure(stage, {i: failures[key] for i, key in enumerate(keys)
                                      if key in failures})

@@ -4,28 +4,29 @@ The matrix is symmetric with a unit diagonal; an optional ground-truth (GT)
 embedding occupies the last row/column. Confidence statistics (off-diagonal
 mean/std, normalized Frobenius norm) are computed over the reply-only block,
 so appending a GT never changes them; GT alignment is reported separately.
-Every entry is computed with the pair kernels' own call, one ndarray.dot of
-the two prepared vectors, so the matrix equals the scalar kernels bit for bit
-by construction, on any numpy and BLAS.
+The matrix comes out of vectors._similarity, the one function the scalar
+kernels also call (as its 2-row case), so every entry equals its scalar kernel
+bit for bit by construction, on any numpy and BLAS.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .errors import SampleCheckError
-from .vectors import Embedding, _prepared, _real_array, cosine, pearson
+from .vectors import Embedding, _prepared, _real_array, _similarity, cosine, pearson
 
-Measure = Literal["cosine", "pearson"]
 Verdict = Literal["HighConfidence", "Inspect"]
 
 GT_LABEL = "GT"
+# Characters a label cannot hold: each would break a CSV cell or SVG text as written.
+_UNSAFE_LABEL = re.compile(r'[,"<>&\x00-\x1f\x7f-\x9f]')
 MEASURES: dict[str, Callable[[Embedding, Embedding], float]] = {
     "cosine": cosine,
     "pearson": pearson,
@@ -72,8 +73,10 @@ class SimilarityMatrix:
     """Symmetric n-by-n matrix of pairwise similarity scores.
 
     labels name the rows/columns: reply indices "0".."k-1" and, when a ground
-    truth is present, a final "GT" label. Symmetry is bitwise, sign of zero
-    included, so every writer may format a pair once and mirror it.
+    truth is present, a final "GT" label. A label holding a comma, a double
+    quote, <, >, & or a control character raises ValueError, so the CSV and
+    SVG writers can write every label as it is. Symmetry is bitwise, sign of
+    zero included, so every writer may format a pair once and mirror it.
     """
 
     entries: np.ndarray
@@ -90,6 +93,10 @@ class SimilarityMatrix:
         if isinstance(self.labels, str) or not all(isinstance(label, str)
                                                    for label in self.labels):
             raise ValueError("labels must be strings")
+        for label in self.labels:
+            if _UNSAFE_LABEL.search(label):
+                raise ValueError(f"label {label!r} holds a comma, double quote, <, >, & or "
+                                 "control character, which the CSV or SVG cannot hold")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if not np.isfinite(arr).all():
@@ -156,14 +163,13 @@ def build_matrix(
     """Score every unordered pair once and mirror into a symmetric matrix.
 
     Each row is prepared once (centred for Pearson, scaled by its largest
-    magnitude, squared norm taken). Each pair's dot is one ndarray.dot of its
-    two prepared rows, the call the pair kernels make on the same operands.
-    Dividing by the root of the two squared norms and clamping are
-    elementwise and IEEE-exact, so every off-diagonal entry equals
-    MEASURES[measure](items[i], items[j]) bit for bit by construction,
-    whatever the order and the number of items. The unit diagonal is
-    definitional, not computed. A degenerate row raises PairwiseKernelError
-    naming the first failing pair in row-major order.
+    magnitude, squared norm taken), and vectors._similarity scores all of
+    them. The pair kernels are _similarity over their two prepared vectors,
+    and an entry depends only on its own two rows, so every off-diagonal
+    entry equals MEASURES[measure](items[i], items[j]) bit for bit by
+    construction, whatever the order and the number of items. The unit
+    diagonal is definitional, not computed. A degenerate row raises
+    PairwiseKernelError naming the first failing pair in row-major order.
     """
     k = len(embeddings)
     if k < 2:
@@ -186,23 +192,12 @@ def build_matrix(
     rows = []
     for i, item in enumerate(items):
         try:
-            rows.append(_prepared(item.values, dim, centred))
+            rows.append(_prepared(item.values, centred))
         except SampleCheckError as exc:
             # In row-major order the first pair touching row i is (0, i),
             # or (0, 1) when i is 0.
             raise PairwiseKernelError((0, max(i, 1)), exc) from exc
-    n = len(rows)
-    # combinations yields the pairs in row-major order, the order of triu_indices.
-    dots = np.fromiter(itertools.starmap(np.ndarray.dot,
-                                         itertools.combinations([x for x, _ in rows], 2)),
-                       np.float64, n * (n - 1) // 2)
-    upper = np.triu_indices(n, 1)
-    sq = np.array([norm for _, norm in rows])
-    vals = np.clip(dots / np.sqrt(sq[upper[0]] * sq[upper[1]]), -1.0, 1.0)
-    out = np.eye(n, dtype=np.float64)
-    out[upper] = vals
-    out[upper[::-1]] = vals
-    return SimilarityMatrix(entries=out, labels=labels, measure=measure)
+    return SimilarityMatrix(entries=_similarity(rows), labels=labels, measure=measure)
 
 
 def summarize(

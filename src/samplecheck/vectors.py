@@ -4,11 +4,14 @@ All kernels run in double precision, reject non-finite input outright, and
 clamp their result to [-1, 1] to absorb floating-point rounding. Degenerate
 input (zero vectors, constant sequences) raises a typed error instead of
 silently returning 0, because a silent 0 would corrupt downstream matrix
-summaries.
+summaries. Every cosine and Pearson score, scalar or matrix entry, comes out
+of _similarity: cosine and pearson are its 2-row case, and
+scorematrix.build_matrix calls it once over all its rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -113,19 +116,13 @@ def _as_array(v: VectorLike) -> np.ndarray:
     return v.values if isinstance(v, Embedding) else _finite_vector(v)
 
 
-def _clamp(x: float) -> float:
-    return max(-1.0, min(1.0, x))
-
-
-def _prepared(x: np.ndarray, dim: int, centred: bool) -> tuple[np.ndarray, float]:
+def _prepared(x: np.ndarray, centred: bool) -> tuple[np.ndarray, float]:
     """Per-vector half of cosine/pearson: the (centred) vector scaled by its
-    largest magnitude, so its squared norm stays in [1, dim], and that norm.
+    largest magnitude, so its squared norm stays in [1, x.size], and that norm.
 
-    Raises DimensionMismatch when x.size != dim, ZeroVector (cosine) or
-    ConstantVector (pearson) when the scaled vector would be all zeros.
+    Raises ZeroVector (cosine) or ConstantVector (pearson) when the scaled
+    vector would be all zeros.
     """
-    if x.size != dim:
-        raise DimensionMismatch(f"dims differ: {x.size} vs {dim}")
     if centred:
         if x.size < 2:
             raise DimensionMismatch("pearson needs at least 2 values per sequence")
@@ -139,13 +136,34 @@ def _prepared(x: np.ndarray, dim: int, centred: bool) -> tuple[np.ndarray, float
     return x, float(np.dot(x, x))
 
 
-def _paired(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
-    """Pair half of cosine/pearson over two _prepared vectors, clamped to [-1, 1].
+def _similarity(rows: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
+    """The symmetric, unit-diagonal matrix of every pair of _prepared rows.
 
-    The dot is one ndarray.dot of the two vectors, the call build_matrix makes
-    for each of its pairs.
+    Each pair's entry is one ndarray.dot of its two rows, divided by the root
+    of their two squared norms and clipped to [-1, 1]; the upper triangle is
+    computed and mirrored. The scalar kernels are this function's 2-row case.
     """
-    return _clamp(float(x[0].dot(y[0])) / float(np.sqrt(x[1] * y[1])))
+    n = len(rows)
+    # combinations yields the pairs in row-major order, the order of triu_indices.
+    dots = np.fromiter(itertools.starmap(np.ndarray.dot,
+                                         itertools.combinations([x for x, _ in rows], 2)),
+                       np.float64, n * (n - 1) // 2)
+    upper = np.triu_indices(n, 1)
+    sq = np.array([norm for _, norm in rows])
+    vals = np.clip(dots / np.sqrt(sq[upper[0]] * sq[upper[1]]), -1.0, 1.0)
+    out = np.eye(n, dtype=np.float64)
+    out[upper] = vals
+    out[upper[::-1]] = vals
+    return out
+
+
+def _kernel(a: VectorLike, b: VectorLike, centred: bool) -> float:
+    """The off-diagonal entry of _similarity over the two prepared vectors."""
+    x = _as_array(a)
+    y = _as_array(b)
+    if x.size != y.size:
+        raise DimensionMismatch(f"dims differ: {x.size} vs {y.size}")
+    return float(_similarity([_prepared(x, centred), _prepared(y, centred)])[0, 1])
 
 
 def cosine(a: VectorLike, b: VectorLike) -> float:
@@ -156,9 +174,7 @@ def cosine(a: VectorLike, b: VectorLike) -> float:
     Raises DimensionMismatch on unequal dims and ZeroVector when either
     argument has zero norm.
     """
-    x = _as_array(a)
-    y = _as_array(b)
-    return _paired(_prepared(x, y.size, False), _prepared(y, x.size, False))
+    return _kernel(a, b, False)
 
 
 def pearson(a: VectorLike, b: VectorLike) -> float:
@@ -167,9 +183,7 @@ def pearson(a: VectorLike, b: VectorLike) -> float:
     Requires dim >= 2; raises ConstantVector when either sequence has zero
     variance (correlation undefined).
     """
-    x = _as_array(a)
-    y = _as_array(b)
-    return _paired(_prepared(x, y.size, True), _prepared(y, x.size, True))
+    return _kernel(a, b, True)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

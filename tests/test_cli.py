@@ -845,8 +845,10 @@ class TestHeatmapCommand:
         ({"measure": "euclidean"}, "unknown measure 'euclidean'"),
         ({"entries": [[1.0, math.nan], [math.nan, 1.0]], "labels": ["0", "1"]}, "finite"),
         ({"entries": [[1.0, True], [True, 1.0]], "labels": ["0", "1"]}, "boolean"),
+        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": ["a<b&c", "1"]}, "label 'a<b&c'"),
     ], ids=["mirrored-signed-zero", "integer-labels", "labels-string", "not-square",
-            "label-count", "unknown-measure", "non-finite", "bool-among-numbers"])
+            "label-count", "unknown-measure", "non-finite", "bool-among-numbers",
+            "unsafe-label"])
     def test_invalid_matrix_exit_one(self, stub, tmp_path, prompt_file, capsys, matrix, message):
         report_path = self._make_report(stub, tmp_path, prompt_file)
         obj = json.loads(report_path.read_text())

@@ -553,26 +553,29 @@ class TestGenerateBatches:
 
 
 class TestCachedBatches:
-    """_cached_batches with a call that may answer only a leading part of its batch."""
+    """_cached_batches with a call that may answer only a leading part of its batch,
+    on one worker and on three."""
+
+    WORKERS = (1, 3)
 
     @staticmethod
-    def _run(keys, cached, call, size=4):
-        stored = {}
-        values = _cached_batches("generate", keys, cached.get, size, call,
-                                 stored.__setitem__, 1)
-        return values, stored
+    def _run(keys, cached, call, workers, stored, size=4):
+        return _cached_batches("generate", keys, cached.get, size, call,
+                               stored.__setitem__, workers)
 
     def test_prefix_results_are_stored_and_the_rest_is_asked_again(self):
-        calls = []
+        for workers in self.WORKERS:
+            calls, stored = [], {}
 
-        def call(batch):
-            calls.append(batch)
-            return [f"v{key}" for key in batch[:2]]
+            def call(batch):
+                calls.append(batch)
+                return [f"v{key}" for key in batch[:2]]
 
-        values, stored = self._run(range(6), {1: "cached"}, call)
-        assert calls == [(0, 2, 3, 4), (3, 4), (5,)]
-        assert values == ["v0", "cached", "v2", "v3", "v4", "v5"]
-        assert stored == {key: f"v{key}" for key in (0, 2, 3, 4, 5)}
+            values = self._run(range(6), {1: "cached"}, call, workers, stored)
+            # Several workers may call in any order.
+            assert (calls if workers == 1 else sorted(calls)) == [(0, 2, 3, 4), (3, 4), (5,)]
+            assert values == ["v0", "cached", "v2", "v3", "v4", "v5"]
+            assert stored == {key: f"v{key}" for key in (0, 2, 3, 4, 5)}
 
     def test_failure_names_only_the_keys_still_missing(self):
         def call(batch):
@@ -580,17 +583,18 @@ class TestCachedBatches:
                 raise RuntimeError("injected")
             return [f"v{key}" for key in batch[:1]]
 
-        stored = {}
-        with pytest.raises(PartialFailure) as err:
-            _cached_batches("generate", [0, 1, 2, 3, 1], {}.get, 4, call,
-                            stored.__setitem__, 1)
-        assert list(err.value.failures) == [1, 2, 3, 4]
-        assert stored == {0: "v0"}
+        for workers in self.WORKERS:
+            stored = {}
+            with pytest.raises(PartialFailure) as err:
+                self._run([0, 1, 2, 3, 1], {}, call, workers, stored)
+            assert list(err.value.failures) == [1, 2, 3, 4]
+            assert stored == {0: "v0"}
 
     def test_a_call_with_no_result_fails_its_batch(self):
-        with pytest.raises(PartialFailure, match="no result") as err:
-            self._run(range(3), {}, lambda batch: [])
-        assert list(err.value.failures) == [0, 1, 2]
+        for workers in self.WORKERS:
+            with pytest.raises(PartialFailure, match="no result") as err:
+                self._run(range(3), {}, lambda batch: [], workers, {})
+            assert list(err.value.failures) == [0, 1, 2]
 
 
 # Distinct texts that fill one EMBED_BATCH batch and half of a second, in the

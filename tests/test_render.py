@@ -7,8 +7,10 @@ import io
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +173,17 @@ class TestSvg:
     def test_deterministic_bytes(self):
         m = matrix([[1.0, -0.37], [-0.37, 1.0]], ("0", "1"))
         assert matrix_to_svg(m) == matrix_to_svg(m)
+
+    def test_labels_the_writers_cannot_hold_are_refused(self):
+        for label in ["a<b&c", "a>b", "a,b", 'a"b', "a\nb", "a\x7fb"]:
+            with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+                matrix([[1.0, 0.5], [0.5, 1.0]], (label, "1"))
+        # A label that is accepted reads back out of both writers as written.
+        m = matrix([[1.0, 0.5], [0.5, 1.0]], ("α b", "a'b"))
+        svg_text = "{http://www.w3.org/2000/svg}text"
+        texts = [t.text for t in ET.fromstring(matrix_to_svg(m)).iter(svg_text)]
+        assert texts[:4] == ["α b", "α b", "a'b", "a'b"]
+        assert matrix_to_csv(m).splitlines()[0].split(",") == ["", "α b", "a'b"]
 
 
 class TestCsv:
