@@ -22,6 +22,7 @@ from . import costmodel, eval as evalmod, render
 from .baselines import judge as judgemod
 from .errors import SampleCheckError
 from .pipeline import (
+    PartialFailure,
     VerificationReport,
     _atomic_write,
     embed_cached,
@@ -31,6 +32,7 @@ from .pipeline import (
 )
 from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig
 from .scorematrix import MEASURES, ConfidenceThresholds, SimilarityMatrix
+from .vectors import Embedding
 
 log = logging.getLogger(__name__)
 
@@ -228,13 +230,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.verdict == "HighConfidence" else EXIT_INSPECT
 
 
+# Most sample texts one eval window embeds in one embed_cached call. A window
+# holds whole records, so its missing texts share EMBED_BATCH-text requests and
+# the endpoint's max_concurrency workers across record boundaries; at d=4096
+# its vectors take at most 8.4 MB.
+EVAL_WINDOW = 256
+
+
+def _named(record, score: Callable[[], float]) -> float:
+    """score(), with a SampleCheckError naming the record."""
+    try:
+        return score()
+    except SampleCheckError as exc:
+        raise SampleCheckError(f"record {record.id!r}: {exc}") from exc
+
+
+def _window_failure(window: Sequence, k: int, exc: PartialFailure) -> SampleCheckError:
+    """exc split by record: each record of the window with a failed position, in
+    dataset order, and its sample indices that failed."""
+    by_record: dict[int, dict[int | str, Exception]] = {}
+    for position, error in exc.failures.items():
+        by_record.setdefault(position // k, {})[position % k] = error
+    return SampleCheckError("; ".join(
+        f"record {window[r].id!r}: {PartialFailure(exc.stage, failures)}"
+        for r, failures in sorted(by_record.items())))
+
+
 def _record_scorer(
     cfg: RunConfig, scheme: str, task: str, records: Sequence
 ) -> tuple[str, Callable[[object], float]]:
-    """The statistic a scheme of EVAL_SCHEMES reports, and its record -> score callable.
+    """The statistic a scheme of EVAL_SCHEMES reports, and its record -> score
+    callable, whose errors name the record.
 
     checkembed scores each record's first k samples, so every record must
-    have k of them; that is checked here, before any request.
+    have k of them; that is checked here, before any request. It embeds
+    records a window at a time: consecutive whole records holding at most
+    EVAL_WINDOW texts (one record if k exceeds it). The first record scored
+    whose samples the current window lacks embeds the window holding it, in
+    one embed_cached call.
     """
     k = cfg.k
     if scheme == "checkembed":
@@ -243,15 +276,31 @@ def _record_scorer(
                 raise evalmod.InsufficientSamples(
                     f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
                 )
-        score = evalmod.stability_scorer(
-            lambda texts: embed_cached(texts, cfg.embedding, cfg.cache_dir),
-            cfg.measure, cfg.eval.statistic)
-        return cfg.eval.statistic, lambda r: score(r.samples[:k])
+        per_window = max(1, EVAL_WINDOW // k)
+        position = {id(r): i for i, r in enumerate(records)}
+        vectors: dict[str, Embedding] = {}
+        score = evalmod.stability_scorer(lambda texts: [vectors[t] for t in texts],
+                                         cfg.measure, cfg.eval.statistic)
+
+        def record_score(r) -> float:
+            samples = r.samples[:k]
+            if not vectors.keys() >= set(samples):
+                start = position[id(r)] // per_window * per_window
+                window = records[start:start + per_window]
+                texts = [t for w in window for t in w.samples[:k]]
+                vectors.clear()
+                try:
+                    vectors.update(zip(texts, embed_cached(texts, cfg.embedding,
+                                                           cfg.cache_dir)))
+                except PartialFailure as exc:
+                    raise _window_failure(window, k, exc) from exc
+            return _named(r, lambda: score(samples))
+
+        return cfg.eval.statistic, record_score
     if task != "wikibio":
         raise ConfigError("the judge scheme is only wired for the wikibio task")
-    return "judge_score", lambda r: float(
-        judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score
-    )
+    return "judge_score", lambda r: _named(r, lambda: float(
+        judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score))
 
 
 # The ragtruth protocol. Every score that reaches the sweep is low for a suspect
@@ -268,12 +317,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     read = evalmod.read_passages_jsonl if task == "wikibio" else evalmod.read_binary_jsonl
     records = read(args.dataset)
     statistic, score = _record_scorer(cfg, args.scheme, task, records)
-    scores = []
-    for r in records:
-        try:
-            scores.append(score(r))
-        except SampleCheckError as exc:
-            raise SampleCheckError(f"record {r.id!r}: {exc}") from exc
+    scores = [score(r) for r in records]
 
     result = {"task": task, "scheme": args.scheme, "n_records": len(records), "k": cfg.k,
               "statistic": statistic}

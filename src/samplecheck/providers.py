@@ -198,12 +198,18 @@ def _session(cfg: ProviderConfig) -> requests.Session:
     """The keep-alive session of one endpoint, created on first use.
 
     Its pool keeps up to max_concurrency connections open, so a fan-out of that
-    width reuses them instead of opening one connection per request.
+    width reuses them instead of opening one connection per request. The proxy
+    and CA-bundle variables are read here, once; the session reads nothing else
+    from the environment, so a netrc entry cannot replace the API key.
     """
     with _sessions_lock:
         session = _sessions.get(cfg)
         if session is None:
             session = requests.Session()
+            session.trust_env = False
+            session.proxies = requests.utils.get_environ_proxies(cfg.base_url)
+            session.verify = (os.environ.get("REQUESTS_CA_BUNDLE")
+                              or os.environ.get("CURL_CA_BUNDLE") or True)
             adapter = requests.adapters.HTTPAdapter(
                 pool_connections=1, pool_maxsize=cfg.max_concurrency
             )
@@ -222,7 +228,8 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
     backoff with jitter. Each attempt logs one debug event with sizes, latency
     and that wait only: request and response bodies hold prompts and vectors,
     and the key is redacted. A client error status raises RejectedRequest,
-    which carries it.
+    which carries it. The body is read in one piece; a body cut short is a
+    network error like a failed post.
     """
     url = cfg.base_url.rstrip("/") + path
     headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
@@ -237,7 +244,10 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
         retry = attempt <= cfg.max_retries
         start = time.perf_counter()
         try:
-            resp = session.post(url, data=data, headers=headers, timeout=cfg.timeout)
+            resp = session.post(url, data=data, headers=headers, timeout=cfg.timeout,
+                                stream=True)
+            with resp:
+                content = b"".join(resp.iter_content(None))
         except requests.RequestException as exc:
             wait = _retry_wait(cfg, attempt, None) if retry else None
             _log_attempt(path, attempt, type(exc).__name__, auth, len(data), 0, start, wait)
@@ -245,8 +255,7 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
             continue
         transient = resp.status_code == 429 or resp.status_code >= 500
         wait = _retry_wait(cfg, attempt, resp) if transient and retry else None
-        _log_attempt(path, attempt, resp.status_code, auth, len(data), len(resp.content), start,
-                     wait)
+        _log_attempt(path, attempt, resp.status_code, auth, len(data), len(content), start, wait)
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
         if transient:
@@ -255,7 +264,7 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
         if resp.status_code != 200:
             raise RejectedRequest(resp.status_code, url)
         try:
-            body = resp.json()
+            body = json.loads(content)
         except ValueError as exc:
             raise MalformedResponse(f"non-JSON response from {url}") from exc
         if not isinstance(body, dict):
@@ -294,6 +303,10 @@ def complete_once(prompt: str, gen: GeneratorConfig, n: int = 1) -> list[str]:
     choices than n (one that ignores n returns one), never none or more. An
     endpoint that answers HTTP 400 to n > 1 is asked again with n = 1, and so is
     every later request to it in this process.
+
+    Only the choices before the first empty (or all-whitespace) one are
+    returned, since an empty reply cannot be embedded; MalformedResponse if
+    choice 0 is empty.
     """
     with _sessions_lock:
         if gen.provider in _single_choice:
@@ -325,7 +338,10 @@ def complete_once(prompt: str, gen: GeneratorConfig, n: int = 1) -> list[str]:
         if not isinstance(text, str):
             raise MalformedResponse(f"completion content of choice {j} is not a string")
         texts.append(text)
-    return texts
+    leading = next((j for j, text in enumerate(texts) if not text.strip()), len(texts))
+    if leading == 0:
+        raise MalformedResponse("completion choice 0 is empty")
+    return texts[:leading]
 
 
 def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list[Embedding]:
@@ -397,7 +413,7 @@ def mock_embed(text: str, dim: int, seed: int = 0) -> Embedding:
         raise ValueError("mock embedding dim must be >= 8")
     tokens = tokenize(text)
     if not tokens:
-        raise EmptyText("cannot embed text with no tokens")
+        raise EmptyText("cannot embed empty text (no tokens)")
     key = seed.to_bytes(16, "little", signed=True)
     vec = np.zeros(dim, dtype=np.float64)
     for token in tokens:

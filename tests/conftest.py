@@ -37,6 +37,8 @@ class StubState:
         self.fail_statuses: list[int] = []
         self.fail_headers: dict[str, str] = {}
         self.raw_body: bytes | None = None  # overrides everything when set
+        # Responses to cut short: each declares a longer body than it sends, then closes.
+        self.truncate = 0
         self.embed_fn = lambda text, model: [1.0, 0.0, 0.0, 0.0]
         self.nli_fn = lambda premise, hypothesis: 0.0
 
@@ -49,6 +51,13 @@ class StubState:
             if self.fail_statuses:
                 return self.fail_statuses.pop(0)
         return None
+
+    def next_truncation(self) -> bool:
+        with self.lock:
+            if self.truncate:
+                self.truncate -= 1
+                return True
+        return False
 
     def next_chat_replies(self, n: int) -> list[str] | None:
         """The replies of one chat request for n choices; None if it is rejected."""
@@ -105,6 +114,13 @@ class _Handler(BaseHTTPRequestHandler):
         headers = {k: v for k, v in self.headers.items()}
         self.state.record(self.path, headers, body)
 
+        if self.state.next_truncation():
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"choices": [')
+            self.close_connection = True
+            return
         if self.state.raw_body is not None:
             self.send_response(200)
             self.send_header("Content-Length", str(len(self.state.raw_body)))

@@ -456,15 +456,18 @@ class TestLoadConfig:
 class TestEvalCommand:
     @pytest.mark.parametrize("scheme", ["checkembed", "judge"])
     def test_failed_record_is_named(self, stub, tmp_path, capsys, scheme):
+        # Without the zero-corruption record, each record has EMBED_BATCH distinct
+        # replies, so each is exactly one embeddings request of the window.
         records, _ = corruption_corpus(
-            n_levels=3, records_per_level=1, k=3, base_tokens=10, seed=2
+            n_levels=4, records_per_level=1, k=EMBED_BATCH, base_tokens=10, seed=2
         )
+        records = records[1:]
         passages = passages_from_sweep_records(records)
         dataset = tmp_path / "wikibio.jsonl"
         write_records_jsonl(dataset, passages)
         embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
                      "timeout": 5, "max_retries": 0}
-        config = write_config(tmp_path, stub, k=3, embedding=embedding)
+        config = write_config(tmp_path, stub, k=EMBED_BATCH, embedding=embedding)
         obj = json.loads(config.read_text())
         obj["generation"]["max_retries"] = 0
         config.write_text(json.dumps(obj))
@@ -482,8 +485,11 @@ class TestEvalCommand:
         code = main(["eval", "--config", str(config), "--dataset", str(dataset),
                      "--scheme", scheme, "--task", "wikibio"])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: record {passages[1].id!r}: ")
-        assert len(stub.state.requests) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record {passages[1].id!r}: ")
+        assert passages[0].id not in err and passages[2].id not in err
+        # The judge stops at the failed record; the window also pays for the others' batches.
+        assert len(stub.state.requests) == (3 if scheme == "checkembed" else 2)
 
     @pytest.mark.parametrize("task, line", [
         ("wikibio", '{"id": "x", "sentences": ["A."], "labels": ["accurate"], '
@@ -537,16 +543,12 @@ class TestEvalCommand:
              "--scheme", "checkembed", "--task", "wikibio"]
         )
         assert code == 0
-        # Each record's texts that the run has not embedded yet, in order,
-        # EMBED_BATCH per request; the zero-corruption record's k replies are
-        # one text.
-        seen: set[str] = set()
-        expected = []
-        for record in records:
-            new = [t for t in dict.fromkeys(record.samples) if t not in seen]
-            seen.update(new)
-            expected += [new[i:i + EMBED_BATCH] for i in range(0, len(new), EMBED_BATCH)]
-        assert len(seen) < len(records) * k
+        # The 4 records fit one window: its distinct texts, in dataset order,
+        # EMBED_BATCH per request across record boundaries; the zero-corruption
+        # record's k replies are one text.
+        distinct = list(dict.fromkeys(t for record in records for t in record.samples))
+        expected = [distinct[i:i + EMBED_BATCH] for i in range(0, len(distinct), EMBED_BATCH)]
+        assert len(distinct) < len(records) * k
         assert stub.state.embed_inputs == expected
         assert stub.state.connections == 1
 
@@ -744,6 +746,86 @@ class TestEvalCommand:
         assert "argument --scheme: invalid choice: " in err and "mystery" in err
         assert "checkembed" in err and "judge" in err
         assert stub.state.requests == []
+
+
+class TestEvalWindows:
+    """eval --scheme checkembed embeds consecutive records a window at a time."""
+
+    @staticmethod
+    def _run(stub, root: Path, records, k, **extra) -> tuple[int, int]:
+        """One eval under root over an HTTP embedder on the stub: (exit code, requests)."""
+        root.mkdir(exist_ok=True)
+        dataset = root / "wikibio.jsonl"
+        write_records_jsonl(dataset, passages_from_sweep_records(records))
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                     "timeout": 5, "max_retries": 0}
+        config = write_config(root, stub, k=k, embedding=embedding, **extra)
+        before = len(stub.state.requests)
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "wikibio"])
+        return code, len(stub.state.requests) - before
+
+    @staticmethod
+    def _requests(records, k: int, per_window: int) -> int:
+        """The sum over windows of ceil(distinct texts not embedded before / EMBED_BATCH)."""
+        seen: set[str] = set()
+        total = 0
+        for start in range(0, len(records), per_window):
+            new = {t for r in records[start:start + per_window] for t in r.samples[:k]} - seen
+            seen |= new
+            total += math.ceil(len(new) / EMBED_BATCH)
+        return total
+
+    def test_windows_report_what_records_scored_alone_report(self, stub, tmp_path,
+                                                                monkeypatch):
+        k = 4
+        per_window = cli.EVAL_WINDOW // k
+        records, _ = corruption_corpus(n_levels=5, records_per_level=per_window // 5 + 2,
+                                       k=k, base_tokens=12, seed=9)
+        assert per_window < len(records) < 2 * per_window  # two windows, the second partial
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        code, cold = self._run(stub, tmp_path / "window", records, k, max_concurrency=2)
+        assert code == 0
+        assert cold == self._requests(records, k, per_window)
+        report = (tmp_path / "window" / "out" / "eval_wikibio_checkembed.json").read_bytes()
+        assert self._run(stub, tmp_path / "window", records, k, max_concurrency=2) == (0, 0)
+        assert (tmp_path / "window" / "out" / "eval_wikibio_checkembed.json").read_bytes() \
+            == report
+        # A window of one record scores each record alone, one embed_cached call each.
+        monkeypatch.setattr(cli, "EVAL_WINDOW", 1)
+        code, alone = self._run(stub, tmp_path / "alone", records, k)
+        assert code == 0
+        assert alone == self._requests(records, k, 1) > cold
+        assert (tmp_path / "alone" / "out" / "eval_wikibio_checkembed.json").read_bytes() \
+            == report
+
+    def test_failed_batch_names_its_records_and_keeps_the_rest(self, stub, tmp_path, capsys):
+        k = 3
+        # Every record has k distinct replies, so the batches of 4 straddle records:
+        # the second request holds samples 1-2 of r1 and 0-1 of r2.
+        records, _ = corruption_corpus(n_levels=5, records_per_level=1, k=k,
+                                       base_tokens=10, seed=4)
+        records = records[1:]
+        texts = [t for r in records for t in r.samples]
+        assert len(set(texts)) == len(texts) == 12
+        ids = [p.id for p in passages_from_sweep_records(records)]
+
+        def embed(text, model):
+            if text == texts[5]:
+                raise RuntimeError("injected")  # the stub answers HTTP 500
+            return mock_embed(text, 64, 0).tolist()
+
+        stub.state.embed_fn = embed
+        assert self._run(stub, tmp_path, records, k) == (1, 3)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record {ids[1]!r}: stage 'embed' failed for indices "
+                              f"[1, 2]: 1, 2: ")
+        assert f"; record {ids[2]!r}: stage 'embed' failed for indices [0, 1]: 0, 1: " in err
+        assert ids[0] not in err and ids[3] not in err
+        # The window's other batches were stored: a rerun asks only for the failed one.
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        assert self._run(stub, tmp_path, records, k) == (0, 1)
+        assert stub.state.embed_inputs[-1] == texts[4:8]
 
 
 class TestUsageErrors:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from samplecheck.pipeline import EmbedderConfig, GeneratorConfig, verify
+from samplecheck.pipeline import EmbedderConfig, GeneratorConfig, PartialFailure, verify
 from samplecheck.providers import (
     AuthError,
     DimMismatch,
@@ -124,6 +124,14 @@ class TestGenerateSamples:
         assert len(attempts) == 2
         assert all("status=ConnectionError" in message for message in attempts)
 
+    def test_truncated_body_retried(self, stub, caplog):
+        stub.state.truncate = 1
+        with caplog.at_level(logging.DEBUG, logger="samplecheck.providers"):
+            assert complete_once("hi", GeneratorConfig(model_id="m",
+                                                       provider=cfg_for(stub))) == ["A"]
+        assert len(stub.state.requests) == 2
+        assert "attempt=1 status=ChunkedEncodingError" in caplog.records[0].getMessage()
+
     def test_client_error_not_retried(self, stub):
         stub.state.fail_statuses = [404]
         with pytest.raises(MalformedResponse, match="unexpected HTTP 404"):
@@ -157,6 +165,18 @@ class TestGenerateSamples:
             model_id="m", provider=cfg_for(stub, api_key_env="TEST_STUB_KEY")))
         _, headers, _ = stub.state.requests[0]
         assert headers.get("Authorization") == "Bearer sekrit"
+
+    def test_netrc_entry_does_not_replace_the_api_key(self, stub, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password secret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
+        complete_once("hi", GeneratorConfig(
+            model_id="m", provider=cfg_for(stub, api_key_env="TEST_STUB_KEY")))
+        embed_many(["a"], cfg_for(stub), "custom-model")
+        assert [headers.get("Authorization") for _, headers, _ in stub.state.requests] \
+            == ["Bearer sekrit", None]
 
     def test_missing_api_key_env(self, stub, monkeypatch):
         monkeypatch.delenv("TEST_MISSING_KEY", raising=False)
@@ -230,6 +250,37 @@ class TestChoices:
         stub.state.raw_body = b'{"choices": [{"message": {"content": "A"}}, {"message": {}}]}'
         with pytest.raises(MalformedResponse, match="choice 1"):
             complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)), 2)
+
+    def test_choices_from_the_first_empty_one_are_dropped(self, stub):
+        stub.state.choices = "n"
+        stub.state.chat_replies = ["A", "B", " \n", "D"]
+        assert complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)),
+                             4) == ["A", "B"]
+
+    @pytest.mark.parametrize("reply", ["", "  "])
+    def test_empty_first_choice_rejected(self, stub, reply):
+        stub.state.chat_replies = [reply]
+        with pytest.raises(MalformedResponse, match="choice 0 is empty"):
+            complete_once("hi", GeneratorConfig(model_id="m", provider=cfg_for(stub)))
+        assert len(stub.state.requests) == 1
+
+    def test_empty_reply_is_not_cached(self, stub, tmp_path):
+        stub.state.chat_replies = ["alpha one", "", "gamma three"]
+        gen = GeneratorConfig(model_id="m", provider=cfg_for(stub, max_retries=0))
+        mock = EmbedderConfig(kind="mock", dim=64, seed=0)
+        cache = tmp_path / "cache"
+        with pytest.raises(PartialFailure, match="choice 0 is empty") as err:
+            verify("hi", None, 3, gen, mock, cache_dir=cache)
+        assert sorted(err.value.failures) == [1, 2]
+        [samples] = cache.glob("*/samples")
+        assert [p.name for p in samples.iterdir()] == ["0.txt"]
+        # The next run's endpoint answers; only the two missing samples are asked for.
+        stub.state.chat_replies = ["beta two", "delta four"]
+        stub.state.chat_served = 0
+        verify("hi", None, 3, gen, mock, cache_dir=cache)
+        assert stub.state.chat_calls == 2 + 2  # "alpha one", ""; then one per missing sample
+        assert sorted(p.read_text() for p in samples.iterdir()) \
+            == ["alpha one", "beta two", "delta four"]
 
     def test_http_400_to_n_falls_back_to_one_choice_for_the_process(self, stub):
         stub.state.choices = "reject_n"
@@ -413,6 +464,31 @@ class TestEmbedMany:
         with pytest.raises(EmptyText, match="input 1"):
             embed_many(["fine", "  ", "also fine"], cfg_for(stub), "custom-model")
         assert stub.state.requests == []
+
+
+class TestEnvironment:
+    """Proxy variables are read once per endpoint session and still honoured."""
+
+    @pytest.fixture
+    def closed_proxy(self, monkeypatch):
+        with socket.socket() as sock:  # a local port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY", "all_proxy",
+                     "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{port}")
+
+    def test_proxy_is_used(self, stub, closed_proxy):
+        with pytest.raises(TransportError, match="ProxyError"):
+            complete_once("hi", GeneratorConfig(model_id="m",
+                                                provider=cfg_for(stub, max_retries=0)))
+        assert stub.state.requests == []
+
+    def test_no_proxy_goes_direct(self, stub, closed_proxy, monkeypatch):
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        assert complete_once("hi", GeneratorConfig(model_id="m",
+                                                   provider=cfg_for(stub))) == ["A"]
 
 
 class TestConnections:
