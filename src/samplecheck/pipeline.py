@@ -6,21 +6,22 @@ generation model and every sampling setting (GeneratorConfig.sampling); the
 sample index is the file name. Embeddings live in one store at the
 cache root, shared by every prompt and by the eval harness and keyed by the
 SHA-256 of the text, so each distinct text is embedded once per model and a new
-ground truth is simply a new key. Each reply and each embedding is written as
-soon as its provider call returns, so a failed run keeps the work it paid for.
+ground truth is simply a new key. Provider workers only send requests and
+parse responses; the calling thread writes each reply and each embedding as
+soon as its request returns, so a failed run keeps the work it paid for.
 
 Cache layout:
     <prompt key>/samples/<i>.txt          reply text, one file per index
     <prompt key>/meta.json                stage timestamps (stable on re-run)
     embeddings/<model dir>/<sha256>.npy   1-D little-endian float64 .npy
 
-float64 .npy round-trips every vector bit for bit, so a warm run reproduces
-the cold run's report exactly. Vectors of older layouts (per prompt and index,
-<prompt key>/embeddings/...) are never opened: they miss, are embedded again
-once, and are left on disk. A store file is valid only if it is exactly the
-header np.save writes for a 1-D "<f8" array of n >= 1 values, then those
-values, all finite; any other file raises CorruptCacheEntry naming it.
-Nothing is ever evicted.
+float64 .npy round-trips every vector bit for bit, so a warm run on the same
+machine reproduces the cold run's report exactly. Vectors of older layouts
+(per prompt and index, <prompt key>/embeddings/...) are never opened: they
+miss, are embedded again once, and are left on disk. A store file is valid
+only if it is exactly the header np.save writes for a 1-D "<f8" array of
+n >= 1 values, then those values, all finite; any other file raises
+CorruptCacheEntry naming it. Nothing is ever evicted.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
@@ -36,6 +37,7 @@ import json
 import logging
 import math
 import os
+import queue
 import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -157,11 +159,22 @@ def prompt_hash(prompt: str, gen_cfg: GeneratorConfig) -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """Write data to path through a temporary file renamed into place.
+
+    The directory is made only when it is missing, and the bytes go through an
+    unbuffered file: each cache write is few syscalls, and every syscall lets
+    another thread take the GIL.
+    """
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb", buffering=0) as fh:
+            view = memoryview(data)
+            while view:
+                view = view[fh.write(view):]
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -186,33 +199,60 @@ def _cached_batches(
 
     Each distinct key is loaded once; those `load` returns None for go to `call`
     in consecutive batches of at most `size`, `workers` batches at a time.
-    `call` returns results for a leading part of its batch, at least one: each
-    goes to `store` as soon as the call returns, so a later failure cannot
-    discard it, and `call` is called again with the rest of the batch. If a call
-    fails, PartialFailure names every position of `keys` holding the keys its
-    batch still lacked.
+    `call` returns results for a leading part of its batch, at least one, and
+    is called again with the rest of the batch. Workers only call: each
+    result goes back to the calling thread, which passes it to `store` as soon
+    as it arrives, so a later failure cannot discard it and no worker waits on
+    a file write before its next call. If a call fails, PartialFailure names
+    every position of `keys` holding the keys its batch still lacked. If a
+    `store` raises, every other result is still stored, then the first such
+    error is raised.
     """
     results = {key: load(key) for key in dict.fromkeys(keys)}
     missing = [key for key, value in results.items() if value is None]
     batches = [tuple(missing[i:i + size]) for i in range(0, len(missing), size)]
     failures: dict[Hashable, Exception] = {}
+    # (batch, values) or (batch, exception) per call; None when a batch's run ends.
+    replies: queue.SimpleQueue = queue.SimpleQueue()
 
     def run(batch: tuple) -> None:
-        while batch:
-            try:
-                values = call(batch)
-                if not values:
-                    raise ValueError(f"stage {stage!r} got no result for a batch")
-            except Exception as exc:  # collected, re-raised as PartialFailure
-                failures.update(dict.fromkeys(batch, exc))
-                return
-            for key, value in zip(batch, values):
-                store(key, value)
-                results[key] = value
-            batch = batch[len(values):]
+        try:
+            while batch:
+                try:
+                    values = call(batch)
+                    if not values:
+                        raise ValueError(f"stage {stage!r} got no result for a batch")
+                except Exception as exc:  # collected, re-raised as PartialFailure
+                    replies.put((batch, exc))
+                    return
+                replies.put((batch, values))
+                batch = batch[len(values):]
+        finally:
+            replies.put(None)
 
+    store_error: Exception | None = None
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, batches))
+        running = [pool.submit(run, batch) for batch in batches]
+        ended = 0
+        while ended < len(running):
+            reply = replies.get()
+            if reply is None:
+                ended += 1
+                continue
+            batch, outcome = reply
+            if isinstance(outcome, Exception):
+                failures.update(dict.fromkeys(batch, outcome))
+                continue
+            for key, value in zip(batch, outcome):
+                try:
+                    store(key, value)
+                except Exception as exc:  # the other results are still stored
+                    store_error = store_error or exc
+                results[key] = value
+    for future in running:
+        future.result()
+    if store_error is not None:
+        raise store_error
     if failures:
         raise PartialFailure(stage, {i: failures[key] for i, key in enumerate(keys)
                                      if key in failures})

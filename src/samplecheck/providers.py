@@ -73,7 +73,7 @@ class DimMismatch(SampleCheckError):
 
 
 class EmptyText(SampleCheckError):
-    """Cannot embed empty text (or text with no tokens)."""
+    """Cannot embed empty or whitespace-only text."""
 
 
 @dataclass(frozen=True)
@@ -407,13 +407,16 @@ def mock_embed(text: str, dim: int, seed: int = 0) -> Embedding:
     Each token is hashed (keyed by the seed) into one of dim buckets with a
     +/-1 sign; token counts accumulate and the result is L2-normalized.
     Identical text always yields the identical vector, and the embedding is
-    invariant under token permutation but sensitive to token counts.
+    invariant under token permutation but sensitive to token counts. Like
+    embed_many, it refuses only empty or whitespace-only text: a text with no
+    token (punctuation or non-Latin script alone) gets one bucket derived from
+    its stripped text.
     """
     if dim < 8:
         raise ValueError("mock embedding dim must be >= 8")
+    if not text.strip():
+        raise EmptyText("cannot embed empty text")
     tokens = tokenize(text)
-    if not tokens:
-        raise EmptyText("cannot embed empty text (no tokens)")
     key = seed.to_bytes(16, "little", signed=True)
     vec = np.zeros(dim, dtype=np.float64)
     for token in tokens:
@@ -424,11 +427,13 @@ def mock_embed(text: str, dim: int, seed: int = 0) -> Embedding:
         vec[h % dim] += sign
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        # Hash collisions cancelled every count; fall back to a single bucket
-        # derived from the sorted token multiset (keeps permutation invariance).
+        # No token, or hash collisions cancelled every count; fall back to a
+        # single bucket derived from the sorted token multiset (keeps
+        # permutation invariance), or from the stripped text if it has none.
+        basis = (b"\x00".join(t.encode("utf-8") for t in sorted(tokens)) if tokens
+                 else text.strip().encode("utf-8"))
         h = int.from_bytes(
-            hashlib.blake2b(b"\x00".join(t.encode("utf-8") for t in sorted(tokens)),
-                            digest_size=8, key=key).digest(), "little"
+            hashlib.blake2b(basis, digest_size=8, key=key).digest(), "little"
         )
         vec[h % dim] = 1.0
         norm = 1.0

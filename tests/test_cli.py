@@ -144,6 +144,18 @@ class TestVerifyCommand:
         for name, data in first.items():
             assert (tmp_path / "out" / name).read_bytes() == data
 
+    def test_reply_with_no_token_is_embedded_and_cached(self, stub, tmp_path, prompt_file):
+        # The mock embedder refuses only what complete_once never stores.
+        stub.state.chat_replies = ["a b", "...", "c d"]
+        config = write_config(tmp_path, stub)
+        args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
+        assert main(args) in (0, 2)
+        first = (tmp_path / "out" / "report.json").read_bytes()
+        chat = stub.state.chat_calls
+        assert main(args) in (0, 2)
+        assert stub.state.chat_calls == chat
+        assert (tmp_path / "out" / "report.json").read_bytes() == first
+
     def test_failed_write_keeps_previous_outputs(self, stub, tmp_path, prompt_file,
                                                  monkeypatch):
         stub.state.chat_replies = DISJOINT

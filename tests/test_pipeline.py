@@ -41,6 +41,7 @@ from samplecheck.pipeline import (
     report_json_bytes,
     verify,
     _Cache,
+    _atomic_write,
     _cached_batches,
     _npy_header,
 )
@@ -595,6 +596,147 @@ class TestCachedBatches:
             with pytest.raises(PartialFailure, match="no result") as err:
                 self._run(range(3), {}, lambda batch: [], workers, {})
             assert list(err.value.failures) == [0, 1, 2]
+
+    def test_every_store_runs_on_the_calling_thread(self):
+        for workers in self.WORKERS:
+            callers, storers = set(), set()
+
+            def call(batch):
+                callers.add(threading.get_ident())
+                return [f"v{key}" for key in batch[:2]]
+
+            def store(key, value):
+                storers.add(threading.get_ident())
+                stored[key] = value
+
+            stored = {}
+            values = _cached_batches("generate", range(9), {}.get, 3, call, store, workers)
+            assert values == [f"v{key}" for key in range(9)] and len(stored) == 9
+            assert storers == {threading.get_ident()}
+            assert threading.get_ident() not in callers
+
+    @staticmethod
+    def _in_thread(fn):
+        """fn() run on a thread of its own; what it returned or raised, within 10 s."""
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = fn()
+            except BaseException as exc:  # noqa: BLE001 - handed to the test
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive(), "_cached_batches did not return"
+        return outcome
+
+    def test_a_failing_store_keeps_every_other_result(self):
+        for workers in self.WORKERS:
+            stored = {}
+
+            def store(key, value):
+                if key == 2:
+                    raise OSError(28, "No space left on device")
+                stored[key] = value
+
+            outcome = self._in_thread(lambda: _cached_batches(
+                "embed", range(6), {}.get, 2, lambda batch: [f"v{k}" for k in batch],
+                store, workers))
+            assert isinstance(outcome["error"], OSError)
+            assert stored == {key: f"v{key}" for key in (0, 1, 3, 4, 5)}
+
+    def test_many_workers_store_every_key_once(self):
+        # More workers than cores and a short switch interval; a result lost or
+        # stored twice between the workers and the calling thread would show.
+        counts, interval = {}, sys.getswitchinterval()
+
+        def store(key, value):
+            assert value == f"v{key}"
+            counts[key] = counts.get(key, 0) + 1
+
+        sys.setswitchinterval(1e-6)
+        try:
+            outcome = self._in_thread(lambda: _cached_batches(
+                "embed", range(300), {}.get, 3,
+                lambda batch: [f"v{key}" for key in batch[:1 + batch[0] % 3]], store, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcome["value"] == [f"v{key}" for key in range(300)]
+        assert counts == dict.fromkeys(range(300), 1)
+
+    def test_a_worker_that_dies_does_not_hang_the_caller(self):
+        def call(batch):
+            if batch[0] == 0:
+                raise SystemExit("worker ended")
+            return list(batch)
+
+        for workers in self.WORKERS:
+            stored = {}
+            outcome = self._in_thread(lambda: self._run(range(6), {}, call, workers, stored, 2))
+            assert isinstance(outcome["error"], SystemExit)
+            assert stored == {key: key for key in range(2, 6)}
+
+
+class TestAtomicWrite:
+    def test_missing_nested_directory_is_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c.bin"
+        _atomic_write(path, b"data")
+        assert path.read_bytes() == b"data"
+        assert [p.name for p in path.parent.iterdir()] == ["c.bin"]
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        real_open = io.open
+
+        class Trickle:
+            """A file that writes at most 3 bytes per call."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                return self.fh.write(data[:3])
+
+        monkeypatch.setattr(io, "open", lambda *args, **kwargs: Trickle(real_open(*args, **kwargs)))
+        path = tmp_path / "f.bin"
+        _atomic_write(path, bytes(range(256)) * 3)
+        monkeypatch.undo()
+        assert path.read_bytes() == bytes(range(256)) * 3
+
+    def test_failed_write_leaves_the_target_and_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"previous")
+        real_open = io.open
+
+        class FullDisk:
+            """A file whose first write stores half the data, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(io, "open", lambda *args, **kwargs: FullDisk(real_open(*args, **kwargs)))
+        with pytest.raises(OSError, match="No space"):
+            _atomic_write(path, b"new data")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
 
 
 # Distinct texts that fill one EMBED_BATCH batch and half of a second, in the

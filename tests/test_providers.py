@@ -577,10 +577,17 @@ class TestMockEmbed:
             mock_embed("abc", 4)
 
     def test_empty_text(self):
-        with pytest.raises(EmptyText):
-            mock_embed("", 32)
-        with pytest.raises(EmptyText):
-            mock_embed("!!! ...", 32)
+        for text in ("", " \n\t "):
+            with pytest.raises(EmptyText, match="cannot embed empty text"):
+                mock_embed(text, 32)
+
+    @pytest.mark.parametrize("text", ["!!! ...", "...", "привет"])
+    def test_text_with_no_token_is_one_bucket_of_its_stripped_text(self, text):
+        e = mock_embed(text, 32)
+        assert np.count_nonzero(e.values) == 1
+        assert np.linalg.norm(e.values) == 1.0
+        assert np.array_equal(e.values, mock_embed(f"  {text}\n", 32).values)
+        assert np.array_equal(e.values, mock_embed(text, 32).values)
 
     def test_model_id_records_dim_and_seed(self):
         assert mock_embed("abc", 32, 7).model_id == "mock-d32-s7"
