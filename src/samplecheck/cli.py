@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import logging
+import stat
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -186,20 +187,35 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
                            if getattr(args, name, None) is not None})
 
 
+def _write_output(path: Path, data: bytes) -> None:
+    """Write an output file through _atomic_write, with the mode a plain
+    open(path, "w") would give it, unless it already holds exactly data: then
+    it is left as it is, so it keeps its inode, mtime and mode.
+
+    Only a regular file is read back: reading a pipe or a terminal could block.
+    """
+    try:
+        if stat.S_ISREG(path.stat().st_mode) and path.read_bytes() == data:
+            return
+    except OSError:  # missing, unreadable: _atomic_write says what is wrong
+        pass
+    _atomic_write(path, data, mode=0o666)
+
+
 def _write_heatmap(matrix: SimilarityMatrix, svg_path: Path) -> Path:
     """Write the SVG and, next to it, the CSV; returns the CSV path."""
     csv_path = svg_path.with_suffix(".csv")
-    _atomic_write(csv_path, render.matrix_to_csv(matrix).encode("utf-8"))
-    _atomic_write(svg_path, render.matrix_to_svg(matrix).encode("utf-8"))
+    _write_output(csv_path, render.matrix_to_csv(matrix).encode("utf-8"))
+    _write_output(svg_path, render.matrix_to_svg(matrix).encode("utf-8"))
     return csv_path
 
 
 def _write_json(path: Path, obj: object) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _write_output(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _write_outputs(report: VerificationReport, output_dir: Path) -> None:
-    _atomic_write(output_dir / "report.json", report_json_bytes(report))
+    _write_output(output_dir / "report.json", report_json_bytes(report))
     _write_heatmap(report.matrix, output_dir / "heatmap.svg")
 
 
@@ -355,8 +371,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    report = report_from_json(Path(args.report).read_bytes())
     out_svg = Path(args.out)
+    if out_svg.suffix.lower() == ".csv":
+        # The CSV goes to out_svg.with_suffix(".csv"): the SVG would overwrite it.
+        raise ValueError(f"--out {out_svg} is a .csv path; give the SVG's path, "
+                         "the CSV is written next to it")
+    report = report_from_json(Path(args.report).read_bytes())
     out_csv = _write_heatmap(report.matrix, out_svg)
     print(f"wrote {out_svg} and {out_csv}")
     return EXIT_OK
@@ -418,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatmap", help="render a report's matrix as SVG + CSV")
     p.add_argument("--report", required=True, help="path to a report.json")
-    p.add_argument("--out", required=True, help="output SVG path (CSV written alongside)")
+    p.add_argument("--out", required=True, help="output SVG path, not ending in .csv "
+                   "(the CSV is written alongside, as <name>.csv)")
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("cost", help="compare analytical depth/work of schemes")

@@ -38,8 +38,8 @@ import logging
 import math
 import os
 import queue
+import random
 import re
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
@@ -158,18 +158,34 @@ def prompt_hash(prompt: str, gen_cfg: GeneratorConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+# A temporary is a new file, opened for writing, never through a symlink and
+# never inherited by a child process.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def _create_temporary(path: Path, mode: int) -> tuple[int, str]:
+    """A new file path.name + "." + random hex next to path: (descriptor, name)."""
+    while True:
+        tmp = f"{path}.{random.getrandbits(48):012x}"
+        try:
+            return os.open(tmp, _TEMP_FLAGS, mode), tmp
+        except FileExistsError:
+            continue
+
+
+def _atomic_write(path: Path, data: bytes, mode: int = 0o600) -> None:
     """Write data to path through a temporary file renamed into place.
 
+    The file gets mode less the umask; the default keeps cache files private.
     The directory is made only when it is missing, and the bytes go through an
     unbuffered file: each cache write is few syscalls, and every syscall lets
     another thread take the GIL.
     """
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        fd, tmp = _create_temporary(path, mode)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        fd, tmp = _create_temporary(path, mode)
     try:
         with os.fdopen(fd, "wb", buffering=0) as fh:
             view = memoryview(data)

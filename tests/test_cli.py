@@ -7,7 +7,10 @@ import importlib.util
 import io
 import json
 import math
+import os
+import stat
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -909,6 +912,16 @@ class TestHeatmapCommand:
         main(["heatmap", "--report", str(report_path), "--out", str(out_svg)])
         assert "<line" not in out_svg.read_text()
 
+    @pytest.mark.parametrize("name", ["heat.csv", "heat.CSV"])
+    def test_csv_out_exit_one_before_anything_is_written(self, stub, tmp_path, prompt_file,
+                                                         capsys, name):
+        # The CSV goes next to the SVG under the name .csv: here the SVG's own.
+        report_path = self._make_report(stub, tmp_path, prompt_file)
+        out = tmp_path / "render" / name
+        assert main(["heatmap", "--report", str(report_path), "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert not (tmp_path / "render").exists()
+
     def test_missing_report_exit_one(self, tmp_path, capsys):
         code = main(["heatmap", "--report", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.svg")])
@@ -1032,3 +1045,93 @@ class TestCostCommand:
                      "open_ended_verification"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def stamp(path: Path) -> tuple[int, int, int]:
+    """What rewriting a file changes even when its bytes stay: inode, mtime, mode."""
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns, st.st_mode
+
+
+class TestOutputFiles:
+    """Every file a command writes as output: its mode, and what a rerun does to it."""
+
+    WRITERS = ("verify", "heatmap", "eval", "cost")
+
+    def _writer(self, command, stub, tmp_path, prompt_file) -> tuple[list[str], list[Path]]:
+        """The arguments of a run of command, and the output files it writes."""
+        stub.state.chat_replies = DISJOINT
+        config = write_config(tmp_path, stub)
+        verify = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
+        out = tmp_path / "out"
+        if command == "verify":
+            return verify, [out / "report.json", out / "heatmap.csv", out / "heatmap.svg"]
+        if command == "heatmap":
+            assert main(verify) == 2
+            heat = tmp_path / "heat"
+            return (["heatmap", "--report", str(out / "report.json"),
+                     "--out", str(heat / "heatmap.svg")],
+                    [heat / "heatmap.csv", heat / "heatmap.svg"])
+        if command == "eval":
+            records, _ = corruption_corpus(n_levels=2, records_per_level=2, k=3,
+                                           base_tokens=12, seed=5)
+            dataset = tmp_path / "wikibio.jsonl"
+            write_records_jsonl(dataset, passages_from_sweep_records(records))
+            return (["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "wikibio"],
+                    [out / "eval_wikibio_checkembed.json"])
+        cost = tmp_path / "cost.json"
+        return ["cost", "--samples", "10", "--out", str(cost)], [cost]
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_rerun_leaves_unchanged_outputs_alone(self, stub, tmp_path, prompt_file, command):
+        argv, outputs = self._writer(command, stub, tmp_path, prompt_file)
+        assert main(argv) in (0, 2)
+        before = {path: stamp(path) for path in outputs}
+        assert main(argv) in (0, 2)
+        assert {path: stamp(path) for path in outputs} == before
+
+    def test_rerun_restores_a_changed_byte_and_a_deleted_file(self, stub, tmp_path,
+                                                              prompt_file):
+        argv, outputs = self._writer("verify", stub, tmp_path, prompt_file)
+        assert main(argv) == 2
+        first = {path: path.read_bytes() for path in outputs}
+        report, csv, _ = outputs
+        flipped = bytearray(first[report])
+        flipped[len(flipped) // 2] ^= 1  # same size, so only the bytes tell
+        report.write_bytes(bytes(flipped))
+        csv.unlink()
+        assert main(argv) == 2
+        assert {path: path.read_bytes() for path in outputs} == first
+
+    def test_pipe_in_the_way_is_replaced_not_read(self, tmp_path):
+        # Opening a pipe with no writer for reading would block for ever.
+        out = tmp_path / "cost.json"
+        os.mkfifo(out)
+        codes = []
+        run = threading.Thread(target=lambda: codes.append(
+            main(["cost", "--samples", "10", "--out", str(out)])), daemon=True)
+        run.start()
+        run.join(timeout=30)
+        assert not run.is_alive() and codes == [0]
+        assert stat.S_ISREG(out.stat().st_mode)
+        assert json.loads(out.read_text())["rows"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_take_the_umask_and_cache_files_stay_private(self, stub, tmp_path,
+                                                                prompt_file, umask, mode):
+        outputs = []
+        old = os.umask(umask)
+        try:
+            for command in self.WRITERS:
+                argv, written = self._writer(command, stub, tmp_path, prompt_file)
+                assert main(argv) in (0, 2)
+                outputs += written
+        finally:
+            os.umask(old)
+        assert {path: stat.S_IMODE(path.stat().st_mode) for path in outputs} == dict.fromkeys(
+            outputs, mode)
+        vectors = list((tmp_path / "cache" / "embeddings").rglob("*.npy"))
+        assert vectors
+        assert {stat.S_IMODE(path.stat().st_mode) for path in vectors} == {0o600}

@@ -738,6 +738,17 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
 
+    def test_temporary_name_taken_is_drawn_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.bin"
+        taken = tmp_path / "f.bin.000000000001"
+        taken.write_bytes(b"someone else's")
+        draws = iter([1, 2])
+        monkeypatch.setattr("samplecheck.pipeline.random.getrandbits", lambda bits: next(draws))
+        _atomic_write(path, b"data")
+        assert path.read_bytes() == b"data"
+        assert taken.read_bytes() == b"someone else's"
+        assert next(draws, None) is None
+
 
 # Distinct texts that fill one EMBED_BATCH batch and half of a second, in the
 # order REPEATED first holds them; REPEATED repeats texts of both batches.
