@@ -81,8 +81,18 @@ def bertscore_greedy(
     bit. Precision is the mean of the block's row maxima, the best match of
     each candidate token, and recall of its column maxima (idf-weighted when
     weights are present). F1 is the harmonic mean, defined as 0 when P + R == 0.
-    Vectors of two dims or models raise ValueError, as in build_matrix.
+    A token vector whose dim or model differs from candidate token 0's raises
+    ValueError naming its side and token.
     """
+    first = candidate.vectors[0]
+    for side, seq in (("candidate", candidate), ("reference", reference)):
+        for i, (token, vector) in enumerate(zip(seq.tokens, seq.vectors)):
+            if vector.dim != first.dim:
+                raise ValueError(f"{side} token {i} ({token!r}) has dim {vector.dim}, "
+                                 f"candidate token 0 has {first.dim}")
+            if vector.model_id != first.model_id:
+                raise ValueError(f"{side} token {i} ({token!r}) is from {vector.model_id!r}, "
+                                 f"candidate token 0 from {first.model_id!r}")
     n = len(candidate.vectors)
     block = build_matrix(candidate.vectors + reference.vectors).entries[:n, n:]
     precision = _weighted_mean(block.max(axis=1).tolist(), candidate.idf)

@@ -33,7 +33,6 @@ from .pipeline import (
 )
 from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig
 from .scorematrix import MEASURES, ConfidenceThresholds, SimilarityMatrix
-from .vectors import Embedding
 
 log = logging.getLogger(__name__)
 
@@ -272,51 +271,38 @@ def _window_failure(window: Sequence, k: int, exc: PartialFailure) -> SampleChec
         for r, failures in sorted(by_record.items())))
 
 
-def _record_scorer(
+def _scores(
     cfg: RunConfig, scheme: str, task: str, records: Sequence
-) -> tuple[str, Callable[[object], float]]:
-    """The statistic a scheme of EVAL_SCHEMES reports, and its record -> score
-    callable, whose errors name the record.
+) -> tuple[str, list[float]]:
+    """The statistic a scheme of EVAL_SCHEMES reports, and each record's score;
+    errors name the record.
 
-    checkembed scores each record's first k samples, so every record must
-    have k of them; that is checked here, before any request. It embeds
-    records a window at a time: consecutive whole records holding at most
-    EVAL_WINDOW texts (one record if k exceeds it). The first record scored
-    whose samples the current window lacks embeds the window holding it, in
-    one embed_cached call.
+    checkembed scores each record's first k samples; cmd_eval has checked that
+    every record holds k. It embeds records a window at a time: consecutive
+    whole records holding at most EVAL_WINDOW texts (one record if k exceeds
+    it), in one embed_cached call. Record i of a window is scored from vectors
+    i*k to (i+1)*k of that call.
     """
     k = cfg.k
     if scheme == "checkembed":
-        for r in records:
-            if len(r.samples) < k:
-                raise evalmod.InsufficientSamples(
-                    f"record {r.id!r} has {len(r.samples)} samples, need k={k}"
-                )
+        score = evalmod.stability_scorer(cfg.measure, cfg.eval.statistic)
         per_window = max(1, EVAL_WINDOW // k)
-        position = {id(r): i for i, r in enumerate(records)}
-        vectors: dict[str, Embedding] = {}
-        score = evalmod.stability_scorer(lambda texts: [vectors[t] for t in texts],
-                                         cfg.measure, cfg.eval.statistic)
-
-        def record_score(r) -> float:
-            samples = r.samples[:k]
-            if not vectors.keys() >= set(samples):
-                start = position[id(r)] // per_window * per_window
-                window = records[start:start + per_window]
-                texts = [t for w in window for t in w.samples[:k]]
-                vectors.clear()
-                try:
-                    vectors.update(zip(texts, embed_cached(texts, cfg.embedding,
-                                                           cfg.cache_dir)))
-                except PartialFailure as exc:
-                    raise _window_failure(window, k, exc) from exc
-            return _named(r, lambda: score(samples))
-
-        return cfg.eval.statistic, record_score
+        scores: list[float] = []
+        for start in range(0, len(records), per_window):
+            window = records[start:start + per_window]
+            try:
+                vectors = embed_cached([t for r in window for t in r.samples[:k]],
+                                       cfg.embedding, cfg.cache_dir)
+            except PartialFailure as exc:
+                raise _window_failure(window, k, exc) from exc
+            scores += [_named(r, lambda: score(vectors[i * k:(i + 1) * k]))
+                       for i, r in enumerate(window)]
+        return cfg.eval.statistic, scores
     if task != "wikibio":
         raise ConfigError("the judge scheme is only wired for the wikibio task")
-    return "judge_score", lambda r: _named(r, lambda: float(
+    return "judge_score", [_named(r, lambda: float(
         judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score))
+        for r in records]
 
 
 # The ragtruth protocol. Every score that reaches the sweep is low for a suspect
@@ -332,13 +318,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     read = evalmod.read_passages_jsonl if task == "wikibio" else evalmod.read_binary_jsonl
     records = read(args.dataset)
-    statistic, score = _record_scorer(cfg, args.scheme, task, records)
-    scores = [score(r) for r in records]
+    # Checks that need no request come first: a record short of k samples, then
+    # what correlate asks of the gold scores.
+    if args.scheme == "checkembed":
+        for r in records:
+            if len(r.samples) < cfg.k:
+                raise evalmod.InsufficientSamples(
+                    f"record {r.id!r} has {len(r.samples)} samples, need k={cfg.k}")
+    if task == "wikibio":
+        gold = [evalmod.passage_score(r.labels) for r in records]
+        evalmod.check_correlatable(gold)
+    statistic, scores = _scores(cfg, args.scheme, task, records)
 
     result = {"task": task, "scheme": args.scheme, "n_records": len(records), "k": cfg.k,
               "statistic": statistic}
     if task == "wikibio":
-        gold = [evalmod.passage_score(r.labels) for r in records]
         pe, sp = evalmod.correlate(scores, gold)
         result.update(pearson_pct=pe, spearman_pct=sp)
         print(f"{'metric':<14} {'value':>8}")

@@ -89,16 +89,24 @@ def passage_score(labels: Sequence[str]) -> float:
     return math.fsum(values) / len(values)
 
 
+def check_correlatable(values: Sequence[float]) -> None:
+    """What correlate asks of each side: ValueError for fewer than 3 values,
+    ConstantSequence if they are all equal."""
+    v = np.asarray(values, dtype=np.float64)
+    if len(v) < 3:
+        raise ValueError("correlate needs at least 3 paired values")
+    if np.all(v == v[0]):
+        raise ConstantSequence("correlation is undefined for a constant sequence")
+
+
 def correlate(predicted: Sequence[float], gold: Sequence[float]) -> tuple[float, float]:
     """(Pearson, Spearman) as percentages rounded to one decimal place."""
     if len(predicted) != len(gold):
         raise LengthMismatch(f"lengths differ: {len(predicted)} vs {len(gold)}")
-    if len(predicted) < 3:
-        raise ValueError("correlate needs at least 3 paired values")
     p = np.asarray(predicted, dtype=np.float64)
     g = np.asarray(gold, dtype=np.float64)
-    if np.all(p == p[0]) or np.all(g == g[0]):
-        raise ConstantSequence("correlation is undefined for a constant sequence")
+    check_correlatable(p)
+    check_correlatable(g)
     pe = pearson(p, g)
     sp = spearman(p, g)
     return round(pe * 100.0, 1), round(sp * 100.0, 1)
@@ -190,14 +198,10 @@ RecordScorer = Callable[[Sequence[str]], float]
 
 
 def stability_scorer(
-    embed: Callable[[Sequence[str]], list[Embedding]],
-    measure: str = "cosine",
-    statistic: str = "mean_offdiag",
-) -> RecordScorer:
-    """Per-record confidence: embed the samples, build the matrix, reduce it.
-
-    `embed` is a batch embedder (texts -> embeddings in order), such as the
-    cached pipeline.embed_cached the CLI passes; it gets a record's samples at once.
+    measure: str = "cosine", statistic: str = "mean_offdiag"
+) -> Callable[[Sequence[Embedding]], float]:
+    """Per-record confidence from the embeddings of a record's samples: build
+    their matrix and reduce it.
 
     The statistic is the off-diagonal mean by default; the normalized
     Frobenius norm is exposed as the alternative whole-matrix reduction.
@@ -205,12 +209,10 @@ def stability_scorer(
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
 
-    def score(samples: Sequence[str]) -> float:
-        if len(samples) < 2:
+    def score(embeddings: Sequence[Embedding]) -> float:
+        if len(embeddings) < 2:
             raise InsufficientSamples("stability scoring needs k >= 2 samples")
-        embeddings = embed(samples)
-        summary = summarize(build_matrix(embeddings, None, measure))
-        return getattr(summary, statistic)
+        return getattr(summarize(build_matrix(embeddings, None, measure)), statistic)
 
     return score
 
@@ -301,8 +303,10 @@ def corruption_corpus(
 
 
 def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag") -> RecordScorer:
-    """Stability scorer backed by the deterministic offline embedder."""
-    return stability_scorer(EmbedderConfig(dim=dim, seed=seed).embed, "cosine", statistic)
+    """Stability scorer of sample texts, embedded by the deterministic offline embedder."""
+    embed = EmbedderConfig(dim=dim, seed=seed).embed
+    score = stability_scorer("cosine", statistic)
+    return lambda samples: score(embed(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ machine reproduces the cold run's report exactly. Vectors of older layouts
 miss, are embedded again once, and are left on disk. A store file is valid
 only if it is exactly the header np.save writes for a 1-D "<f8" array of
 n >= 1 values, then those values, all finite; any other file raises
-CorruptCacheEntry naming it. Nothing is ever evicted.
+CorruptCacheEntry naming it, and so does a meta.json that is not a JSON
+object of strings. Nothing is ever evicted.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
@@ -108,7 +109,8 @@ class PartialFailure(SampleCheckError):
 
 
 class CorruptCacheEntry(SampleCheckError):
-    """A cached embedding file is not the .npy file of a 1-D float64 array."""
+    """A cache file is not as the cache writes it: a vector file not the .npy
+    file of a 1-D float64 array, or a meta.json not a JSON object of strings."""
 
     def __init__(self, path: Path, reason: str) -> None:
         super().__init__(f"corrupt cache entry {path}: {reason}")
@@ -349,12 +351,17 @@ class _Cache:
                       _npy_header(values.size) + values.tobytes())
 
     def update_meta(self, updates: dict) -> dict:
-        """meta.json with the keys it lacks added; a key once set never changes."""
+        """meta.json with the keys it lacks added; a key once set never changes.
+        CorruptCacheEntry if the file is anything but a JSON object of strings."""
         p = self.dir / "meta.json"
         try:
             meta = json.loads(p.read_text(encoding="utf-8"))
         except FileNotFoundError:
             meta = {}
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CorruptCacheEntry(p, str(exc)) from exc
+        if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
+            raise CorruptCacheEntry(p, "not a JSON object of strings")
         if not updates.keys() <= meta.keys():
             meta = {**updates, **meta}
             _atomic_write(p, json.dumps(meta, sort_keys=True, indent=2).encode("utf-8"))

@@ -111,6 +111,20 @@ class TestBertscoreGreedy:
         with pytest.raises(ValueError):
             bertscore_greedy(seq([[1, 0]]), seq([[1, 0, 0]]))
 
+    def test_mismatch_names_side_and_token(self):
+        c = seq([[1, 0], [0, 1]], tokens=["a", "b"])
+        r = seq([[1, 0, 0], [0, 1, 0]], tokens=["x", "y"])
+        with pytest.raises(ValueError, match=r"^reference token 0 \('x'\) has dim 3, "
+                                             r"candidate token 0 has 2$"):
+            bertscore_greedy(c, r)
+        other = TokenEmbeddingSeq(tokens=("a", "b"), vectors=(
+            c.vectors[0], Embedding(np.array([0.0, 1.0]), model_id="other")))
+        with pytest.raises(ValueError, match=r"^candidate token 1 \('b'\) is from 'other', "
+                                             r"candidate token 0 from 'tok'$"):
+            bertscore_greedy(other, c)
+        with pytest.raises(ValueError, match=r"^reference token 1 \('b'\) is from 'other'"):
+            bertscore_greedy(c, other)
+
     def test_empty_sequence(self):
         with pytest.raises(EmptySequence):
             TokenEmbeddingSeq(tokens=(), vectors=())

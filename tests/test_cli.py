@@ -31,6 +31,7 @@ from samplecheck.cli import (
 )
 from samplecheck.eval import (
     BinaryRecord,
+    LabeledPassage,
     corruption_corpus,
     mock_scorer,
     threshold_sweep,
@@ -630,8 +631,8 @@ class TestEvalCommand:
                    for rid, label in zip(scores, labels)]
         dataset = tmp_path / "rag.jsonl"
         write_records_jsonl(dataset, records)
-        monkeypatch.setattr(cli, "_record_scorer",
-                            lambda cfg, scheme, task, records: ("mean", lambda r: scores[r.id]))
+        monkeypatch.setattr(cli, "_scores", lambda cfg, scheme, task, records:
+                            ("mean", [scores[r.id] for r in records]))
         config = write_config(tmp_path, stub, k=2)
         assert main(["eval", "--config", str(config), "--dataset", str(dataset),
                      "--scheme", "checkembed", "--task", "ragtruth"]) == 0
@@ -726,6 +727,29 @@ class TestEvalCommand:
         assert "record 'short' has 2 samples, need k=3" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"eval_{task}_checkembed.json").exists()
 
+    @pytest.mark.parametrize("scheme", ["checkembed", "judge"])
+    @pytest.mark.parametrize("labels, message", [
+        ([("accurate",), ("major",)], "correlate needs at least 3 paired values"),
+        ([("accurate",)] * 4, "correlation is undefined for a constant sequence"),
+    ], ids=["two-records", "equal-gold"])
+    def test_uncorrelatable_gold_exit_one_before_any_request(self, stub, tmp_path, capsys,
+                                                             labels, message, scheme):
+        records = [LabeledPassage(id=f"r{i}", sentences=("One.",) * len(record_labels),
+                                  labels=record_labels,
+                                  samples=tuple(f"reply {i}.{s}" for s in range(3)))
+                   for i, record_labels in enumerate(labels)]
+        dataset = tmp_path / "wikibio.jsonl"
+        write_records_jsonl(dataset, records)
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                     "timeout": 5, "max_retries": 0}
+        config = write_config(tmp_path, stub, k=3, embedding=embedding)
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", scheme, "--task", "wikibio"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert stub.state.requests == []
+        assert not (tmp_path / "out").exists()
+
     # The ragtruth polarity and threshold grid are fixed, so no longer settings.
     @pytest.mark.parametrize("setting", [{"polarity": "low_score_flags"},
                                          {"statistic": "std_offdiag"},
@@ -793,26 +817,27 @@ class TestEvalWindows:
 
     def test_windows_report_what_records_scored_alone_report(self, stub, tmp_path,
                                                                 monkeypatch):
-        k = 4
-        per_window = cli.EVAL_WINDOW // k
-        records, _ = corruption_corpus(n_levels=5, records_per_level=per_window // 5 + 2,
-                                       k=k, base_tokens=12, seed=9)
-        assert per_window < len(records) < 2 * per_window  # two windows, the second partial
+        # At k=3 a window holds 85 records, 255 texts: not a multiple of EVAL_WINDOW.
         stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
-        code, cold = self._run(stub, tmp_path / "window", records, k, max_concurrency=2)
-        assert code == 0
-        assert cold == self._requests(records, k, per_window)
-        report = (tmp_path / "window" / "out" / "eval_wikibio_checkembed.json").read_bytes()
-        assert self._run(stub, tmp_path / "window", records, k, max_concurrency=2) == (0, 0)
-        assert (tmp_path / "window" / "out" / "eval_wikibio_checkembed.json").read_bytes() \
-            == report
-        # A window of one record scores each record alone, one embed_cached call each.
-        monkeypatch.setattr(cli, "EVAL_WINDOW", 1)
-        code, alone = self._run(stub, tmp_path / "alone", records, k)
-        assert code == 0
-        assert alone == self._requests(records, k, 1) > cold
-        assert (tmp_path / "alone" / "out" / "eval_wikibio_checkembed.json").read_bytes() \
-            == report
+        for k in (4, 3):
+            per_window = cli.EVAL_WINDOW // k
+            records, _ = corruption_corpus(n_levels=5, records_per_level=per_window // 5 + 2,
+                                           k=k, base_tokens=12, seed=9)
+            assert per_window < len(records) < 2 * per_window  # two windows, the second partial
+            window, alone = tmp_path / f"window{k}", tmp_path / f"alone{k}"
+            code, cold = self._run(stub, window, records, k, max_concurrency=2)
+            assert code == 0
+            assert cold == self._requests(records, k, per_window)
+            report = (window / "out" / "eval_wikibio_checkembed.json").read_bytes()
+            assert self._run(stub, window, records, k, max_concurrency=2) == (0, 0)
+            assert (window / "out" / "eval_wikibio_checkembed.json").read_bytes() == report
+            # A window of one record scores each record alone, one embed_cached call each.
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "EVAL_WINDOW", 1)
+                code, single = self._run(stub, alone, records, k)
+            assert code == 0
+            assert single == self._requests(records, k, 1) > cold
+            assert (alone / "out" / "eval_wikibio_checkembed.json").read_bytes() == report
 
     def test_failed_batch_names_its_records_and_keeps_the_rest(self, stub, tmp_path, capsys):
         k = 3

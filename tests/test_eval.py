@@ -31,6 +31,7 @@ from samplecheck.eval import (
     write_records_jsonl,
 )
 from samplecheck.providers import mock_embed
+from samplecheck.scorematrix import build_matrix, summarize
 from samplecheck.vectors import ConstantSequence, pearson, spearman
 
 
@@ -284,10 +285,16 @@ class TestStabilityScorer:
         with pytest.raises(InsufficientSamples):
             mock_scorer(dim=64)(["only one"])
 
+    def test_scores_a_records_embeddings(self):
+        vectors = [mock_embed(t, 64, 0) for t in ("alpha beta", "alpha gamma", "delta")]
+        matrix = build_matrix(vectors)
+        assert stability_scorer()(vectors) == summarize(matrix).mean_offdiag
+        assert stability_scorer("cosine", "frobenius_normalized")(vectors) \
+            == summarize(matrix).frobenius_normalized
+
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
-            stability_scorer(lambda ts: [mock_embed(t, 64, 0) for t in ts],
-                             statistic="determinant")
+            stability_scorer(statistic="determinant")
 
 
 class TestSampleSweep:

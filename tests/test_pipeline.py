@@ -925,6 +925,23 @@ class TestCacheEntries:
         assert str(path) in str(err.value)
         assert len(stub.state.requests) == requests
 
+    @pytest.mark.parametrize("damage", [b"[]", b'"x"', b"{", b'{"generated_at": 1}',
+                                        b"\xff{}"],
+                             ids=["list", "string", "truncated", "number-value", "not-utf8"])
+    def test_damaged_meta_raises_naming_the_file(self, stub, tmp_path, damage):
+        stub.state.chat_replies = DISJOINT
+        cache = tmp_path / "cache"
+        report = verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        path = cache / report.prompt_id / "meta.json"
+        path.write_bytes(damage)
+        requests = len(stub.state.requests)
+        with pytest.raises(CorruptCacheEntry) as err:
+            verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert err.value.path == path
+        assert str(path) in str(err.value)
+        assert len(stub.state.requests) == requests
+        assert path.read_bytes() == damage
+
 
 class TestChunkDocument:
     def test_short_document_single_chunk(self):
