@@ -8,7 +8,7 @@ cost model for comparing verification schemes.
 """
 
 from .errors import SampleCheckError
-from .pipeline import VerificationReport, chunk_document, ingest_vectors, verify
+from .pipeline import VerificationReport, verify
 from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig
 from .scorematrix import (
     ConfidenceThresholds,
@@ -30,9 +30,7 @@ __all__ = [
     "SimilarityMatrix",
     "VerificationReport",
     "build_matrix",
-    "chunk_document",
     "cosine",
-    "ingest_vectors",
     "pearson",
     "spearman",
     "summarize",

@@ -18,8 +18,6 @@ from .scoring import (
     TokenEmbeddingSeq,
     bertscore_greedy,
     http_nli_provider,
-    idf_from_mapping,
-    idf_weights,
     selfcheck_bert,
     selfcheck_nli,
     split_sentences,
@@ -36,8 +34,6 @@ __all__ = [
     "assemble_prompt",
     "bertscore_greedy",
     "http_nli_provider",
-    "idf_from_mapping",
-    "idf_weights",
     "llm_judge",
     "parse_verdict",
     "selfcheck_bert",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..errors import SampleCheckError
 from ..providers import ProviderConfig, _post_json
@@ -59,10 +59,6 @@ class TokenEmbeddingSeq:
                 raise ValueError("idf weights must be non-negative")
             if math.fsum(self.idf) == 0.0:
                 raise ValueError("idf weights must not all be zero")
-
-    @property
-    def dim(self) -> int:
-        return self.vectors[0].dim
 
 
 def _weighted_mean(values: Sequence[float], weights: Sequence[float] | None) -> float:
@@ -172,27 +168,3 @@ _SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")
 def split_sentences(text: str) -> list[str]:
     """Split on '.', '!' or '?' followed by whitespace; keeps the terminator."""
     return [s for s in (_SENT_SPLIT.split(text.strip())) if s]
-
-
-def idf_weights(
-    tokens: Sequence[str], corpus: Sequence[Sequence[str]]
-) -> tuple[float, ...]:
-    """Per-token idf over a tokenized corpus, with add-one smoothing.
-
-    idf(t) = ln((N + 1) / (df(t) + 1)) where df counts documents containing
-    the token; the smoothing keeps unseen tokens finite and positive.
-    """
-    if not corpus:
-        raise ValueError("idf corpus must be nonempty")
-    n_docs = len(corpus)
-    doc_sets = [set(doc) for doc in corpus]
-    weights = []
-    for token in tokens:
-        df = sum(1 for doc in doc_sets if token in doc)
-        weights.append(math.log((n_docs + 1) / (df + 1)))
-    return tuple(weights)
-
-
-def idf_from_mapping(tokens: Sequence[str], table: Mapping[str, float]) -> tuple[float, ...]:
-    """Look up caller-precomputed idf values; unknown tokens get weight 0."""
-    return tuple(float(table.get(t, 0.0)) for t in tokens)

@@ -162,7 +162,7 @@ def load_config(path: Path | str) -> RunConfig:
     """Parse the JSON run configuration (see _given); relative paths resolve against it."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_Object)
+        obj = json.loads(_read_input("config", path), object_pairs_hook=_Object)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -218,12 +218,20 @@ def _write_outputs(report: VerificationReport, output_dir: Path) -> None:
     _write_heatmap(report.matrix, output_dir / "heatmap.svg")
 
 
+def _read_input(what: str, path: Path | str) -> str:
+    """The text of an input file; ConfigError naming it if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not UTF-8: {exc}") from exc
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    prompt = Path(args.prompt).read_text(encoding="utf-8")
+    prompt = _read_input("prompt", args.prompt)
     if not prompt.strip():
         raise ConfigError(f"prompt file {args.prompt} is empty")
-    gt = Path(args.gt).read_text(encoding="utf-8") if args.gt else None
+    gt = _read_input("ground truth", args.gt) if args.gt else None
     report = verify(
         prompt,
         gt,

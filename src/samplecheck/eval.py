@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -314,23 +314,6 @@ def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag")
 # ---------------------------------------------------------------------------
 
 
-def _iter_jsonl(path: Path, error: type[SampleCheckError]) -> Iterator[tuple[int, object]]:
-    """(line number, parsed value) for each non-blank line of a JSON Lines file.
-
-    A line that is not valid JSON raises `error` naming path:lineno.
-    """
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, value
-
-
 _Record = TypeVar("_Record", LabeledPassage, BinaryRecord)
 _TEXT_LISTS = ("sentences", "labels", "samples")
 
@@ -338,14 +321,19 @@ _TEXT_LISTS = ("sentences", "labels", "samples")
 def _read_records(path: Path | str, cls: type[_Record]) -> list[_Record]:
     """One cls per non-blank line; DatasetError names path:lineno of a bad line.
 
-    Each line is a JSON object holding every field of cls that has no default.
-    sentences, labels and samples must be JSON lists of strings; the other
-    fields are converted with str.
+    Each line is UTF-8 text of a JSON object holding every field of cls that
+    has no default. sentences, labels and samples must be JSON lists of
+    strings; the other fields are converted with str. Lines end as in text
+    mode: at "\n", "\r\n" or "\r".
     """
     path = Path(path)
     records = []
-    for lineno, obj in _iter_jsonl(path, DatasetError):
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise DatasetError("expected a JSON object")
             values: dict[str, object] = {}
@@ -361,6 +349,10 @@ def _read_records(path: Path | str, cls: type[_Record]) -> list[_Record]:
                     raise DatasetError(f"{f.name!r} must be a JSON list of strings")
                 values[f.name] = value
             records.append(cls(**values))
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         except KeyError as exc:
             raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
         except DatasetError as exc:

@@ -21,8 +21,9 @@ machine reproduces the cold run's report exactly. Vectors of older layouts
 miss, are embedded again once, and are left on disk. A store file is valid
 only if it is exactly the header np.save writes for a 1-D "<f8" array of
 n >= 1 values, then those values, all finite; any other file raises
-CorruptCacheEntry naming it, and so does a meta.json that is not a JSON
-object of strings. Nothing is ever evicted.
+CorruptCacheEntry naming it, and so do a reply file that is not UTF-8 or
+holds only whitespace and a meta.json that is not a JSON object of strings.
+Nothing is ever evicted.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
@@ -51,7 +52,6 @@ import numpy as np
 
 from . import providers
 from .errors import SampleCheckError
-from .eval import _iter_jsonl
 from .providers import EmbedderConfig, GeneratorConfig
 from .scorematrix import (
     DEFAULT_THRESHOLDS,
@@ -109,24 +109,13 @@ class PartialFailure(SampleCheckError):
 
 
 class CorruptCacheEntry(SampleCheckError):
-    """A cache file is not as the cache writes it: a vector file not the .npy
-    file of a 1-D float64 array, or a meta.json not a JSON object of strings."""
+    """A cache file is not as the cache writes it: a reply file not UTF-8 or
+    blank, a vector file not the .npy file of a 1-D float64 array, or a
+    meta.json not a JSON object of strings."""
 
     def __init__(self, path: Path, reason: str) -> None:
         super().__init__(f"corrupt cache entry {path}: {reason}")
         self.path = path
-
-
-class EmptyDocument(SampleCheckError):
-    """chunk_document needs at least one token."""
-
-
-class ParseError(SampleCheckError):
-    """A vector file line is not valid JSON or fails the Embedding rule."""
-
-
-class RaggedDims(SampleCheckError):
-    """Vectors in one file must all share the same dimensionality."""
 
 
 @dataclass(frozen=True)
@@ -318,10 +307,18 @@ class _Cache:
         return _model_dir(self.root, model_id) / f"{digest}.npy"
 
     def load_text(self, index: int) -> str | None:
+        """The stored reply; None if there is no file, CorruptCacheEntry if the
+        file is not UTF-8 or holds only whitespace, which no reply can be."""
+        p = self.sample_path(index)
         try:
-            return self.sample_path(index).read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
+        except UnicodeDecodeError as exc:
+            raise CorruptCacheEntry(p, str(exc)) from exc
+        if not text.strip():
+            raise CorruptCacheEntry(p, "blank reply")
+        return text
 
     def store_text(self, index: int, text: str) -> None:
         _atomic_write(self.sample_path(index), text.encode("utf-8"))
@@ -498,71 +495,3 @@ def report_from_json(data: bytes | str) -> VerificationReport:
         raise ValueError(f"not a samplecheck report: no key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"not a samplecheck report: {exc}") from exc
-
-
-_SENTENCE_END = ".!?"
-_CLOSERS = "\"')]}"
-
-
-def _ends_sentence(token: str) -> bool:
-    stripped = token.rstrip(_CLOSERS)
-    return bool(stripped) and stripped[-1] in _SENTENCE_END
-
-
-def chunk_document(document: str, max_tokens: int, overlap_tokens: int = 0) -> list[str]:
-    """Split a document into whitespace-token chunks of at most max_tokens.
-
-    Greedy packing that prefers to cut at a sentence boundary whenever one
-    exists inside the window; consecutive chunks share overlap_tokens tokens,
-    and stripping the overlaps reproduces the original token sequence.
-    """
-    if max_tokens < 25:
-        raise ValueError("max_tokens must be >= 25")
-    if not 0 <= overlap_tokens < max_tokens:
-        raise ValueError("overlap_tokens must satisfy 0 <= overlap < max_tokens")
-    tokens = document.split()
-    if not tokens:
-        raise EmptyDocument("document contains no tokens")
-
-    chunks: list[str] = []
-    start = 0
-    while start < len(tokens):
-        window_end = min(start + max_tokens, len(tokens))
-        end = window_end
-        if window_end < len(tokens):
-            # Cut at the last sentence end in the window, provided the chunk
-            # stays long enough to make progress past the overlap.
-            for pos in range(window_end, start + overlap_tokens, -1):
-                if _ends_sentence(tokens[pos - 1]):
-                    end = pos
-                    break
-        chunks.append(" ".join(tokens[start:end]))
-        if end == len(tokens):
-            break
-        start = end - overlap_tokens
-    return chunks
-
-
-def ingest_vectors(path: Path | str, model_id: str = "ingested") -> list[Embedding]:
-    """Load precomputed vectors from a JSON Lines file (one array per line).
-
-    This is the entry point for any modality whose embeddings are produced
-    elsewhere (e.g. image embeddings); the result feeds straight into
-    build_matrix / the eval harness. Each line must pass the Embedding rule
-    (ParseError naming path:lineno otherwise), and all must share one dim.
-    """
-    path = Path(path)
-    embeddings: list[Embedding] = []
-    for lineno, values in _iter_jsonl(path, ParseError):
-        try:
-            emb = Embedding(values, model_id=model_id)
-        except (ValueError, NonFiniteInput) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if embeddings and emb.dim != embeddings[0].dim:
-            raise RaggedDims(
-                f"{path}:{lineno}: vector has dim {emb.dim}, expected {embeddings[0].dim}"
-            )
-        embeddings.append(emb)
-    if not embeddings:
-        raise ParseError(f"{path}: no vectors found")
-    return embeddings

@@ -20,8 +20,6 @@ from samplecheck.baselines import (
     assemble_prompt,
     bertscore_greedy,
     http_nli_provider,
-    idf_from_mapping,
-    idf_weights,
     llm_judge,
     parse_verdict,
     selfcheck_bert,
@@ -260,18 +258,6 @@ class TestSentenceSplitting:
             "Version 2.5 shipped.",
             "Done.",
         ]
-
-
-class TestIdf:
-    def test_add_one_smoothing(self):
-        corpus = [["a", "b"], ["a", "c"], ["a", "d"]]
-        w = idf_weights(["a", "b", "zzz"], corpus)
-        assert w[0] == pytest.approx(math.log(4 / 4))
-        assert w[1] == pytest.approx(math.log(4 / 2))
-        assert w[2] == pytest.approx(math.log(4 / 1))
-
-    def test_mapping_lookup(self):
-        assert idf_from_mapping(["a", "b"], {"a": 1.5}) == (1.5, 0.0)
 
 
 class TestJudgeTemplates:

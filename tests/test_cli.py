@@ -215,6 +215,21 @@ class TestVerifyCommand:
         assert report.summary.gt_alignment == pytest.approx(1.0)
         assert report.matrix.labels[-1] == "GT"
 
+    @pytest.mark.parametrize("which", ["config", "prompt", "gt"])
+    def test_non_utf8_input_exit_one_names_file(self, stub, tmp_path, prompt_file, capsys,
+                                                which):
+        config = write_config(tmp_path, stub)
+        gt = tmp_path / "gt.txt"
+        gt.write_text("alpha beta gamma")
+        bad = {"config": config, "prompt": prompt_file, "gt": gt}[which]
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        args = ["verify", "--config", str(config), "--prompt", str(prompt_file), "--gt", str(gt)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad} is not UTF-8: " in err
+        assert stub.state.requests == []
+        assert not (tmp_path / "out").exists()
+
     def test_parser_built_once_and_options_not_inherited(self, stub, tmp_path, prompt_file):
         assert build_parser() is build_parser()
         stub.state.chat_replies = DISJOINT

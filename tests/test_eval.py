@@ -419,6 +419,21 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: "):
             read(path)
 
+    @pytest.mark.parametrize("read", [read_passages_jsonl, read_binary_jsonl])
+    def test_non_utf8_line_names_path_and_line(self, tmp_path, read):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'\n{"id": "\xff"}\n')
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: not UTF-8: "):
+            read(path)
+
+    def test_lines_end_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(f"{GOOD_PASSAGE}\r\n\r{GOOD_PASSAGE}\r{{broken\n".encode())
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:4: invalid JSON: "):
+            read_passages_jsonl(path)
+        path.write_bytes(f"{GOOD_PASSAGE}\r\n\r{GOOD_PASSAGE}\r".encode())
+        assert len(read_passages_jsonl(path)) == 2
+
     def test_passages_round_trip(self, tmp_path):
         records = [
             LabeledPassage(

@@ -1,4 +1,4 @@
-"""Pipeline orchestration: staging, caching, chunking, vector ingestion."""
+"""Pipeline orchestration: staging, caching, report serialization."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import io
 import json
 import math
 import pickle
-import re
 import shutil
 import sys
 import tempfile
@@ -27,15 +26,10 @@ from samplecheck.pipeline import (
     GENERATE_BATCH,
     CorruptCacheEntry,
     EmbedderConfig,
-    EmptyDocument,
     GeneratorConfig,
-    ParseError,
     PartialFailure,
-    RaggedDims,
     VerificationReport,
-    chunk_document,
     embed_cached,
-    ingest_vectors,
     prompt_hash,
     report_from_json,
     report_json_bytes,
@@ -942,100 +936,18 @@ class TestCacheEntries:
         assert len(stub.state.requests) == requests
         assert path.read_bytes() == damage
 
-
-class TestChunkDocument:
-    def test_short_document_single_chunk(self):
-        doc = " ".join(f"t{i}" for i in range(10))
-        assert chunk_document(doc, 600) == [doc]
-
-    def test_hundred_tokens_max_fifty(self):
-        doc = " ".join(f"t{i}" for i in range(100))
-        chunks = chunk_document(doc, 50, 0)
-        assert len(chunks) == 2
-        assert all(len(c.split()) == 50 for c in chunks)
-
-    def test_prefers_sentence_boundary(self):
-        doc = "one two three four five. " + " ".join(f"w{i}" for i in range(30))
-        chunks = chunk_document(doc, 25, 0)
-        assert chunks[0] == "one two three four five."
-
-    def test_reassembly_oracle(self):
-        rng = np.random.default_rng(21)
-        words = []
-        for s in range(60):
-            n = int(rng.integers(3, 12))
-            sentence = [f"s{s}w{i}" for i in range(n)]
-            sentence[-1] += "."
-            words.extend(sentence)
-        doc = " ".join(words)
-        for max_tokens, overlap in [(25, 0), (30, 5), (40, 10), (600, 0)]:
-            chunks = chunk_document(doc, max_tokens, overlap)
-            rebuilt = chunks[0].split()
-            for chunk in chunks[1:]:
-                tokens = chunk.split()
-                assert rebuilt[-overlap:] == tokens[:overlap] if overlap else True
-                rebuilt.extend(tokens[overlap:] if overlap else tokens)
-            assert rebuilt == words
-            assert all(len(c.split()) <= max_tokens for c in chunks)
-
-    def test_min_window(self):
-        with pytest.raises(ValueError):
-            chunk_document("a b c", 10)
-
-    def test_overlap_bounds(self):
-        with pytest.raises(ValueError):
-            chunk_document("a b c", 25, 25)
-
-    def test_empty_document(self):
-        with pytest.raises(EmptyDocument):
-            chunk_document("   ", 25)
-
-
-def write_vectors(path: Path, embeddings: list[Embedding]) -> None:
-    """Write embeddings as JSON Lines, the format ingest_vectors reads."""
-    path.write_text("".join(json.dumps(e.tolist()) + "\n" for e in embeddings))
-
-
-class TestIngestVectors:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(22)
-        embs = [Embedding(rng.normal(size=768), model_id="ingested") for _ in range(10)]
-        path = tmp_path / "vectors.jsonl"
-        write_vectors(path, embs)
-        loaded = ingest_vectors(path)
-        assert len(loaded) == 10
-        assert all(e.dim == 768 for e in loaded)
-        for a, b in zip(embs, loaded):
-            assert np.array_equal(a.values, b.values)
-
-    def test_single_vector_valid_but_unverifiable(self, tmp_path):
-        path = tmp_path / "one.jsonl"
-        path.write_text("[1.0, 2.0, 3.0]\n")
-        loaded = ingest_vectors(path)
-        assert len(loaded) == 1
-        from samplecheck.scorematrix import DegenerateMatrix
-
-        with pytest.raises(DegenerateMatrix):
-            build_matrix(loaded)
-
-    def test_parse_error(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        for bad in ('{"not": "array"}', "[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, 1.0]",
-                    "[1e400, 1.0]", f"[{10 ** 400}, 1.0]"):
-            path.write_text(f"[1.0, 2.0]\n{bad}\n")
-            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "):
-                ingest_vectors(path)
-
-    def test_ragged_dims(self, tmp_path):
-        path = tmp_path / "ragged.jsonl"
-        path.write_text("[1.0, 2.0]\n[1.0, 2.0, 3.0]\n")
-        with pytest.raises(RaggedDims):
-            ingest_vectors(path)
-
-    def test_feeds_matrix_pipeline(self, tmp_path):
-        path = tmp_path / "v.jsonl"
-        path.write_text("[1.0, 0.0]\n[0.0, 1.0]\n[1.0, 0.0]\n")
-        embs = ingest_vectors(path)
-        matrix = build_matrix(embs)
-        assert matrix.order == 3
-        assert matrix.entries[0, 2] == 1.0
+    @pytest.mark.parametrize("damage", [b"\xff\xfe", b"", b" \n\t"],
+                             ids=["not-utf8", "empty", "whitespace"])
+    def test_damaged_reply_raises_naming_the_file(self, stub, tmp_path, damage):
+        stub.state.chat_replies = DISJOINT
+        cache = tmp_path / "cache"
+        report = verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        path = cache / report.prompt_id / "samples" / "1.txt"
+        path.write_bytes(damage)
+        requests = len(stub.state.requests)
+        with pytest.raises(CorruptCacheEntry) as err:
+            verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
+        assert err.value.path == path
+        assert str(path) in str(err.value)
+        assert len(stub.state.requests) == requests
+        assert path.read_bytes() == damage

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_providers import cfg_for
 
-from samplecheck.pipeline import ParseError, ingest_vectors
 from samplecheck.providers import MalformedResponse, embed_many
 from samplecheck.vectors import (
     ConstantSequence,
@@ -301,7 +299,7 @@ vector_lists = st.lists(
 
 
 class TestOneNumericRule:
-    """Embedding, embeddings responses and ingested lines share one rule."""
+    """Embedding and embeddings responses share one rule."""
 
     @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
     def test_embedding_rejects(self, text):
@@ -315,24 +313,14 @@ class TestOneNumericRule:
         with pytest.raises(MalformedResponse, match="embedding 1"):
             embed_many(["x", "y"], cfg_for(stub), "custom-model")
 
-    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
-    def test_ingest_vectors_rejects(self, tmp_path, text):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(f"[1.0, 2.0]\n{text}\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "):
-            ingest_vectors(path)
-
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(values=vector_lists)
-    def test_every_path_is_bit_identical(self, stub, tmp_path, values):
+    def test_every_path_is_bit_identical(self, stub, values):
         want = np.asarray(values, dtype=np.float64).view(np.uint64)
         text = json.dumps(values)
         stub.state.raw_body = f'{{"data": [{{"index": 0, "embedding": {text}}}]}}'.encode()
-        path = tmp_path / "v.jsonl"
-        path.write_text(text + "\n")
-        got = [Embedding(values).values, embed_many(["x"], cfg_for(stub), "m")[0].values,
-               ingest_vectors(path)[0].values]
+        got = [Embedding(values).values, embed_many(["x"], cfg_for(stub), "m")[0].values]
         for arr in got:
             assert arr.dtype == np.float64
             assert np.array_equal(arr.view(np.uint64), want)
