@@ -166,7 +166,7 @@ def load_config(path: Path | str) -> RunConfig:
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         shared = {k: obj.pop(k) for k in _ENDPOINT_DEFAULTS if isinstance(obj, dict) and k in obj}
         defaults = {**_PRESENT_DEFAULTS, ProviderConfig: _given(ProviderConfig, shared, "", {})}
@@ -261,10 +261,10 @@ EVAL_WINDOW = 256
 
 
 def _named(record, score: Callable[[], float]) -> float:
-    """score(), with a SampleCheckError naming the record."""
+    """score(), with a SampleCheckError or ValueError naming the record."""
     try:
         return score()
-    except SampleCheckError as exc:
+    except (SampleCheckError, ValueError) as exc:
         raise SampleCheckError(f"record {record.id!r}: {exc}") from exc
 
 
@@ -378,7 +378,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         # The CSV goes to out_svg.with_suffix(".csv"): the SVG would overwrite it.
         raise ValueError(f"--out {out_svg} is a .csv path; give the SVG's path, "
                          "the CSV is written next to it")
-    report = report_from_json(Path(args.report).read_bytes())
+    try:
+        report = report_from_json(Path(args.report).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"report {args.report} is not valid JSON: {exc}") from exc
     out_csv = _write_heatmap(report.matrix, out_svg)
     print(f"wrote {out_svg} and {out_csv}")
     return EXIT_OK

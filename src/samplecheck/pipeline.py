@@ -42,7 +42,7 @@ import os
 import queue
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -78,9 +78,10 @@ EMBED_BATCH = 4
 # Most samples one chat request asks for (its "n"). verify asks for
 # ceil(k / m) per request, where m = w * ceil(k / (GENERATE_BATCH * w)) is the
 # fewest batches of at most GENERATE_BATCH that w = max_concurrency workers
-# can share equally: no worker carries more samples than another, also when
-# an endpoint returns fewer choices than asked and the rest of a batch stays
-# on its worker. The cap bounds the size of one response and the samples one
+# can share equally: no worker carries more samples than another. When an
+# endpoint returns fewer choices than asked, the rest of a batch is a request
+# of its own, queued behind the batches not yet sent, and the first free
+# worker sends it. The cap bounds the size of one response and the samples one
 # failed request covers, and stays under the n limits that providers put on
 # one request.
 GENERATE_BATCH = 16
@@ -204,60 +205,54 @@ def _cached_batches(
 ) -> list:
     """Each key's value, in key order: from `load` if cached, else from `call`, then `store`d.
 
-    Each distinct key is loaded once; those `load` returns None for go to `call`
-    in consecutive batches of at most `size`, `workers` batches at a time.
-    `call` returns results for a leading part of its batch, at least one, and
-    is called again with the rest of the batch. Workers only call: each
-    result goes back to the calling thread, which passes it to `store` as soon
-    as it arrives, so a later failure cannot discard it and no worker waits on
-    a file write before its next call. If a call fails, PartialFailure names
-    every position of `keys` holding the keys its batch still lacked. If a
-    `store` raises, every other result is still stored, then the first such
-    error is raised.
+    Each distinct key is loaded once; those `load` returns None go to `call` in
+    consecutive batches of at most `size`, all submitted at once to a pool of
+    `workers` threads, so at most `workers` calls are in flight. `call` returns
+    results for a leading part of its batch, at least one; the rest of the
+    batch is then submitted as a call of its own, behind those already queued.
+    Workers only call: the calling thread takes each call as it ends and passes
+    its results to `store`, so a later failure cannot discard them and no
+    worker waits on a file write before its next call. If a call fails,
+    PartialFailure names every position of `keys` holding the keys its batch
+    still lacked. If a `store` raises, every other result is still stored, then
+    the first such error is raised. A call that raises a BaseException other
+    than an Exception, such as SystemExit, has it raised once every other
+    result is stored.
     """
     results = {key: load(key) for key in dict.fromkeys(keys)}
     missing = [key for key, value in results.items() if value is None]
-    batches = [tuple(missing[i:i + size]) for i in range(0, len(missing), size)]
-    failures: dict[Hashable, Exception] = {}
-    # (batch, values) or (batch, exception) per call; None when a batch's run ends.
-    replies: queue.SimpleQueue = queue.SimpleQueue()
-
-    def run(batch: tuple) -> None:
-        try:
-            while batch:
-                try:
-                    values = call(batch)
-                    if not values:
-                        raise ValueError(f"stage {stage!r} got no result for a batch")
-                except Exception as exc:  # collected, re-raised as PartialFailure
-                    replies.put((batch, exc))
-                    return
-                replies.put((batch, values))
-                batch = batch[len(values):]
-        finally:
-            replies.put(None)
-
+    unsent = [tuple(missing[i:i + size]) for i in range(0, len(missing), size)]
+    batches: dict[Future, tuple] = {}  # each call not yet taken, and its batch
+    ended: queue.SimpleQueue = queue.SimpleQueue()  # each call's future as it ends
+    failures: dict[Hashable, BaseException] = {}
     store_error: Exception | None = None
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        running = [pool.submit(run, batch) for batch in batches]
-        ended = 0
-        while ended < len(running):
-            reply = replies.get()
-            if reply is None:
-                ended += 1
+        while unsent or batches:
+            for batch in unsent:
+                future = pool.submit(call, batch)
+                batches[future] = batch
+                future.add_done_callback(ended.put)
+            unsent = []
+            future = ended.get()
+            batch = batches.pop(future)
+            try:
+                values = future.result()
+                if not values:
+                    raise ValueError(f"stage {stage!r} got no result for a batch")
+            except BaseException as exc:  # collected, re-raised once the rest is stored
+                failures.update(dict.fromkeys(batch, exc))
                 continue
-            batch, outcome = reply
-            if isinstance(outcome, Exception):
-                failures.update(dict.fromkeys(batch, outcome))
-                continue
-            for key, value in zip(batch, outcome):
+            for key, value in zip(batch, values):
                 try:
                     store(key, value)
                 except Exception as exc:  # the other results are still stored
                     store_error = store_error or exc
                 results[key] = value
-    for future in running:
-        future.result()
+            if len(values) < len(batch):
+                unsent.append(batch[len(values):])
+    for exc in failures.values():
+        if not isinstance(exc, Exception):
+            raise exc
     if store_error is not None:
         raise store_error
     if failures:
@@ -480,10 +475,12 @@ def report_json_bytes(report: VerificationReport) -> bytes:
 def report_from_json(data: bytes | str) -> VerificationReport:
     """The report that report_json_bytes wrote as data.
 
-    ValueError if data is not JSON of exactly that shape: every field of each
-    dataclass present, and no other key.
+    ValueError if data is not JSON of exactly that shape: an object with every
+    field of each dataclass present, and no other key.
     """
     obj = json.loads(data)
+    if not isinstance(obj, dict):
+        raise ValueError("not a samplecheck report: expected a JSON object")
     try:
         return VerificationReport(**{
             **obj,

@@ -230,6 +230,14 @@ class TestVerifyCommand:
         assert stub.state.requests == []
         assert not (tmp_path / "out").exists()
 
+    def test_config_not_json_exit_one_names_file(self, stub, tmp_path, prompt_file, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{")
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+        assert stub.state.requests == []
+
     def test_parser_built_once_and_options_not_inherited(self, stub, tmp_path, prompt_file):
         assert build_parser() is build_parser()
         stub.state.chat_replies = DISJOINT
@@ -521,6 +529,25 @@ class TestEvalCommand:
         assert passages[0].id not in err and passages[2].id not in err
         # The judge stops at the failed record; the window also pays for the others' batches.
         assert len(stub.state.requests) == (3 if scheme == "checkembed" else 2)
+
+    def test_scoring_value_error_names_the_record(self, stub, tmp_path, capsys):
+        # The model has no preset dimension, so one 3-value vector among 4-value
+        # ones is found only when its record is scored.
+        records, _ = corruption_corpus(n_levels=3, records_per_level=1, k=3, base_tokens=10,
+                                       seed=2)
+        passages = passages_from_sweep_records(records)
+        dataset = tmp_path / "wikibio.jsonl"
+        write_records_jsonl(dataset, passages)
+        short = records[1].samples[1]
+        assert all(short not in r.samples for r in records[:1] + records[2:])
+        stub.state.embed_fn = lambda text, model: [1.0, 0.5, 0.25] + [0.0] * (text != short)
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                     "timeout": 5, "max_retries": 0}
+        config = write_config(tmp_path, stub, k=3, embedding=embedding)
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "wikibio"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record {passages[1].id!r}: ") and "dim 3" in err
 
     @pytest.mark.parametrize("task, line", [
         ("wikibio", '{"id": "x", "sentences": ["A."], "labels": ["accurate"], '
@@ -1041,6 +1068,19 @@ class TestHeatmapCommand:
         assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out_svg.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b"{not json", "report {path} is not valid JSON: "),
+        (b'{"k": "\xff"}', "report {path} is not valid JSON: "),
+        (b"[]", "not a samplecheck report: expected a JSON object"),
+    ], ids=["not-json", "not-utf8", "top-level-array"])
+    def test_unreadable_report_exit_one_says_why(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        out_svg = tmp_path / "render" / "heat.svg"
+        assert main(["heatmap", "--report", str(path), "--out", str(out_svg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
+        assert not (tmp_path / "render").exists()
 
     def test_malformed_report_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ import shutil
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -499,8 +500,9 @@ class TestGenerateBatches:
         assert report_json_bytes(second) == report_json_bytes(first)
 
     def test_batches_balanced_when_endpoint_ignores_n(self, stub, tmp_path):
-        # Each request returns one choice and the rest of its batch stays on
-        # its worker, so equal batches give both workers the same share.
+        # Each request returns one choice and the rest of its batch goes back to
+        # the pool as a request of its own, so each batch of 10 is asked for
+        # with n = 10, 9, ..., 1, whichever worker sends it.
         stub.state.chat_replies = [f"reply {i}" for i in range(40)]
         provider = http_embedder(stub, max_concurrency=2).provider
         gen = GeneratorConfig(model_id="stub-model", provider=provider)
@@ -549,7 +551,7 @@ class TestGenerateBatches:
 
 class TestCachedBatches:
     """_cached_batches with a call that may answer only a leading part of its batch,
-    on one worker and on three."""
+    on one worker and on three, and against a sequential model of it."""
 
     WORKERS = (1, 3)
 
@@ -567,8 +569,10 @@ class TestCachedBatches:
                 return [f"v{key}" for key in batch[:2]]
 
             values = self._run(range(6), {1: "cached"}, call, workers, stored)
-            # Several workers may call in any order.
-            assert (calls if workers == 1 else sorted(calls)) == [(0, 2, 3, 4), (3, 4), (5,)]
+            # One worker calls in submission order: the rest of a batch waits
+            # behind the batches already queued. Several workers may call in any order.
+            order = [(0, 2, 3, 4), (5,), (3, 4)]
+            assert (calls if workers == 1 else sorted(calls, key=order.index)) == order
             assert values == ["v0", "cached", "v2", "v3", "v4", "v5"]
             assert stored == {key: f"v{key}" for key in (0, 2, 3, 4, 5)}
 
@@ -671,6 +675,89 @@ class TestCachedBatches:
             outcome = self._in_thread(lambda: self._run(range(6), {}, call, workers, stored, 2))
             assert isinstance(outcome["error"], SystemExit)
             assert stored == {key: key for key in range(2, 6)}
+
+    class Fatal(BaseException):
+        """A call's BaseException that is not an Exception."""
+
+    # How a call answers, chosen by the first key of its batch: "part" answers a
+    # leading part of at most m keys, "none" answers nothing, "error" raises an
+    # Exception and, rarely, "fatal" raises a Fatal.
+    ANSWERS = st.tuples(
+        st.sampled_from(["part"] * 34 + ["none"] * 2 + ["error"] * 3 + ["fatal"]),
+        st.integers(1, 5))
+
+    @staticmethod
+    def _model(keys, cached, size, answer):
+        """A sequential _cached_batches: every call in order, the values stored,
+        and each key whose batch failed with the kind of its failure."""
+        missing = [key for key in dict.fromkeys(keys) if key not in cached]
+        calls, stored, failed = [], {}, {}
+        for i in range(0, len(missing), size):
+            batch = tuple(missing[i:i + size])
+            while batch:
+                calls.append(batch)
+                kind, m = answer[batch[0]]
+                if kind != "part":
+                    failed.update(dict.fromkeys(batch, kind))
+                    break
+                stored.update((key, f"v{key}") for key in batch[:m])
+                batch = batch[m:]
+        return calls, stored, failed
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_sequential_model(self, data):
+        keys = data.draw(st.lists(st.integers(0, 9), max_size=14), label="keys")
+        distinct = sorted(set(keys))
+        cached = {key: f"c{key}" for key in data.draw(
+            st.sets(st.sampled_from(distinct)) if distinct else st.just(set()), label="cached")}
+        size = data.draw(st.integers(1, 5), label="size")
+        workers = data.draw(st.integers(1, 4), label="workers")
+        answer = {key: data.draw(self.ANSWERS, label=f"answer {key}") for key in distinct}
+        lock, calls, in_flight, stores = threading.Lock(), [], [0, 0], []
+
+        def call(batch):
+            with lock:
+                calls.append(batch)
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight[1], in_flight[0])
+            try:
+                time.sleep(0.001)  # lets the other workers' calls overlap this one
+                kind, m = answer[batch[0]]
+                if kind == "error":
+                    raise RuntimeError("injected")
+                if kind == "fatal":
+                    raise self.Fatal("injected")
+                return [f"v{key}" for key in batch[:m]] if kind == "part" else []
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        def store(key, value):
+            stores.append((threading.get_ident(), key, value))
+
+        callers = []
+
+        def run():
+            callers.append(threading.get_ident())
+            return _cached_batches("generate", keys, cached.get, size, call, store, workers)
+
+        outcome = self._in_thread(run)
+        model_calls, model_stored, failed = self._model(keys, cached, size, answer)
+        assert sorted(calls) == sorted(model_calls)  # no key sent again once answered
+        assert in_flight[1] <= workers
+        # Each answered key is stored once, on the thread that called _cached_batches;
+        # when a Fatal is raised every other answer has been stored before it.
+        assert {thread for thread, _, _ in stores} <= set(callers)
+        assert sorted((key, value) for _, key, value in stores) == sorted(model_stored.items())
+        if "fatal" in failed.values():
+            assert isinstance(outcome["error"], self.Fatal)
+        elif failed:
+            assert isinstance(outcome["error"], PartialFailure)
+            assert list(outcome["error"].failures) == [
+                i for i, key in enumerate(keys) if key in failed]
+        else:
+            assert outcome["value"] == [cached.get(key, f"v{key}") for key in keys]
 
 
 class TestAtomicWrite:
