@@ -1,12 +1,11 @@
 """Comparison verifiers: greedy token matching, sentence self-consistency,
-NLI contradiction averaging, and integer-score judging."""
+NLI contradiction averaging, and judge prompts and reply parsing."""
 
 from .judge import (
     JUDGE_TASKS,
     JudgeVerdict,
     UnparsableVerdict,
     assemble_prompt,
-    llm_judge,
     parse_verdict,
     template_slots,
     template_text,
@@ -17,7 +16,6 @@ from .scoring import (
     OutOfRangeScore,
     TokenEmbeddingSeq,
     bertscore_greedy,
-    http_nli_provider,
     selfcheck_bert,
     selfcheck_nli,
     split_sentences,
@@ -33,8 +31,6 @@ __all__ = [
     "UnparsableVerdict",
     "assemble_prompt",
     "bertscore_greedy",
-    "http_nli_provider",
-    "llm_judge",
     "parse_verdict",
     "selfcheck_bert",
     "selfcheck_nli",

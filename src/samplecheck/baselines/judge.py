@@ -3,19 +3,19 @@
 The prompt templates are shipped verbatim as text assets, one per supported
 task; the model must reply with a bare integer in [0, 100]. Anything else
 (decimals, prose, out-of-range values) is rejected as unparsable rather than
-clamped, with the raw reply retained for inspection.
+clamped, with the raw reply retained for inspection. Nothing here sends a
+request: `eval --scheme judge` asks through pipeline.replies_cached.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
 from ..errors import SampleCheckError
-from ..providers import GeneratorConfig, complete_once
 
 JUDGE_TASKS = (
     "similar_descriptions",
@@ -87,13 +87,3 @@ def parse_verdict(reply: str) -> JudgeVerdict:
     if not 0 <= score <= 100:
         raise UnparsableVerdict(f"score {score} outside [0, 100]", reply)
     return JudgeVerdict(score=score, raw_reply=reply)
-
-
-def llm_judge(task: str, inputs: Mapping[str, str], gen: GeneratorConfig) -> JudgeVerdict:
-    """Assemble the task prompt, query the model once, parse the score.
-
-    The request is gen's, with max_tokens set to JUDGE_MAX_TOKENS.
-    """
-    prompt = assemble_prompt(task, inputs)
-    [reply] = complete_once(prompt, replace(gen, max_tokens=JUDGE_MAX_TOKENS))
-    return parse_verdict(reply)

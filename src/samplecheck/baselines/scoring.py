@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import SampleCheckError
-from ..providers import ProviderConfig, _post_json
 from ..scorematrix import build_matrix
 from ..vectors import Embedding, ZeroVector
 
@@ -122,13 +121,10 @@ def selfcheck_bert(
     return scores
 
 
-NliProvider = Callable[[str, str], float]
-
-
 def selfcheck_nli(
     reply_sentences: Sequence[str],
     samples: Sequence[str],
-    nli: NliProvider,
+    nli: Callable[[str, str], float],
 ) -> list[float]:
     """Mean contradiction probability of each sentence across k samples.
 
@@ -147,19 +143,6 @@ def selfcheck_nli(
             values.append(value)
         scores.append(math.fsum(values) / len(values))
     return scores
-
-
-def http_nli_provider(cfg: ProviderConfig) -> NliProvider:
-    """NLI provider speaking {premise, hypothesis} -> {contradiction} JSON."""
-
-    def nli(premise: str, hypothesis: str) -> float:
-        body = _post_json(cfg, "", {"premise": premise, "hypothesis": hypothesis})
-        value = body.get("contradiction")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise OutOfRangeScore("nli endpoint did not return a numeric 'contradiction'")
-        return float(value)
-
-    return nli
 
 
 _SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")

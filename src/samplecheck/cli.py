@@ -27,14 +27,13 @@ from .pipeline import (
     VerificationReport,
     _atomic_write,
     embed_cached,
+    replies_cached,
     report_from_json,
     report_json_bytes,
     verify,
 )
 from .providers import EmbedderConfig, GeneratorConfig, ProviderConfig
 from .scorematrix import MEASURES, ConfidenceThresholds, SimilarityMatrix
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -290,6 +289,9 @@ def _scores(
     whole records holding at most EVAL_WINDOW texts (one record if k exceeds
     it), in one embed_cached call. Record i of a window is scored from vectors
     i*k to (i+1)*k of that call.
+
+    judge asks for all records' replies in one replies_cached call, at most
+    JUDGE_MAX_TOKENS each; one that parse_verdict refuses fails its records.
     """
     k = cfg.k
     if scheme == "checkembed":
@@ -308,9 +310,14 @@ def _scores(
         return cfg.eval.statistic, scores
     if task != "wikibio":
         raise ConfigError("the judge scheme is only wired for the wikibio task")
-    return "judge_score", [_named(r, lambda: float(
-        judgemod.llm_judge("wikibio", {"biography": r.text}, cfg.generation).score))
-        for r in records]
+    prompts = [judgemod.assemble_prompt("wikibio", {"biography": r.text}) for r in records]
+    gen = replace(cfg.generation, max_tokens=judgemod.JUDGE_MAX_TOKENS)
+    try:
+        replies = replies_cached(prompts, gen, cfg.cache_dir, judgemod.parse_verdict)
+    except PartialFailure as exc:
+        raise _window_failure(records, 1, exc) from exc
+    return "judge_score", [_named(r, lambda: float(judgemod.parse_verdict(reply).score))
+                           for r, reply in zip(records, replies)]
 
 
 # The ragtruth protocol. Every score that reaches the sweep is low for a suspect
@@ -382,6 +389,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         report = report_from_json(Path(args.report).read_bytes())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"report {args.report} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"report {args.report}: {exc}") from exc
     out_csv = _write_heatmap(report.matrix, out_svg)
     print(f"wrote {out_svg} and {out_csv}")
     return EXIT_OK

@@ -14,6 +14,7 @@ Cache layout:
     <prompt key>/samples/<i>.txt          reply text, one file per index
     <prompt key>/meta.json                stage timestamps (stable on re-run)
     embeddings/<model dir>/<sha256>.npy   1-D little-endian float64 .npy
+    <judge prompt key>/samples/0.txt      a judge reply (replies_cached)
 
 float64 .npy round-trips every vector bit for bit, so a warm run on the same
 machine reproduces the cold run's report exactly. Vectors of older layouts
@@ -27,7 +28,8 @@ Nothing is ever evicted.
 
 A model id that is not a plain file name ([0-9A-Za-z._-]+, not "." or "..")
 gets an escaped directory name plus "~" and a hash of the id, so distinct ids
-never share vectors.
+never share vectors. The mock embedder's directory is "~" and its model id, a
+name that no http model id maps to.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import functools
 import hashlib
 import io
 import json
-import logging
 import math
 import os
 import queue
@@ -62,8 +63,6 @@ from .scorematrix import (
     summarize,
 )
 from .vectors import Embedding, NonFiniteInput
-
-log = logging.getLogger(__name__)
 
 STAGE_GENERATE = "generate"
 STAGE_EMBED = "embed"
@@ -278,8 +277,10 @@ def _npy_header(n: int) -> bytes:
 
 
 @functools.lru_cache(maxsize=16)
-def _model_dir(root: Path, model_id: str) -> Path:
+def _model_dir(root: Path, model_id: str, mock: bool) -> Path:
     """The vector store directory of one model under a cache root."""
+    if mock:  # no name below starts with "~"
+        return root / "embeddings" / ("~" + model_id)
     name = re.sub(r"[^0-9A-Za-z._-]+", "_", model_id)
     if name != model_id or name in (".", ".."):
         # The escaped name never holds "~", so the suffix keeps ids apart.
@@ -288,18 +289,19 @@ def _model_dir(root: Path, model_id: str) -> Path:
 
 
 class _Cache:
-    """Disk cache: the shared vector store, and one prompt's replies and timestamps."""
+    """Disk cache: a vector store (the mock's if mock), one prompt's replies and timestamps."""
 
-    def __init__(self, root: Path, prompt_key: str = "") -> None:
+    def __init__(self, root: Path, prompt_key: str = "", mock: bool = False) -> None:
         self.root = root
         self.dir = root / prompt_key
+        self.mock = mock
 
     def sample_path(self, index: int) -> Path:
         return self.dir / "samples" / f"{index}.txt"
 
     def embedding_path(self, model_id: str, text: str) -> Path:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return _model_dir(self.root, model_id) / f"{digest}.npy"
+        return _model_dir(self.root, model_id, self.mock) / f"{digest}.npy"
 
     def load_text(self, index: int) -> str | None:
         """The stored reply; None if there is no file, CorruptCacheEntry if the
@@ -368,7 +370,7 @@ def embed_cached(
     Misses go out EMBED_BATCH per request, up to the endpoint's max_concurrency
     requests at a time (the mock embedder runs serially); see _cached_batches.
     """
-    cache = _Cache(Path(cache_dir))
+    cache = _Cache(Path(cache_dir), mock=embed_cfg.kind == "mock")
     model_id = embed_cfg.effective_model_id
     return _cached_batches(
         STAGE_EMBED, texts,
@@ -376,6 +378,24 @@ def embed_cached(
         embed_cfg.embed, lambda text, emb: cache.store_embedding(model_id, text, emb),
         embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
     )
+
+
+def replies_cached(prompts: Sequence[str], gen: GeneratorConfig, cache_dir: Path | str,
+                   check: Callable[[str], object]) -> list[str]:
+    """One reply to each prompt, in order: sample 0 of prompt_hash(prompt, gen) under
+    cache_dir, else one chat request for one choice (see _cached_batches). A reply
+    that check(reply) raises on fails its prompts and is never stored."""
+    root = Path(cache_dir)
+
+    def call(batch: tuple) -> list[str]:
+        [reply] = providers.complete_once(batch[0], gen)
+        check(reply)
+        return [reply]
+
+    return _cached_batches(
+        STAGE_GENERATE, prompts, lambda p: _Cache(root, prompt_hash(p, gen)).load_text(0), 1,
+        call, lambda p, reply: _Cache(root, prompt_hash(p, gen)).store_text(0, reply),
+        gen.provider.max_concurrency)
 
 
 def verify(

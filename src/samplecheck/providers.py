@@ -290,7 +290,7 @@ def _retry_wait(cfg: ProviderConfig, attempt: int, resp: requests.Response | Non
 def _log_attempt(path: str, attempt: int, status: int | str, auth: str,
                  sent: int, received: int, start: float, wait: float | None) -> None:
     log.debug("POST %s attempt=%d status=%s auth=%s sent=%dB received=%dB%s %.1fms",
-              path or "/", attempt, status, auth, sent, received,
+              path, attempt, status, auth, sent, received,
               "" if wait is None else f" wait={wait:.3f}s",
               (time.perf_counter() - start) * 1000.0)
 

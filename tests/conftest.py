@@ -1,6 +1,6 @@
-"""Shared fixtures: an in-process stub HTTP server speaking the wire formats
-(chat completions, embeddings with string or list input, NLI contradiction
-scores) with scriptable replies, failure injection, and request recording.
+"""Shared fixtures: an in-process stub HTTP server speaking the two wire formats
+samplecheck sends (chat completions, and embeddings with string or list input)
+with scriptable replies, failure injection, and request recording.
 Its chat endpoint ignores "n" and returns one choice unless StubState.choices
 says otherwise.
 It speaks HTTP/1.1 keep-alive and counts the connections it accepts."""
@@ -40,7 +40,6 @@ class StubState:
         # Responses to cut short: each declares a longer body than it sends, then closes.
         self.truncate = 0
         self.embed_fn = lambda text, model: [1.0, 0.0, 0.0, 0.0]
-        self.nli_fn = lambda premise, hypothesis: 0.0
 
     def record(self, path: str, headers: dict, body: dict) -> None:
         with self.lock:
@@ -149,9 +148,6 @@ class _Handler(BaseHTTPRequestHandler):
                 data = [{"index": i, "embedding": self.state.embed_fn(text, model)}
                         for i, text in enumerate(texts)]
                 self._send_json(200, {"data": data})
-            elif self.path.endswith("/nli") or self.path == "/":
-                score = self.state.nli_fn(body.get("premise", ""), body.get("hypothesis", ""))
-                self._send_json(200, {"contradiction": score})
             else:
                 self._send_json(404, {"error": "unknown path"})
         except Exception as exc:  # scripted failures map to HTTP 500

@@ -19,8 +19,6 @@ from samplecheck.baselines import (
     UnparsableVerdict,
     assemble_prompt,
     bertscore_greedy,
-    http_nli_provider,
-    llm_judge,
     parse_verdict,
     selfcheck_bert,
     selfcheck_nli,
@@ -28,8 +26,6 @@ from samplecheck.baselines import (
     template_slots,
     template_text,
 )
-from samplecheck.baselines.judge import JUDGE_MAX_TOKENS
-from samplecheck.providers import GeneratorConfig, ProviderConfig
 from samplecheck.vectors import Embedding, ZeroVector, cosine
 
 
@@ -235,16 +231,6 @@ class TestSelfcheckNli:
         with pytest.raises(OutOfRangeScore):
             selfcheck_nli(["x."], ["s1"], lambda p, h: 1.5)
 
-    def test_http_provider_wire_format(self, stub):
-        stub.state.nli_fn = lambda premise, hypothesis: 0.25 if "cat" in premise else 0.75
-        cfg = ProviderConfig(base_url=stub.url + "/nli", timeout=5.0,
-                             max_retries=0, backoff_base=0.001)
-        nli = http_nli_provider(cfg)
-        assert nli("the cat sat", "a feline") == 0.25
-        assert nli("dogs bark", "a feline") == 0.75
-        path, _, body = stub.state.requests[0]
-        assert body == {"premise": "the cat sat", "hypothesis": "a feline"}
-
 
 class TestSentenceSplitting:
     def test_basic(self):
@@ -351,39 +337,3 @@ class TestVerdictParsing:
     def test_verdict_range_enforced_on_type(self):
         with pytest.raises(ValueError):
             JudgeVerdict(score=101, raw_reply="101")
-
-
-class TestLlmJudge:
-    def test_stub_round_trip(self, stub):
-        stub.state.chat_replies = ["100"]
-        cfg = ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
-                             max_concurrency=1, backoff_base=0.001)
-        verdict = llm_judge(
-            "similar_descriptions",
-            {"description1": "a bike", "description2": "a bicycle"},
-            GeneratorConfig(model_id="judge-model", provider=cfg),
-        )
-        assert verdict.score == 100
-        _, _, body = stub.state.requests[0]
-        assert body["model"] == "judge-model"
-        assert "a bike" in body["messages"][0]["content"]
-
-    def test_unparsable_surfaces_raw_reply(self, stub):
-        stub.state.chat_replies = ["certainly! 95"]
-        cfg = ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
-                             max_concurrency=1, backoff_base=0.001)
-        with pytest.raises(UnparsableVerdict) as err:
-            llm_judge("wikibio", {"biography": "text"}, GeneratorConfig(model_id="j", provider=cfg))
-        assert err.value.raw_reply == "certainly! 95"
-
-    def test_request_carries_the_generation_settings(self, stub):
-        stub.state.chat_replies = ["70"]
-        cfg = ProviderConfig(base_url=stub.url, timeout=5.0, max_retries=0,
-                             max_concurrency=1, backoff_base=0.001)
-        gen = GeneratorConfig(model_id="j", provider=cfg, temperature=0.3, max_tokens=512,
-                              top_p=0.9, top_k=5)
-        assert llm_judge("wikibio", {"biography": "text"}, gen).score == 70
-        _, _, body = stub.state.requests[0]
-        assert JUDGE_MAX_TOKENS == 16
-        assert {name: body[name] for name in ("max_tokens", "temperature", "top_p", "top_k")} \
-            == {"max_tokens": 16, "temperature": 0.3, "top_p": 0.9, "top_k": 5}

@@ -285,7 +285,7 @@ class TestVerifyCommand:
         config = write_config(tmp_path, stub)
         args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
         assert main(args) == 2
-        path = vector_path(tmp_path / "cache", "mock-d4096-s0", DISJOINT[0])
+        path = vector_path(tmp_path / "cache", "mock-d4096-s0", DISJOINT[0], mock=True)
         path.write_bytes(CORRUPTIONS[damage](path.read_bytes()))
         capsys.readouterr()
         assert main(args) == 1
@@ -527,8 +527,8 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: record {passages[1].id!r}: ")
         assert passages[0].id not in err and passages[2].id not in err
-        # The judge stops at the failed record; the window also pays for the others' batches.
-        assert len(stub.state.requests) == (3 if scheme == "checkembed" else 2)
+        # A failed request fails only its records: the others' requests are still sent.
+        assert len(stub.state.requests) == 3
 
     def test_scoring_value_error_names_the_record(self, stub, tmp_path, capsys):
         # The model has no preset dimension, so one 3-value vector among 4-value
@@ -556,7 +556,10 @@ class TestEvalCommand:
         ("wikibio", '{"id": "x", "sentences": "One.", "labels": ["accurate"], '
                     '"samples": ["a b", "c d"]}'),
         ("ragtruth", '{"id": "x", "response": "r", "label": "faithful", "samples": "ab cd"}'),
-    ], ids=["samples-string", "samples-numbers", "sentences-string", "binary-samples-string"])
+        ("wikibio", '{"id": "x", "sentences": ["A.", "B."], "labels": ["accurate"], '
+                    '"samples": ["a b", "c d"]}'),
+    ], ids=["samples-string", "samples-numbers", "sentences-string", "binary-samples-string",
+            "labels-short"])
     def test_malformed_record_exit_one(self, stub, tmp_path, capsys, task, line):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text(line + "\n")
@@ -735,6 +738,76 @@ class TestEvalCommand:
         assert stub.state.embed_calls == 0
         assert all(path.endswith("/chat/completions") for path, _, _ in stub.state.requests)
 
+    @staticmethod
+    def _judge_dataset(tmp_path, texts) -> tuple[list, Path]:
+        """A wikibio dataset of one record per text, with gold scores 1, 0.5, 0, 1, ..."""
+        labels = ["accurate", "minor", "major"]
+        passages = [LabeledPassage(id=f"r{i}", sentences=(text,), labels=(labels[i % 3],))
+                    for i, text in enumerate(texts)]
+        dataset = tmp_path / "wikibio.jsonl"
+        write_records_jsonl(dataset, passages)
+        return passages, dataset
+
+    def test_judge_request_holds_the_biography_and_the_generation_settings(self, stub,
+                                                                           tmp_path):
+        stub.state.chat_replies = ["70", "40", "10"]
+        passages, dataset = self._judge_dataset(
+            tmp_path, [f"Person {i} was born in {1900 + i}." for i in range(3)])
+        config = write_config(tmp_path, stub)
+        obj = json.loads(config.read_text())
+        obj["generation"].update(temperature=0.3, max_tokens=512, top_p=0.9, top_k=5)
+        config.write_text(json.dumps(obj))
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "judge", "--task", "wikibio"]) == 0
+        # max_concurrency is 1, so the requests go in record order.
+        bodies = [body for _, _, body in stub.state.requests]
+        assert len(bodies) == len(passages)
+        for passage, body in zip(passages, bodies):
+            [message] = body["messages"]
+            assert message["role"] == "user" and passage.text in message["content"]
+            assert {name: body[name] for name in ("model", "n", "max_tokens", "temperature",
+                                                  "top_p", "top_k")} == {
+                "model": "stub-model", "n": 1, "max_tokens": 16, "temperature": 0.3,
+                "top_p": 0.9, "top_k": 5}
+
+    def test_judge_asks_once_per_distinct_text_then_a_warm_rerun_sends_nothing(self, stub,
+                                                                                tmp_path):
+        stub.state.chat_replies = ["90", "50", "10"]
+        texts = ["Ada was a poet.", "Bo was a sailor.", "Cy was a cook."]
+        _, dataset = self._judge_dataset(tmp_path, texts + texts[:1])
+        config = write_config(tmp_path, stub, max_concurrency=2)
+        args = ["eval", "--config", str(config), "--dataset", str(dataset),
+                "--scheme", "judge", "--task", "wikibio"]
+        assert main(args) == 0
+        report = tmp_path / "out" / "eval_wikibio_judge.json"
+        first = report.read_bytes()
+        assert stub.state.chat_calls == len(stub.state.requests) == len(texts)
+        sent = [body["messages"][0]["content"] for _, _, body in stub.state.requests]
+        assert [sum(text in prompt for prompt in sent) for text in texts] == [1, 1, 1]
+        assert main(args) == 0
+        assert len(stub.state.requests) == len(texts)
+        assert report.read_bytes() == first
+
+    def test_unparsable_judge_reply_is_named_and_only_it_is_asked_again(self, stub, tmp_path,
+                                                                        capsys):
+        stub.state.chat_replies = ["90", "certainly! 95", "10"]
+        passages, dataset = self._judge_dataset(
+            tmp_path, ["Ada was a poet.", "Bo was a sailor.", "Cy was a cook."])
+        config = write_config(tmp_path, stub)
+        args = ["eval", "--config", str(config), "--dataset", str(dataset),
+                "--scheme", "judge", "--task", "wikibio"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 'r1': ") and "'certainly! 95'" in err
+        assert "'r0'" not in err and "'r2'" not in err
+        assert len(stub.state.requests) == 3
+        assert not (tmp_path / "out").exists()
+        stub.state.chat_replies = ["50"]
+        assert main(args) == 0
+        assert len(stub.state.requests) == 4
+        _, _, body = stub.state.requests[-1]
+        assert passages[1].text in body["messages"][0]["content"]
+
     def test_eval_idempotent(self, stub, tmp_path):
         records, _ = corruption_corpus(
             n_levels=4, records_per_level=3, k=3, base_tokens=20, seed=11
@@ -827,6 +900,36 @@ class TestEvalCommand:
         assert "argument --scheme: invalid choice: " in err and "mystery" in err
         assert "checkembed" in err and "judge" in err
         assert stub.state.requests == []
+
+
+class TestErrorsBeforeAnyRequest:
+    """An error found before the first request exits 1 naming its cause, and
+    leaves no file behind."""
+
+    @pytest.mark.parametrize("case, cause", [
+        ("blank-prompt", "prompt file {prompt} is empty"),
+        ("judge-ragtruth", "the judge scheme is only wired for the wikibio task"),
+        ("measure-dot", "measure must be one of cosine, pearson"),
+        ("empty-dataset", "{dataset}: no records found"),
+    ])
+    def test_exit_one_names_the_cause(self, stub, tmp_path, prompt_file, capsys, case, cause):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text("\n" if case == "empty-dataset" else json.dumps(
+            {"id": "r0", "response": "a", "label": "faithful", "samples": ["s", "t"]}) + "\n")
+        if case == "blank-prompt":
+            prompt_file.write_text(" \n\t\n")
+        config = write_config(tmp_path, stub, k=2, **(
+            {"measure": "dot"} if case == "measure-dot" else {}))
+        before = sorted(tmp_path.iterdir())
+        argv = (["verify", "--config", str(config), "--prompt", str(prompt_file)]
+                if case in ("blank-prompt", "measure-dot") else
+                ["eval", "--config", str(config), "--dataset", str(dataset), "--scheme", "judge",
+                 "--task", "ragtruth" if case == "judge-ragtruth" else "wikibio"])
+        assert main(argv) == 1
+        cause = cause.format(prompt=prompt_file, dataset=dataset)
+        assert capsys.readouterr().err == f"error: {cause}\n"
+        assert stub.state.requests == []
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestEvalWindows:
@@ -1040,14 +1143,17 @@ class TestHeatmapCommand:
         lambda obj: {**obj, "summary": list(obj["summary"].values())},
         lambda obj: [obj],
         lambda obj: {**obj, "summary": {**obj["summary"], "verdict_note": "x"}},
-    ], ids=["matrix-string", "summary-list", "top-level-list", "summary-unknown-key"])
+        lambda obj: {key: value for key, value in obj.items() if key != "thresholds"},
+    ], ids=["matrix-string", "summary-list", "top-level-list", "summary-unknown-key",
+            "no-thresholds"])
     def test_wrong_shape_report_exit_one(self, stub, tmp_path, prompt_file, capsys, damage):
         report_path = self._make_report(stub, tmp_path, prompt_file)
         report_path.write_text(json.dumps(damage(json.loads(report_path.read_text()))))
         capsys.readouterr()
         out_svg = tmp_path / "render" / "heat.svg"
         assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
-        assert capsys.readouterr().err.startswith("error: not a samplecheck report: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {report_path}: not a samplecheck report: ")
         assert not out_svg.exists()
 
     @pytest.mark.parametrize("change, message", [
@@ -1066,13 +1172,13 @@ class TestHeatmapCommand:
         capsys.readouterr()
         out_svg = tmp_path / "render" / "heat.svg"
         assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: report {report_path}: {message}")
         assert not out_svg.exists()
 
     @pytest.mark.parametrize("data, message", [
         (b"{not json", "report {path} is not valid JSON: "),
         (b'{"k": "\xff"}', "report {path} is not valid JSON: "),
-        (b"[]", "not a samplecheck report: expected a JSON object"),
+        (b"[]", "report {path}: not a samplecheck report: expected a JSON object"),
     ], ids=["not-json", "not-utf8", "top-level-array"])
     def test_unreadable_report_exit_one_says_why(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"

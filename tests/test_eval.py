@@ -42,13 +42,15 @@ def passages_from_sweep_records(
 
     The gold value (one decimal of quality) is encoded as a label multiset:
     round(gold * n) accurate sentences, the rest major-inaccurate, so
-    passage_score recovers gold up to 1/n granularity.
+    passage_score recovers gold up to 1/n granularity. Each record's sentences
+    name it, so no two records share a text (the judge asks once per text).
     """
     out = []
     for idx, record in enumerate(records):
         n_acc = round(record.gold * sentences_per_record)
         labels = ("accurate",) * n_acc + ("major",) * (sentences_per_record - n_acc)
-        sentences = tuple(f"synthetic sentence {j}." for j in range(sentences_per_record))
+        sentences = tuple(f"synthetic sentence {j} of record {idx}."
+                          for j in range(sentences_per_record))
         out.append(
             LabeledPassage(
                 id=f"syn-{idx:04d}", sentences=sentences, labels=labels, samples=record.samples

@@ -32,6 +32,7 @@ from samplecheck.pipeline import (
     VerificationReport,
     embed_cached,
     prompt_hash,
+    replies_cached,
     report_from_json,
     report_json_bytes,
     verify,
@@ -82,8 +83,8 @@ def vector_names(texts) -> list[str]:
     return sorted(hashlib.sha256(t.encode("utf-8")).hexdigest() + ".npy" for t in set(texts))
 
 
-def vector_path(cache: Path, model_id: str, text: str) -> Path:
-    return _Cache(cache).embedding_path(model_id, text)
+def vector_path(cache: Path, model_id: str, text: str, mock: bool = False) -> Path:
+    return _Cache(cache, mock=mock).embedding_path(model_id, text)
 
 
 DISJOINT = [
@@ -162,9 +163,9 @@ class TestVerify:
         assert files == sorted(
             [f"{report.prompt_id}/{name}" for name in ("meta.json", "samples/0.txt",
                                                        "samples/1.txt")]
-            + [f"embeddings/{model_id}/{name}" for name in vector_names(["x y z", "gt"])])
+            + [f"embeddings/~{model_id}/{name}" for name in vector_names(["x y z", "gt"])])
         for text in ("x y z", "gt"):
-            values = np.load(vector_path(cache, model_id, text), allow_pickle=False)
+            values = np.load(vector_path(cache, model_id, text, mock=True), allow_pickle=False)
             assert values.ndim == 1 and values.dtype == np.float64
             assert np.array_equal(values, mock_embed(text, MOCK.dim, MOCK.seed).values)
 
@@ -187,6 +188,21 @@ class TestVerify:
         names = sorted(p.name for p in (cache / "embeddings").iterdir())
         assert names[0] == "org_m"
         assert names[1].startswith("org_m~") and len(names[1]) == len("org_m~") + 16
+
+    def test_http_model_named_like_the_mock_is_not_served_its_vectors(self, stub, tmp_path):
+        stub.state.chat_replies = ["one two", "three four"]
+        stub.state.embed_fn = lambda text, model: [1.0, 0.0, 0.0, 0.0]
+        cache = tmp_path / "cache"
+        mock = EmbedderConfig(kind="mock", dim=64, seed=0)
+        first = verify("q", None, 2, gen_cfg(stub), mock, cache_dir=cache)
+        assert first.summary.mean_offdiag < 1.0 and stub.state.embed_calls == 0
+        named = http_embedder(stub, model_id=mock.effective_model_id)
+        second = verify("q", None, 2, gen_cfg(stub), named, cache_dir=cache)
+        assert stub.state.embed_calls == 1
+        assert second.summary.mean_offdiag == 1.0
+        assert first.provenance["embedding_model_id"] == "mock-d64-s0"
+        assert sorted(p.name for p in (cache / "embeddings").iterdir()) == [
+            "mock-d64-s0", "~mock-d64-s0"]
 
     @pytest.mark.parametrize("model_id", [".", ".."])
     def test_dot_model_ids_stay_inside_the_embeddings_dir(self, stub, tmp_path, model_id):
@@ -235,8 +251,8 @@ class TestVerify:
         assert report.summary == fresh.summary
 
         def stored(embed_cfg):
-            return sorted(p.name for p in (cache / "embeddings" / embed_cfg.effective_model_id)
-                          .iterdir())
+            store = cache / "embeddings" / f"~{embed_cfg.effective_model_id}"
+            return sorted(p.name for p in store.iterdir())
 
         assert stored(MOCK) == vector_names(["x y z", "old words", "other words"])
         assert stored(seed1) == vector_names(["x y z", "old words"])
@@ -893,12 +909,39 @@ class TestEmbedCached:
         assert failed == [EMBED_BATCH, EMBED_BATCH + 2, EMBED_BATCH + 3]
         assert list(err.value.failures) == failed
         assert len({id(exc) for exc in err.value.failures.values()}) == 1
-        model_dir = _Cache(tmp_path).embedding_path(recorded.cfg.effective_model_id, "").parent
+        model_dir = _Cache(tmp_path, mock=recorded.cfg.kind == "mock").embedding_path(
+            recorded.cfg.effective_model_id, "").parent
         assert sorted(p.name for p in model_dir.iterdir()) == vector_names(DISTINCT[:EMBED_BATCH])
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text() | st.floats(
     allow_nan=False, allow_infinity=False)
+
+
+class TestRepliesCached:
+    def test_one_request_per_distinct_prompt_stored_as_its_sample_zero(self, stub, tmp_path):
+        stub.state.chat_replies = ["1", "2"]
+        gen = gen_cfg(stub, max_tokens=16)
+        assert replies_cached(["p", "q", "p"], gen, tmp_path, int) == ["1", "2", "1"]
+        assert [(body["messages"][0]["content"], body["n"], body["max_tokens"])
+                for _, _, body in stub.state.requests] == [("p", 1, 16), ("q", 1, 16)]
+        for prompt, reply in (("p", "1"), ("q", "2")):
+            assert (tmp_path / prompt_hash(prompt, gen) / "samples" / "0.txt").read_text() == reply
+        assert replies_cached(["q", "p"], gen, tmp_path, int) == ["2", "1"]
+        assert stub.state.chat_calls == 2
+
+    def test_refused_reply_fails_its_prompts_and_is_not_stored(self, stub, tmp_path):
+        stub.state.chat_replies = ["x", "2"]
+        gen = gen_cfg(stub)
+        with pytest.raises(PartialFailure) as err:
+            replies_cached(["p", "q", "p"], gen, tmp_path, int)  # int("x") raises ValueError
+        assert err.value.stage == "generate" and list(err.value.failures) == [0, 2]
+        assert "'x'" in str(err.value)
+        assert not (tmp_path / prompt_hash("p", gen)).exists()
+        assert (tmp_path / prompt_hash("q", gen) / "samples" / "0.txt").read_text() == "2"
+        stub.state.chat_replies = ["3"]
+        assert replies_cached(["p", "q", "p"], gen, tmp_path, int) == ["3", "2", "3"]
+        assert stub.state.chat_calls == 3
 
 
 class TestReportJson:
@@ -997,7 +1040,8 @@ class TestCacheEntries:
         stub.state.chat_replies = DISJOINT
         cache = tmp_path / "cache"
         verify("q", None, 3, gen_cfg(stub), MOCK, cache_dir=cache)
-        path = cache / "embeddings" / MOCK.effective_model_id / vector_names([DISJOINT[1]])[0]
+        store = cache / "embeddings" / f"~{MOCK.effective_model_id}"
+        path = store / vector_names([DISJOINT[1]])[0]
         path.write_bytes(damage(path.read_bytes()))
         requests = len(stub.state.requests)
         with pytest.raises(CorruptCacheEntry) as err:
