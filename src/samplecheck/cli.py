@@ -231,6 +231,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not prompt.strip():
         raise ConfigError(f"prompt file {args.prompt} is empty")
     gt = _read_input("ground truth", args.gt) if args.gt else None
+    if gt is not None and not gt.strip():
+        raise ConfigError(f"ground truth file {args.gt} is empty")
     report = verify(
         prompt,
         gt,

@@ -160,7 +160,9 @@ class EmbedderConfig:
         if self.kind not in ("http", "mock"):
             raise ValueError("embedder kind must be 'http' or 'mock'")
         if self.kind == "http" and (self.provider is None or not self.model_id):
-            raise ValueError("http embedder needs provider and model_id")
+            missing = [key for key, value in (("base_url", self.provider),
+                                              ("model_id", self.model_id)) if not value]
+            raise ValueError(f"http embedder needs {' and '.join(missing)}")
         if self.kind == "mock" and self.provider is not None:
             raise ValueError("mock embedder takes no provider settings")
         if self.kind == "mock" and self.dim < 8:

@@ -9,8 +9,10 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from test_eval import passages_from_sweep_records
 from test_pipeline import CORRUPTIONS, vector_path
 from test_render import csv_to_matrix, svg_cell_texts
 
-from samplecheck import cli
+from samplecheck import cli, costmodel
 from samplecheck.cli import (
     ConfigError,
     EvalSettings,
@@ -215,6 +217,20 @@ class TestVerifyCommand:
         assert report.summary.gt_alignment == pytest.approx(1.0)
         assert report.matrix.labels[-1] == "GT"
 
+    def test_gt_vector_of_another_dim_exit_one_no_output(self, stub, tmp_path, prompt_file,
+                                                         capsys):
+        # The model has no preset dimension, so only the matrix finds the GT's vector short.
+        stub.state.chat_replies = DISJOINT
+        gt = tmp_path / "gt.txt"
+        gt.write_text("the ground truth")
+        stub.state.embed_fn = lambda text, model: [1.0, 0.5, 0.25] + [0.0] * (text in DISJOINT)
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed"}
+        config = write_config(tmp_path, stub, k=2, embedding=embedding)
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file),
+                     "--gt", str(gt)]) == 1
+        assert capsys.readouterr().err == "error: GT embedding has dim 3, expected 4\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("which", ["config", "prompt", "gt"])
     def test_non_utf8_input_exit_one_names_file(self, stub, tmp_path, prompt_file, capsys,
                                                 which):
@@ -343,6 +359,8 @@ class TestLoadConfig:
         {"embedding": {"kind": "mock", "dim": 4}}, {"measure": 3}, {"cache_dir": 5},
         {"eval": {"polarity": ["low_score_flags"]}}, {"generation": "gpt"},
         {"embedding": {"kind": "mock", "base_url": "http://localhost:1"}},
+        {"embedding": {"kind": "foo"}}, {"embedding": {"kind": "http"}},
+        {"embedding": {"kind": "http", "base_url": "http://127.0.0.1:9"}},
     ])
     def test_bad_run_settings_rejected_before_any_request(self, stub, tmp_path, prompt_file,
                                                           capsys, given):
@@ -352,7 +370,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(config)
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
-        assert capsys.readouterr().err.startswith("error: invalid config:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:")
+        if given.get("embedding", {}).get("kind") == "http":
+            missing = [key for key in ("base_url", "model_id") if key not in given["embedding"]]
+            assert err == f"error: invalid config: http embedder needs {' and '.join(missing)}\n"
         assert stub.state.requests == []
 
     @pytest.mark.parametrize("section, given, key", [
@@ -558,8 +580,9 @@ class TestEvalCommand:
         ("ragtruth", '{"id": "x", "response": "r", "label": "faithful", "samples": "ab cd"}'),
         ("wikibio", '{"id": "x", "sentences": ["A.", "B."], "labels": ["accurate"], '
                     '"samples": ["a b", "c d"]}'),
+        ("ragtruth", '{"id": "x", "response": "r", "label": "maybe", "samples": ["a b", "c d"]}'),
     ], ids=["samples-string", "samples-numbers", "sentences-string", "binary-samples-string",
-            "labels-short"])
+            "labels-short", "label-maybe"])
     def test_malformed_record_exit_one(self, stub, tmp_path, capsys, task, line):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text(line + "\n")
@@ -908,6 +931,7 @@ class TestErrorsBeforeAnyRequest:
 
     @pytest.mark.parametrize("case, cause", [
         ("blank-prompt", "prompt file {prompt} is empty"),
+        ("blank-gt", "ground truth file {gt} is empty"),
         ("judge-ragtruth", "the judge scheme is only wired for the wikibio task"),
         ("measure-dot", "measure must be one of cosine, pearson"),
         ("empty-dataset", "{dataset}: no records found"),
@@ -918,15 +942,18 @@ class TestErrorsBeforeAnyRequest:
             {"id": "r0", "response": "a", "label": "faithful", "samples": ["s", "t"]}) + "\n")
         if case == "blank-prompt":
             prompt_file.write_text(" \n\t\n")
+        gt = tmp_path / "gt.txt"
+        gt.write_text("   \n")
         config = write_config(tmp_path, stub, k=2, **(
             {"measure": "dot"} if case == "measure-dot" else {}))
         before = sorted(tmp_path.iterdir())
         argv = (["verify", "--config", str(config), "--prompt", str(prompt_file)]
-                if case in ("blank-prompt", "measure-dot") else
+                + (["--gt", str(gt)] if case == "blank-gt" else [])
+                if case in ("blank-prompt", "blank-gt", "measure-dot") else
                 ["eval", "--config", str(config), "--dataset", str(dataset), "--scheme", "judge",
                  "--task", "ragtruth" if case == "judge-ragtruth" else "wikibio"])
         assert main(argv) == 1
-        cause = cause.format(prompt=prompt_file, dataset=dataset)
+        cause = cause.format(prompt=prompt_file, dataset=dataset, gt=gt)
         assert capsys.readouterr().err == f"error: {cause}\n"
         assert stub.state.requests == []
         assert sorted(tmp_path.iterdir()) == before
@@ -1092,6 +1119,15 @@ class TestHeatmapCommand:
         assert str(out) in capsys.readouterr().err
         assert not (tmp_path / "render").exists()
 
+    def test_rerender_writes_verifys_bytes(self, stub, tmp_path, prompt_file):
+        report_path = self._make_report(stub, tmp_path, prompt_file, with_gt=True)
+        out_svg = tmp_path / "render" / "heatmap.svg"
+        assert main(["heatmap", "--report", str(report_path), "--out", str(out_svg)]) == 0
+        for name in ("heatmap.csv", "heatmap.svg"):
+            assert (tmp_path / "render" / name).read_bytes() == (
+                tmp_path / "out" / name).read_bytes()
+        ET.parse(out_svg)
+
     def test_missing_report_exit_one(self, tmp_path, capsys):
         code = main(["heatmap", "--report", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.svg")])
@@ -1211,6 +1247,13 @@ class TestCostCommand:
         by_scheme = {r["scheme"]: r for r in report["rows"]}
         assert by_scheme["checkembed"]["work"] == 307220
 
+    @pytest.mark.parametrize("task", costmodel.TASKS)
+    def test_default_schemes_are_those_applicable_to_the_task(self, tmp_path, task):
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--task", task, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert sorted(row["scheme"] for row in rows) == sorted(costmodel.applicable_schemes(task))
+
     def test_explicit_scheme_subset(self, capsys):
         code = main(["cost", "--schemes", "checkembed,geval", "--task",
                      "open_ended_verification"])
@@ -1231,6 +1274,12 @@ class TestCostCommand:
                      "open_ended_verification"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_no_scheme_exit_one_no_file(self, tmp_path, capsys):
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--schemes", ",", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need at least one scheme to compare\n"
+        assert not out.exists()
 
 
 def stamp(path: Path) -> tuple[int, int, int]:
@@ -1321,3 +1370,80 @@ class TestOutputFiles:
         vectors = list((tmp_path / "cache" / "embeddings").rglob("*.npy"))
         assert vectors
         assert {stat.S_IMODE(path.stat().st_mode) for path in vectors} == {0o600}
+
+
+@pytest.mark.parametrize("module", ["samplecheck", "samplecheck.baselines"])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+class TestFreshProcess:
+    """Each command run as `python -m samplecheck.cli` in a new process, cold then
+    warm: a fresh start finds everything it needs in the cache and the outputs."""
+
+    WORDS = "the cat sat on a mat while rain fell over every quiet street".split()
+
+    def _case(self, case, stub, tmp_path, prompt_file) -> tuple[list[str], list[Path], int, int]:
+        """The arguments of one run, its output files, its exit code and the
+        requests a cold run sends."""
+        out = tmp_path / "out"
+        stub.state.embed_fn = lambda text, model: mock_embed(text, 64, 0).tolist()
+        embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed"}
+        if case == "verify":
+            # 10 replies of 7 distinct texts: 3 chat requests, one per worker, then
+            # 7 texts at EMBED_BATCH per embeddings request.
+            stub.state.choices = "n"
+            stub.state.chat_replies = [f"reply {i % 7} " + "word " * (i % 7 + 1)
+                                       for i in range(10)]
+            config = write_config(tmp_path, stub, k=10, max_concurrency=3, embedding=embedding)
+            return (["verify", "--config", str(config), "--prompt", str(prompt_file)],
+                    [out / "report.json", out / "heatmap.csv", out / "heatmap.svg"],
+                    2, 3 + math.ceil(7 / EMBED_BATCH))
+        dataset = tmp_path / "wikibio.jsonl"
+        scheme = case.removeprefix("eval-")
+        if scheme == "checkembed":
+            # 3 records of 3 distinct replies: 9 texts, EMBED_BATCH per request.
+            passages = [LabeledPassage(
+                id=f"r{i}", sentences=("One.", "Two."), labels=labels,
+                samples=tuple(" ".join(self.WORDS + [f"x{i}{s}{j}" for j in range(1 + 3 * i)])
+                              for s in range(3)))
+                for i, labels in enumerate([("accurate",) * 2, ("accurate", "major"),
+                                            ("major",) * 2])]
+            config = write_config(tmp_path, stub, k=3, embedding=embedding)
+            requests = math.ceil(9 / EMBED_BATCH)
+        else:
+            # 4 records of 3 distinct texts: one chat request per text.
+            stub.state.chat_replies = ["90", "40", "10"]
+            passages = [LabeledPassage(id=f"r{i}", sentences=(f"{name} was born.", "Done."),
+                                       labels=labels)
+                        for i, (name, labels) in enumerate([
+                            ("Ada", ("accurate",) * 2), ("Bo", ("accurate", "major")),
+                            ("Cy", ("major",) * 2), ("Ada", ("accurate",) * 2)])]
+            config = write_config(tmp_path, stub, max_concurrency=2)
+            requests = 3
+        write_records_jsonl(dataset, passages)
+        return (["eval", "--config", str(config), "--dataset", str(dataset), "--scheme", scheme,
+                 "--task", "wikibio"], [out / f"eval_wikibio_{scheme}.json"], 0, requests)
+
+    @pytest.mark.parametrize("case", ["verify", "eval-checkembed", "eval-judge"])
+    def test_warm_rerun_sends_nothing_and_leaves_outputs_alone(self, stub, tmp_path,
+                                                               prompt_file, case):
+        argv, outputs, code, cold = self._case(case, stub, tmp_path, prompt_file)
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src")] + ([inherited] if inherited else []))}
+        runs = []
+        for expected in (cold, 0):
+            before = len(stub.state.requests)
+            run = subprocess.run([sys.executable, "-m", "samplecheck.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == code, run.stderr
+            sent = len(stub.state.requests) - before
+            assert sent == expected
+            runs.append({path: (path.read_bytes(), stamp(path)) for path in outputs})
+        assert runs[0] == runs[1]
+        if case == "verify":  # one .npy per distinct reply
+            cache = tmp_path / "cache"
+            assert sorted((cache / "embeddings" / "stub-embed").iterdir()) == sorted(
+                {vector_path(cache, "stub-embed", text) for text in stub.state.chat_replies})
