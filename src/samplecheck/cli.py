@@ -143,18 +143,29 @@ def _given(cls: type, obj: object, prefix: str, defaults: dict) -> dict[str, obj
         if kind == "ProviderConfig":
             own = {key: obj[key] for key in obj.keys() & _schema(ProviderConfig)[0]}
             if default is MISSING or any(v is not None for v in own.values()):
-                given[field] = ProviderConfig(**_given(ProviderConfig, own, prefix, defaults))
+                given[field] = _built(ProviderConfig, _given(ProviderConfig, own, prefix, defaults),
+                                      prefix)
             continue
         if (value := obj.get(field)) is None:
             continue
         if section := _SECTIONS.get(kind):
-            given[field] = section(**_given(section, value, f"{prefix}{field}.", defaults))
+            given[field] = _built(section, _given(section, value, f"{prefix}{field}.", defaults),
+                                  f"{prefix}{field}.")
             continue
         try:
             given[field] = _setting(kind, value)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{prefix}{field}: {exc}") from exc
     return given
+
+
+def _built(cls: type, given: dict[str, object], prefix: str) -> object:
+    """cls(**given), or a ValueError naming the key of each field that has no
+    default and is not given."""
+    if missing := [prefix + field for field, _, default in _schema(cls)[1]
+                   if default is MISSING and field not in given]:
+        raise ValueError(f"missing key {', '.join(missing)}")
+    return cls(**given)
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -172,7 +183,7 @@ def load_config(path: Path | str) -> RunConfig:
         given = _given(RunConfig, obj, "", defaults)
         given.update({field: path.parent / given.get(field, default)
                       for field, kind, default in _schema(RunConfig)[1] if kind == "Path"})
-        return RunConfig(**given)
+        return _built(RunConfig, given, "")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 

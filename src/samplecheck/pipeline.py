@@ -6,9 +6,12 @@ generation model and every sampling setting (GeneratorConfig.sampling); the
 sample index is the file name. Embeddings live in one store at the
 cache root, shared by every prompt and by the eval harness and keyed by the
 SHA-256 of the text, so each distinct text is embedded once per model and a new
-ground truth is simply a new key. Provider workers only send requests and
-parse responses; the calling thread writes each reply and each embedding as
-soon as its request returns, so a failed run keeps the work it paid for.
+ground truth is simply a new key. Workers send and read, decoders parse, the
+calling thread stores: provider worker threads only send requests and read
+responses, forked decoder processes parse embeddings responses (see
+providers.embed_many), and the calling thread writes each reply and each
+embedding as soon as its request returns, so a failed or interrupted run
+keeps the work it paid for.
 
 Cache layout:
     <prompt key>/samples/<i>.txt          reply text, one file per index
@@ -68,10 +71,11 @@ STAGE_GENERATE = "generate"
 STAGE_EMBED = "embed"
 
 # Texts per embeddings request. Parsing one 4096-value item of a response
-# holds about 290 KB of transient Python objects, so peak memory grows with
-# this value times the requests in flight: with 2 requests in flight, a cold
-# verify peaked about 3% above one text per request at 4, and 8% above at 8
-# (2-vCPU Xeon, d=4096).
+# holds about 290 KB of transient Python objects, in the decoder process that
+# parses it (see providers.embed_many), so a decoder's peak memory grows with
+# this value. Parsed in the command's own process with 2 requests in flight, a
+# cold verify peaked about 3% above one text per request at 4, and 8% above at
+# 8 (2-vCPU Xeon, d=4096).
 EMBED_BATCH = 4
 
 # Most samples one chat request asks for (its "n"). verify asks for
@@ -201,54 +205,75 @@ def _cached_batches(
     call: Callable[[tuple], list],
     store: Callable[[Hashable, object], None],
     workers: int,
+    prepare: Callable[[int], None] | None = None,
 ) -> list:
     """Each key's value, in key order: from `load` if cached, else from `call`, then `store`d.
 
     Each distinct key is loaded once; those `load` returns None go to `call` in
     consecutive batches of at most `size`, all submitted at once to a pool of
-    `workers` threads, so at most `workers` calls are in flight. `call` returns
-    results for a leading part of its batch, at least one; the rest of the
-    batch is then submitted as a call of its own, behind those already queued.
-    Workers only call: the calling thread takes each call as it ends and passes
-    its results to `store`, so a later failure cannot discard them and no
-    worker waits on a file write before its next call. If a call fails,
+    `workers` threads, so at most `workers` calls are in flight. Before the
+    pool starts, `prepare`, if given, is called with that number. `call`
+    returns results for a leading part of its batch, at least one; the rest of
+    the batch is then submitted as a call of its own, behind those already
+    queued. Workers only call: the calling thread takes each call as it ends
+    and passes its results to `store`, so a later failure cannot discard them
+    and no worker waits on a file write before its next call. If a call fails,
     PartialFailure names every position of `keys` holding the keys its batch
     still lacked. If a `store` raises, every other result is still stored, then
     the first such error is raised. A call that raises a BaseException other
     than an Exception, such as SystemExit, has it raised once every other
-    result is stored.
+    result is stored. If anything else leaves the loop, such as a
+    KeyboardInterrupt, no call starts after it but those already running, and
+    every result that arrived is stored before it is raised again.
     """
     results = {key: load(key) for key in dict.fromkeys(keys)}
     missing = [key for key, value in results.items() if value is None]
     unsent = [tuple(missing[i:i + size]) for i in range(0, len(missing), size)]
-    batches: dict[Future, tuple] = {}  # each call not yet taken, and its batch
+    batches: dict[Future, tuple] = {}  # each call whose results are not all stored, and its batch
     ended: queue.SimpleQueue = queue.SimpleQueue()  # each call's future as it ends
     failures: dict[Hashable, BaseException] = {}
     store_error: Exception | None = None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while unsent or batches:
-            for batch in unsent:
-                future = pool.submit(call, batch)
-                batches[future] = batch
-                future.add_done_callback(ended.put)
-            unsent = []
-            future = ended.get()
-            batch = batches.pop(future)
-            try:
-                values = future.result()
-                if not values:
-                    raise ValueError(f"stage {stage!r} got no result for a batch")
-            except BaseException as exc:  # collected, re-raised once the rest is stored
-                failures.update(dict.fromkeys(batch, exc))
-                continue
-            for key, value in zip(batch, values):
+
+    def keep(batch: tuple, values: list) -> None:
+        """Store each value of batch's keys not stored yet."""
+        nonlocal store_error
+        for key, value in zip(batch, values):
+            if results[key] is None:
+                results[key] = value
                 try:
                     store(key, value)
                 except Exception as exc:  # the other results are still stored
                     store_error = store_error or exc
-                results[key] = value
-            if len(values) < len(batch):
-                unsent.append(batch[len(values):])
+
+    if unsent and prepare is not None:
+        prepare(min(len(unsent), workers))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            while unsent or batches:
+                for batch in unsent:
+                    future = pool.submit(call, batch)
+                    batches[future] = batch
+                    future.add_done_callback(ended.put)
+                unsent = []
+                future = ended.get()
+                batch = batches[future]
+                try:
+                    values = future.result()
+                    if not values:
+                        raise ValueError(f"stage {stage!r} got no result for a batch")
+                except BaseException as exc:  # collected, re-raised once the rest is stored
+                    failures.update(dict.fromkeys(batch, exc))
+                else:
+                    keep(batch, values)
+                    if len(values) < len(batch):
+                        unsent.append(batch[len(values):])
+                del batches[future]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # waits for the calls already running
+            for future, batch in batches.items():
+                if not future.cancelled() and future.exception() is None:
+                    keep(batch, future.result())
+            raise
     for exc in failures.values():
         if not isinstance(exc, Exception):
             raise exc
@@ -370,13 +395,15 @@ def embed_cached(
     Misses go out EMBED_BATCH per request, up to the endpoint's max_concurrency
     requests at a time (the mock embedder runs serially); see _cached_batches.
     """
-    cache = _Cache(Path(cache_dir), mock=embed_cfg.kind == "mock")
+    mock = embed_cfg.kind == "mock"
+    cache = _Cache(Path(cache_dir), mock=mock)
     model_id = embed_cfg.effective_model_id
     return _cached_batches(
         STAGE_EMBED, texts,
         lambda text: cache.load_embedding(model_id, text), EMBED_BATCH,
         embed_cfg.embed, lambda text, emb: cache.store_embedding(model_id, text, emb),
-        embed_cfg.provider.max_concurrency if embed_cfg.provider else 1,
+        1 if mock else embed_cfg.provider.max_concurrency,
+        None if mock else providers.fork_decoders,
     )
 
 

@@ -7,22 +7,30 @@ protocol is JSON-over-HTTP with chat-completions-shaped generation requests and
 embeddings-shaped embedding requests (list input, one item per text); API keys
 are read from environment variables only and never appear in config files or
 logs. Every request to one endpoint goes through that endpoint's keep-alive
-session, whose connection pool holds max_concurrency connections.
+session, whose connection pool holds max_concurrency connections. Embeddings
+responses are parsed in forked decoder processes (see embed_many), chat
+responses in the thread that read them.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import hashlib
 import json
 import logging
 import math
 import os
+import pickle
+import queue
 import random
 import re
+import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NoReturn, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -221,8 +229,12 @@ def _session(cfg: ProviderConfig) -> requests.Session:
         return session
 
 
-def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
-    """POST with retries on transient failures.
+def _url(cfg: ProviderConfig, path: str) -> str:
+    return cfg.base_url.rstrip("/") + path
+
+
+def _post(cfg: ProviderConfig, path: str, payload: dict) -> bytes:
+    """POST with retries on transient failures; the body of the HTTP 200 answer.
 
     The wait before a retry is the delta-seconds of a 429 or 503 response's
     Retry-After header, capped at cfg.timeout; otherwise (no header, an
@@ -233,7 +245,7 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
     which carries it. The body is read in one piece; a body cut short is a
     network error like a failed post.
     """
-    url = cfg.base_url.rstrip("/") + path
+    url = _url(cfg, path)
     headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
     auth = "<redacted>" if "Authorization" in headers else "none"
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -265,23 +277,28 @@ def _post_json(cfg: ProviderConfig, path: str, payload: dict) -> dict:
             continue
         if resp.status_code != 200:
             raise RejectedRequest(resp.status_code, url)
-        try:
-            body = json.loads(content)
-        except ValueError as exc:
-            raise MalformedResponse(f"non-JSON response from {url}") from exc
-        if not isinstance(body, dict):
-            raise MalformedResponse(f"expected a JSON object from {url}")
-        return body
+        return content
     raise TransportError(
         f"request to {url} failed after {cfg.max_retries + 1} attempts: {last_exc}"
     ) from last_exc
+
+
+def _json_object(content: bytes, url: str) -> dict:
+    """A response body from url as the JSON object it must be."""
+    try:
+        body = json.loads(content)
+    except ValueError as exc:
+        raise MalformedResponse(f"non-JSON response from {url}") from exc
+    if not isinstance(body, dict):
+        raise MalformedResponse(f"expected a JSON object from {url}")
+    return body
 
 
 _DELTA_SECONDS = re.compile(r"[0-9]+")
 
 
 def _retry_wait(cfg: ProviderConfig, attempt: int, resp: requests.Response | None) -> float:
-    """Seconds to wait after a failed attempt (see _post_json)."""
+    """Seconds to wait after a failed attempt (see _post)."""
     if resp is not None and resp.status_code in (429, 503):
         hint = resp.headers.get("Retry-After", "").strip()
         if _DELTA_SECONDS.fullmatch(hint):  # RFC 9110 10.2.3: delay-seconds
@@ -319,15 +336,17 @@ def complete_once(prompt: str, gen: GeneratorConfig, n: int = 1) -> list[str]:
         "n": n,
         **{name: value for name, value in gen.sampling.items() if value is not None},
     }
+    path = "/chat/completions"
     try:
-        body = _post_json(gen.provider, "/chat/completions", payload)
+        content = _post(gen.provider, path, payload)
     except RejectedRequest as exc:
         if exc.status != 400 or n == 1:
             raise
         with _sessions_lock:
             _single_choice.add(gen.provider)
         n = payload["n"] = 1
-        body = _post_json(gen.provider, "/chat/completions", payload)
+        content = _post(gen.provider, path, payload)
+    body = _json_object(content, _url(gen.provider, path))
     choices = body.get("choices")
     if not isinstance(choices, list) or not 1 <= len(choices) <= n:
         raise MalformedResponse(f"completion response must hold 1 to {n} choices")
@@ -352,28 +371,36 @@ def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list
     The response must carry exactly one item per text, indexed 0..n-1 in any
     order. Every item must pass the Embedding rule (a non-empty list of finite
     numbers; booleans and numeric strings are not numbers) and have the preset
-    length of the model.
+    length of the model. A decoder process parses and checks the body (see
+    _Decoder) while this thread waits without the GIL, so the bodies of
+    concurrent requests are parsed on as many cores.
     """
     if not texts:
         return []
     for i, text in enumerate(texts):
         if not text.strip():
             raise EmptyText(f"cannot embed empty text (input {i})")
-    body = _post_json(cfg, "/embeddings", {"model": model_id, "input": list(texts)})
-    data = body.get("data")
-    if not isinstance(data, list) or len(data) != len(texts):
-        raise MalformedResponse(
-            f"embedding response must hold {len(texts)} items in 'data'"
-        )
+    path = "/embeddings"
+    content = _post(cfg, path, {"model": model_id, "input": list(texts)})
+    rows = _decoded(content, _url(cfg, path), len(texts), model_id)
+    return [Embedding(row, model_id=model_id) for row in rows]
+
+
+def _embedding_rows(content: bytes, url: str, count: int, model_id: str) -> list[np.ndarray]:
+    """The values of each embedding of an embeddings response body, in input
+    order; MalformedResponse or DimMismatch if the body breaks a rule of embed_many."""
+    data = _json_object(content, url).get("data")
+    if not isinstance(data, list) or len(data) != count:
+        raise MalformedResponse(f"embedding response must hold {count} items in 'data'")
     by_index: dict[int, object] = {}
     for item in data:
         index = item.get("index") if isinstance(item, dict) else None
-        if type(index) is not int or not 0 <= index < len(texts) or index in by_index:
+        if type(index) is not int or not 0 <= index < count or index in by_index:
             raise MalformedResponse(
-                f"embedding items must carry each index 0..{len(texts) - 1} once"
+                f"embedding items must carry each index 0..{count - 1} once"
             )
         by_index[index] = item.get("embedding")
-    return [_embedding(by_index[i], i, model_id) for i in range(len(texts))]
+    return [_embedding(by_index[i], i, model_id).values for i in range(count)]
 
 
 def _embedding(values: object, index: int, model_id: str) -> Embedding:
@@ -388,6 +415,116 @@ def _embedding(values: object, index: int, model_id: str) -> Embedding:
             f"preset expects {preset}"
         )
     return emb
+
+
+class DecoderExited(SampleCheckError):
+    """The process decoding a response ended before it answered."""
+
+
+class _Decoder:
+    """A forked process that answers each request (_embedding_rows' arguments)
+    sent to it with _embedding_rows' result or the Exception it raised.
+
+    Parsing a 4 x 4096 embeddings body takes about 11 ms (2-vCPU Xeon) that
+    holds the GIL, so threads cannot share it. The decoder keeps no descriptor
+    but its end of a socket pair, ignores SIGINT, so that an interrupted run
+    still gets the answers it paid for, and exits when the socket closes. This
+    process closes the socket of each idle decoder and reaps it at exit.
+    """
+
+    def __init__(self) -> None:
+        self.sock, theirs = socket.socketpair()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.sock.close()
+            theirs.close()
+            raise
+        if self.pid == 0:
+            _serve(theirs)
+        theirs.close()
+        self.reader = self.sock.makefile("rb")
+
+    def ask(self, *request: object) -> object:
+        self.sock.sendall(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+        return pickle.load(self.reader)
+
+    def close(self) -> int:
+        """Close the socket and reap the decoder; its exit code."""
+        self.reader.close()
+        self.sock.close()
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _serve(sock: socket.socket) -> NoReturn:
+    """A decoder's life, in the child of the fork; it never returns to the caller."""
+    try:
+        gc.freeze()  # no collection here walks, or copies, the parent's objects
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        fd = sock.fileno()
+        os.closerange(0, fd)
+        os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+        reader = sock.makefile("rb")
+        while True:
+            try:
+                request = pickle.load(reader)
+            except EOFError:
+                break
+            try:
+                reply = _embedding_rows(*request)
+            except Exception as exc:  # raised again by the caller
+                reply = exc
+            sock.sendall(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+# Idle decoders. One embeddings request holds one at a time, so there are no
+# more than requests were ever in flight at once.
+_decoders: queue.SimpleQueue[_Decoder] = queue.SimpleQueue()
+
+
+def fork_decoders(count: int) -> None:
+    """Fork decoders until count are idle.
+
+    A fork copies only the thread that calls it, and a lock another thread
+    holds stays held in the child. So call this while the calling thread is the
+    process's only one, before the threads that send embeddings requests
+    start; embed_many forks one itself only when none is idle.
+    """
+    for _ in range(count - _decoders.qsize()):
+        _decoders.put(_Decoder())
+
+
+@atexit.register
+def _close_decoders() -> None:
+    """End and reap every idle decoder, so that none outlives this process as a zombie."""
+    while True:
+        try:
+            decoder = _decoders.get_nowait()
+        except queue.Empty:
+            return
+        decoder.close()
+
+
+def _decoded(content: bytes, url: str, count: int, model_id: str) -> list[np.ndarray]:
+    """_embedding_rows(content, url, count, model_id), run by an idle decoder."""
+    try:
+        decoder = _decoders.get_nowait()
+    except queue.Empty:
+        decoder = _Decoder()
+    try:
+        reply = decoder.ask(content, url, count, model_id)
+    except (OSError, EOFError, pickle.UnpicklingError) as exc:
+        raise DecoderExited(f"the decoder of a response from {url} ended before it "
+                            f"answered (exit code {decoder.close()})") from exc
+    except BaseException:  # an interrupt between request and reply: the decoder is out of step
+        decoder.close()
+        raise
+    _decoders.put(decoder)
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")

@@ -414,6 +414,24 @@ class TestLoadConfig:
         assert capsys.readouterr().err == f"error: invalid config: duplicate key {key}\n"
         assert stub.state.requests == []
 
+    @pytest.mark.parametrize("obj, key", [
+        ({}, "generation"),
+        ({"generation": None}, "generation"),
+        ({"generation": {"model_id": "m"}}, "generation.base_url"),
+        ({"generation": {"base_url": "http://127.0.0.1:9", "model_id": None}},
+         "generation.model_id"),
+        ({"generation": {"base_url": "http://127.0.0.1:9", "model_id": "m"},
+          "embedding": {"kind": "http", "model_id": "e", "timeout": 5}}, "embedding.base_url"),
+    ])
+    def test_missing_key_exit_one_names_it(self, stub, tmp_path, prompt_file, capsys, obj, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError, match=f"missing key {key}$"):
+            load_config(config)
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: missing key {key}\n"
+        assert stub.state.requests == []
+
     def test_equal_keys_of_two_sections_load(self, stub, tmp_path):
         embedding = {"kind": "http", "base_url": stub.url, "model_id": "stub-embed"}
         cfg = load_config(write_config(tmp_path, stub, embedding=embedding))
@@ -1447,3 +1465,47 @@ class TestFreshProcess:
             cache = tmp_path / "cache"
             assert sorted((cache / "embeddings" / "stub-embed").iterdir()) == sorted(
                 {vector_path(cache, "stub-embed", text) for text in stub.state.chat_replies})
+
+    # `python -c FORKS LOG ARGS...` runs the command with ARGS and appends a line
+    # to LOG per fork: the threads alive in the parent, then the child's pid.
+    FORKS = """
+import os, runpy, sys, threading
+log = sys.argv.pop(1)
+
+def note(line):
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(line + "\\n")
+
+os.register_at_fork(before=lambda: note(f"threads {threading.active_count()}"),
+                    after_in_child=lambda: note(f"pid {os.getpid()}"))
+runpy.run_module("samplecheck.cli", run_name="__main__", alter_sys=True)
+"""
+
+    @pytest.mark.parametrize("case", ["verify", "eval-checkembed"])
+    def test_decoders_fork_from_one_thread_and_end_with_the_command(self, stub, tmp_path,
+                                                                    prompt_file, case):
+        argv, _, code, _ = self._case(case, stub, tmp_path, prompt_file)
+        concurrency = json.loads(Path(argv[argv.index("--config") + 1]).read_text())[
+            "max_concurrency"]
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src")] + ([inherited] if inherited else []))}
+        for warm in (False, True):
+            log = tmp_path / f"forks-{warm}.txt"
+            log.touch()
+            # Python 3.12 warns of a fork while other threads are alive.
+            run = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
+                                  self.FORKS, str(log), *argv], env=env, capture_output=True,
+                                 text=True, timeout=60)
+            assert (run.returncode, run.stderr) == (code, "")
+            notes = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+            threads = [int(n) for kind, n in notes if kind == "threads"]
+            pids = [int(n) for kind, n in notes if kind == "pid"]
+            assert len(pids) == len(threads)
+            if warm:  # no embeddings request, no decoder
+                assert threads == []
+            else:
+                assert threads == [1] * len(threads) and 1 <= len(threads) <= concurrency
+            for pid in pids:  # each decoder was reaped before the command exited
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -692,6 +693,30 @@ class TestCachedBatches:
             assert isinstance(outcome["error"], SystemExit)
             assert stored == {key: key for key in range(2, 6)}
 
+    def test_an_interrupt_starts_no_queued_call_and_keeps_every_answer(self):
+        for workers in self.WORKERS:
+            calls, stored = [], {}
+
+            def call(batch):
+                calls.append(batch)
+                time.sleep(0.01)
+                return [f"v{key}" for key in batch]
+
+            def store(key, value):
+                if key == 0:
+                    raise self.Interrupt
+                stored[key] = value
+
+            outcome = self._in_thread(lambda: _cached_batches(
+                "embed", range(24), {}.get, 2, call, store, workers))
+            assert isinstance(outcome["error"], self.Interrupt)
+            # The first call ended; at most one more per worker was running.
+            assert len(calls) <= 2 * workers
+            assert stored == {key: f"v{key}" for batch in calls for key in batch if key != 0}
+
+    class Interrupt(BaseException):
+        """A KeyboardInterrupt of the calling thread, raised by a store."""
+
     class Fatal(BaseException):
         """A call's BaseException that is not an Exception."""
 
@@ -730,7 +755,10 @@ class TestCachedBatches:
         size = data.draw(st.integers(1, 5), label="size")
         workers = data.draw(st.integers(1, 4), label="workers")
         answer = {key: data.draw(self.ANSWERS, label=f"answer {key}") for key in distinct}
+        # The store that raises Interrupt instead of storing, if there are that many.
+        interrupt = data.draw(st.none() | st.integers(0, 4), label="interrupt")
         lock, calls, in_flight, stores = threading.Lock(), [], [0, 0], []
+        answered, interrupted = [], []  # keys of every answer; (calls started, key) at the interrupt
 
         def call(batch):
             with lock:
@@ -744,12 +772,19 @@ class TestCachedBatches:
                     raise RuntimeError("injected")
                 if kind == "fatal":
                     raise self.Fatal("injected")
-                return [f"v{key}" for key in batch[:m]] if kind == "part" else []
+                values = [f"v{key}" for key in batch[:m]] if kind == "part" else []
+                with lock:
+                    answered.extend(batch[:len(values)])
+                return values
             finally:
                 with lock:
                     in_flight[0] -= 1
 
         def store(key, value):
+            if len(stores) == interrupt and not interrupted:
+                with lock:
+                    interrupted.append((len(calls), key))
+                raise self.Interrupt
             stores.append((threading.get_ident(), key, value))
 
         callers = []
@@ -760,12 +795,22 @@ class TestCachedBatches:
 
         outcome = self._in_thread(run)
         model_calls, model_stored, failed = self._model(keys, cached, size, answer)
-        assert sorted(calls) == sorted(model_calls)  # no key sent again once answered
         assert in_flight[1] <= workers
-        # Each answered key is stored once, on the thread that called _cached_batches;
-        # when a Fatal is raised every other answer has been stored before it.
+        # Each answered key is stored once, on the thread that called _cached_batches.
         assert {thread for thread, _, _ in stores} <= set(callers)
-        assert sorted((key, value) for _, key, value in stores) == sorted(model_stored.items())
+        stored = sorted((key, value) for _, key, value in stores)
+        if interrupted:
+            # No call starts after the interrupt but one per worker, every answer
+            # that arrived is stored, and the interrupt comes out.
+            [(started, key)] = interrupted
+            assert not Counter(calls) - Counter(model_calls)
+            assert len(calls) - started <= workers
+            assert stored == sorted((k, f"v{k}") for k in answered if k != key)
+            assert isinstance(outcome["error"], self.Interrupt)
+            return
+        assert sorted(calls) == sorted(model_calls)  # no key sent again once answered
+        # When a Fatal is raised every other answer has been stored before it.
+        assert stored == sorted(model_stored.items())
         if "fatal" in failed.values():
             assert isinstance(outcome["error"], self.Fatal)
         elif failed:

@@ -5,15 +5,25 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import signal
 import socket
 import time
 
 import numpy as np
 import pytest
 
-from samplecheck.pipeline import EmbedderConfig, GeneratorConfig, PartialFailure, verify
+from samplecheck import providers
+from samplecheck.pipeline import (
+    EmbedderConfig,
+    GeneratorConfig,
+    PartialFailure,
+    embed_cached,
+    verify,
+)
 from samplecheck.providers import (
     AuthError,
+    DecoderExited,
     DimMismatch,
     EmptyText,
     MalformedResponse,
@@ -21,6 +31,7 @@ from samplecheck.providers import (
     ProviderConfig,
     RejectedRequest,
     TransportError,
+    _embedding_rows,
     complete_once,
     embed_many,
     mock_embed,
@@ -464,6 +475,77 @@ class TestEmbedMany:
         with pytest.raises(EmptyText, match="input 1"):
             embed_many(["fine", "  ", "also fine"], cfg_for(stub), "custom-model")
         assert stub.state.requests == []
+
+
+MALFORMED_BODIES = [
+    b"not json", b"[1, 2]", b'{"object": "list"}', b'{"data": {"0": [1.0]}}',
+    embeddings_body((0, [1.0]), (1, [1.0])),
+    embeddings_body((0, [1.0]), (1, [1.0]), (1, [1.0])),
+    b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},'
+    b' {"index": true, "embedding": [1.0]}]}',
+    embeddings_body((0, [1.0]), (1, [1.0, "x"]), (2, [1.0])),
+    embeddings_body((0, [1.0]), (1, [1.0]), (2, [True])),
+    b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [NaN]},'
+    b' {"index": 2, "embedding": [1.0]}]}',
+    embeddings_body((0, [1.0]), (1, "1.0"), (2, [])),
+]
+
+
+class TestDecoders:
+    """embed_many parses each body in a forked decoder process."""
+
+    def test_vectors_are_json_loads_bit_for_bit(self, stub):
+        rng = np.random.default_rng(5)
+        rows = [rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 300, 4096)
+                for _ in range(3)]
+        stub.state.raw_body = embeddings_body(*((i, row.tolist()) for i, row in
+                                                [(2, rows[2]), (0, rows[0]), (1, rows[1])]))
+        out = embed_many(["x", "y", "z"], cfg_for(stub), "sfr-embedding-mistral")
+        parsed = {item["index"]: item["embedding"]
+                  for item in json.loads(stub.state.raw_body)["data"]}
+        assert [e.values.tobytes() for e in out] == [
+            np.asarray(parsed[i], dtype=np.float64).tobytes() for i in range(3)]
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_body_raises_what_the_parse_raises(self, stub, body):
+        with pytest.raises(MalformedResponse) as expected:
+            _embedding_rows(body, stub.url + "/embeddings", 3, "custom-model")
+        stub.state.raw_body = body
+        with pytest.raises(MalformedResponse) as raised:
+            embed_many(["x", "y", "z"], cfg_for(stub), "custom-model")
+        assert (type(raised.value), str(raised.value)) == (type(expected.value),
+                                                           str(expected.value))
+
+    def test_a_killed_decoder_fails_only_its_batch(self, stub, tmp_path):
+        providers._close_decoders()
+        stub.state.embed_fn = lambda text, model: [float(len(text)), 1.0]
+        embed = EmbedderConfig(kind="http", model_id="e", provider=cfg_for(stub))
+        cache = tmp_path / "cache"
+        assert [e.tolist() for e in embed_cached(["a", "bb"], embed, cache)] == [
+            [1.0, 1.0], [2.0, 1.0]]
+        [decoder] = drain_decoders()
+        providers._decoders.put(decoder)
+        os.kill(decoder.pid, signal.SIGKILL)
+        texts = ["ccc", "a", "dddd"]
+        with pytest.raises(PartialFailure) as err:
+            embed_cached(texts, embed, cache)
+        assert sorted(err.value.failures) == [0, 2]
+        assert all(type(exc) is DecoderExited for exc in err.value.failures.values())
+        assert "ended before it answered (exit code -9)" in str(err.value)
+        assert drain_decoders() == []  # the dead decoder is reaped, not kept
+        assert [e.tolist() for e in embed_cached(texts, embed, cache)] == [
+            [3.0, 1.0], [1.0, 1.0], [4.0, 1.0]]
+        [fresh] = drain_decoders()
+        assert fresh.pid != decoder.pid
+        fresh.close()
+
+
+def drain_decoders() -> list:
+    """Take every idle decoder out of the pool."""
+    taken = []
+    while not providers._decoders.empty():
+        taken.append(providers._decoders.get_nowait())
+    return taken
 
 
 class TestEnvironment:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_providers import cfg_for
 
@@ -90,6 +90,8 @@ class TestCosine:
         if not any(values):
             return
         scaled = [v * (2.0**exp) for v in values]
+        # Scaling a subnormal can round; the premise is an exact multiple.
+        assume(all(s / 2.0**exp == v for s, v in zip(scaled, values)))
         assert cosine(values, scaled) == 1.0
 
     @given(
