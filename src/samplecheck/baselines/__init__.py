@@ -1,5 +1,5 @@
 """Comparison verifiers: greedy token matching, sentence self-consistency,
-NLI contradiction averaging, and judge prompts and reply parsing."""
+and judge prompts and reply parsing."""
 
 from .judge import (
     JUDGE_TASKS,
@@ -13,12 +13,9 @@ from .judge import (
 from .scoring import (
     EmptySample,
     EmptySequence,
-    OutOfRangeScore,
     TokenEmbeddingSeq,
     bertscore_greedy,
     selfcheck_bert,
-    selfcheck_nli,
-    split_sentences,
 )
 
 __all__ = [
@@ -26,15 +23,12 @@ __all__ = [
     "EmptySample",
     "EmptySequence",
     "JudgeVerdict",
-    "OutOfRangeScore",
     "TokenEmbeddingSeq",
     "UnparsableVerdict",
     "assemble_prompt",
     "bertscore_greedy",
     "parse_verdict",
     "selfcheck_bert",
-    "selfcheck_nli",
-    "split_sentences",
     "template_slots",
     "template_text",
 ]

@@ -1,19 +1,17 @@
 """Reference verifiers built on token- and sentence-level comparisons.
 
 These are the classical comparison points for whole-answer verification:
-greedy token matching over token embeddings (with optional idf weighting),
-sentence-level self-consistency against sampled documents, and
-contradiction-probability averaging via a pluggable NLI provider. Token
-embeddings are caller-supplied (or produced by any embedder); no encoder
-model is bundled.
+greedy token matching over token embeddings (with optional idf weighting) and
+sentence-level self-consistency against sampled documents. Token embeddings
+are caller-supplied (or produced by any embedder); no encoder model is
+bundled.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import SampleCheckError
 from ..scorematrix import build_matrix
@@ -26,10 +24,6 @@ class EmptySequence(SampleCheckError):
 
 class EmptySample(SampleCheckError):
     """Every sampled document must contain at least one sentence."""
-
-
-class OutOfRangeScore(SampleCheckError):
-    """An NLI provider returned a contradiction score outside [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -119,35 +113,3 @@ def selfcheck_bert(
         ]
         scores.append(math.fsum(per_sample) / len(per_sample))
     return scores
-
-
-def selfcheck_nli(
-    reply_sentences: Sequence[str],
-    samples: Sequence[str],
-    nli: Callable[[str, str], float],
-) -> list[float]:
-    """Mean contradiction probability of each sentence across k samples.
-
-    nli(premise, hypothesis) must return a probability in [0, 1]; the premise
-    is the sampled document and the hypothesis is the sentence under check.
-    """
-    if not samples:
-        raise EmptySample("need at least one sample")
-    scores: list[float] = []
-    for sentence in reply_sentences:
-        values = []
-        for sample in samples:
-            value = float(nli(sample, sentence))
-            if not 0.0 <= value <= 1.0:
-                raise OutOfRangeScore(f"nli returned {value}, expected [0, 1]")
-            values.append(value)
-        scores.append(math.fsum(values) / len(values))
-    return scores
-
-
-_SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")
-
-
-def split_sentences(text: str) -> list[str]:
-    """Split on '.', '!' or '?' followed by whitespace; keeps the terminator."""
-    return [s for s in (_SENT_SPLIT.split(text.strip())) if s]

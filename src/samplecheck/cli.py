@@ -15,11 +15,11 @@ import json
 import logging
 import stat
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
-from . import costmodel, eval as evalmod, render
+from . import costmodel, document, eval as evalmod, render
 from .baselines import judge as judgemod
 from .errors import SampleCheckError
 from .pipeline import (
@@ -49,11 +49,7 @@ class ConfigError(SampleCheckError):
 
 @dataclass(frozen=True)
 class EvalSettings:
-    statistic: str = "mean_offdiag"
-
-    def __post_init__(self) -> None:
-        if self.statistic not in evalmod.STATISTICS:
-            raise ConfigError(f"eval.statistic must be one of {', '.join(evalmod.STATISTICS)}")
+    statistic: evalmod.Statistic = "mean_offdiag"
 
 
 @dataclass(frozen=True)
@@ -76,115 +72,39 @@ class RunConfig:
             raise ConfigError(f"measure must be one of {', '.join(MEASURES)}")
 
 
-# What the dataclasses do not say: the top-level max_concurrency is the default
-# of both endpoints, and an embedding section without kind is an HTTP endpoint.
-_ENDPOINT_DEFAULTS = ("max_concurrency",)
-_PRESENT_DEFAULTS = {EmbedderConfig: {"kind": "http"}}
-_SECTIONS = {cls.__name__: cls for cls in (GeneratorConfig, EmbedderConfig,
-                                            ConfidenceThresholds, EvalSettings)}
+@dataclass(frozen=True)
+class _Shared:
+    """The top-level keys that are not RunConfig's: the default of each endpoint."""
 
-
-class _Object(dict):
-    """A JSON object, and the keys it holds more than once (json.loads keeps the last)."""
-
-    def __init__(self, pairs: list[tuple[str, object]]) -> None:
-        super().__init__(pairs)
-        keys = [key for key, _ in pairs]
-        self.repeated = sorted({key for key in keys if keys.count(key) > 1})
-
-
-def _setting(kind: str, value: object) -> object:
-    """A JSON value as a field of declared type kind, such as "int" or "float | None":
-    a str or Path takes a string, a number may be a numeric string but never a
-    boolean, and an int is never truncated. Any other type is a TypeError."""
-    kind = kind.removesuffix(" | None")
-    if kind in ("str", "Path"):
-        if not isinstance(value, str):
-            raise ValueError(f"expected a string, got {value!r}")
-        return Path(value) if kind == "Path" else value
-    if kind not in ("float", "int"):
-        raise TypeError(f"no conversion to {kind}")
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    if kind == "float":
-        return float(value)
-    try:
-        return int(str(value))  # an int, or a string of one
-    except ValueError:
-        number = float(value)  # a float, or a string such as "4e1"
-    if not number.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(number)
-
-
-@functools.cache
-def _schema(cls: type) -> tuple[frozenset[str], tuple[tuple[str, str, object], ...]]:
-    """The keys of cls's section, and its fields as (name, type without "| None", default)."""
-    specs = tuple((f.name, f.type.removesuffix(" | None"), f.default) for f in fields(cls))
-    return frozenset(key for name, kind, _ in specs for key in (
-        _schema(ProviderConfig)[0] if kind == "ProviderConfig" else (name,))), specs
-
-
-def _given(cls: type, obj: object, prefix: str, defaults: dict) -> dict[str, object]:
-    """The arguments of cls set by obj, the JSON object of the config section
-    whose keys are named prefix + key, on top of defaults[cls]. Every key must
-    name a field, once; one that is absent or null takes the default. A dataclass
-    field is built from the section of its name, but a ProviderConfig's fields
-    are keys of this section; it is built if it has no default or one is set."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{prefix.rstrip('.') or 'the config'} must be a JSON object")
-    keys, specs = _schema(cls)
-    if unknown := obj.keys() - keys:
-        raise ValueError(f"unknown key {', '.join(prefix + key for key in sorted(unknown))}")
-    if repeated := getattr(obj, "repeated", None):
-        raise ValueError(f"duplicate key {', '.join(prefix + key for key in repeated)}")
-    given = dict(defaults.get(cls, ()))
-    for field, kind, default in specs:
-        if kind == "ProviderConfig":
-            own = {key: obj[key] for key in obj.keys() & _schema(ProviderConfig)[0]}
-            if default is MISSING or any(v is not None for v in own.values()):
-                given[field] = _built(ProviderConfig, _given(ProviderConfig, own, prefix, defaults),
-                                      prefix)
-            continue
-        if (value := obj.get(field)) is None:
-            continue
-        if section := _SECTIONS.get(kind):
-            given[field] = _built(section, _given(section, value, f"{prefix}{field}.", defaults),
-                                  f"{prefix}{field}.")
-            continue
-        try:
-            given[field] = _setting(kind, value)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"{prefix}{field}: {exc}") from exc
-    return given
-
-
-def _built(cls: type, given: dict[str, object], prefix: str) -> object:
-    """cls(**given), or a ValueError naming the key of each field that has no
-    default and is not given."""
-    if missing := [prefix + field for field, _, default in _schema(cls)[1]
-                   if default is MISSING and field not in given]:
-        raise ValueError(f"missing key {', '.join(missing)}")
-    return cls(**given)
+    max_concurrency: int | None = None
 
 
 def load_config(path: Path | str) -> RunConfig:
-    """Parse the JSON run configuration (see _given); relative paths resolve against it."""
+    """Parse the JSON run configuration with document.read; relative paths
+    resolve against it. An endpoint's max_concurrency defaults to the top-level
+    one, and an embedding section without kind is an HTTP endpoint."""
     path = Path(path)
     try:
-        obj = json.loads(_read_input("config", path), object_pairs_hook=_Object)
+        obj = document.loads(_read_input("config", path))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer of over 4300 digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
-        shared = {k: obj.pop(k) for k in _ENDPOINT_DEFAULTS if isinstance(obj, dict) and k in obj}
-        defaults = {**_PRESENT_DEFAULTS, ProviderConfig: _given(ProviderConfig, shared, "", {})}
-        given = _given(RunConfig, obj, "", defaults)
-        given.update({field: path.parent / given.get(field, default)
-                      for field, kind, default in _schema(RunConfig)[1] if kind == "Path"})
-        return _built(RunConfig, given, "")
-    except (TypeError, ValueError) as exc:
+        if isinstance(obj, dict):
+            shared = document.read(_Shared, {"max_concurrency": obj.pop("max_concurrency", None)})
+            embedding = obj.get("embedding")
+            if isinstance(embedding, dict) and embedding.get("kind") is None:
+                embedding["kind"] = "http"
+            for section in (obj.get("generation"), embedding):
+                # A section sets an endpoint if it sets one of its keys (document.INLINE).
+                if isinstance(section, dict) and section.get("max_concurrency") is None and any(
+                        section.get(f.name) is not None for f in fields(ProviderConfig)):
+                    section["max_concurrency"] = shared.max_concurrency
+        cfg = document.read(RunConfig, obj)
+        return replace(cfg, cache_dir=path.parent / cfg.cache_dir,
+                       output_dir=path.parent / cfg.output_dir)
+    except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Literal, Sequence, TypeVar, get_args
 
 import numpy as np
 
+from . import document
 from .errors import SampleCheckError
 from .providers import EmbedderConfig
 from .scorematrix import build_matrix, summarize
@@ -25,7 +26,8 @@ from .vectors import ConstantSequence, Embedding, LengthMismatch, pearson, spear
 
 PASSAGE_LABEL_VALUES: dict[str, float] = {"major": 0.0, "minor": 0.5, "accurate": 1.0}
 POLARITIES = ("low_score_flags", "high_score_flags")
-STATISTICS = ("mean_offdiag", "frobenius_normalized")
+Statistic = Literal["mean_offdiag", "frobenius_normalized"]
+STATISTICS: tuple[str, ...] = get_args(Statistic)
 
 
 class EmptyLabels(SampleCheckError):
@@ -315,47 +317,32 @@ def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag")
 
 
 _Record = TypeVar("_Record", LabeledPassage, BinaryRecord)
-_TEXT_LISTS = ("sentences", "labels", "samples")
 
 
 def _read_records(path: Path | str, cls: type[_Record]) -> list[_Record]:
     """One cls per non-blank line; DatasetError names path:lineno of a bad line.
 
-    Each line is UTF-8 text of a JSON object holding every field of cls that
-    has no default. sentences, labels and samples must be JSON lists of
-    strings; the other fields are converted with str. Lines end as in text
-    mode: at "\n", "\r\n" or "\r".
+    Each line is UTF-8 text of a JSON object, read by document.read once the
+    keys that name no field of cls are dropped. Lines end as in text mode: at
+    "\n", "\r\n" or "\r".
     """
     path = Path(path)
+    names = {f.name for f in fields(cls)}
     records = []
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise DatasetError("expected a JSON object")
-            values: dict[str, object] = {}
-            for f in fields(cls):
-                if f.name not in obj and f.default is not MISSING:
-                    continue
-                value = obj[f.name]
-                if f.name not in _TEXT_LISTS:
-                    value = str(value)
-                elif isinstance(value, list) and all(isinstance(t, str) for t in value):
-                    value = tuple(value)
-                else:
-                    raise DatasetError(f"{f.name!r} must be a JSON list of strings")
-                values[f.name] = value
-            records.append(cls(**values))
+            obj = document.loads(line)
+            for key in obj.keys() - names if isinstance(obj, dict) else ():
+                del obj[key]
+            records.append(document.read(cls, obj))
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        except KeyError as exc:
-            raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
-        except DatasetError as exc:
+        except (DatasetError, ValueError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not records:
         raise DatasetError(f"{path}: no records found")

@@ -54,7 +54,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from . import providers
+from . import document, providers
 from .errors import SampleCheckError
 from .providers import EmbedderConfig, GeneratorConfig
 from .scorematrix import (
@@ -133,15 +133,11 @@ class VerificationReport:
     provenance: dict[str, object]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.prompt_id, str):
-            raise ValueError("prompt_id must be a string")
-        if type(self.k) is not int or self.k != self.matrix.reply_count:
+        if self.k != self.matrix.reply_count:
             raise ValueError(f"k must be the integer {self.matrix.reply_count}, "
                              "the matrix's reply count")
         if self.measure != self.matrix.measure:
             raise ValueError(f"measure must be the matrix's, {self.matrix.measure!r}")
-        if not isinstance(self.provenance, dict):
-            raise ValueError("provenance must be an object")
 
 
 def prompt_hash(prompt: str, gen_cfg: GeneratorConfig) -> str:
@@ -520,22 +516,10 @@ def report_json_bytes(report: VerificationReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> VerificationReport:
-    """The report that report_json_bytes wrote as data.
-
-    ValueError if data is not JSON of exactly that shape: an object with every
-    field of each dataclass present, and no other key.
-    """
-    obj = json.loads(data)
-    if not isinstance(obj, dict):
-        raise ValueError("not a samplecheck report: expected a JSON object")
+    """The report that report_json_bytes wrote as data, read exact by
+    document.read: DocumentError ("not a samplecheck report: ...") if it is not
+    of that shape, ValueError if its fields disagree."""
     try:
-        return VerificationReport(**{
-            **obj,
-            "summary": MatrixSummary(**obj["summary"]),
-            "matrix": SimilarityMatrix(**obj["matrix"]),
-            "thresholds": ConfidenceThresholds(**obj["thresholds"]),
-        })
-    except KeyError as exc:
-        raise ValueError(f"not a samplecheck report: no key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"not a samplecheck report: {exc}") from exc
+        return document.read(VerificationReport, document.loads(data), exact=True)
+    except document.DocumentError as exc:
+        raise document.DocumentError(f"not a samplecheck report: {exc}") from exc

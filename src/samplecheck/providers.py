@@ -29,13 +29,14 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NoReturn, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
 import requests
 
+from .document import INLINE
 from .errors import SampleCheckError
 from .vectors import Embedding, NonFiniteInput
 
@@ -123,7 +124,7 @@ class GeneratorConfig:
     """
 
     model_id: str
-    provider: ProviderConfig
+    provider: ProviderConfig = field(metadata=INLINE)  # its keys are the section's own
     temperature: float = 1.0
     max_tokens: int = 1024
     top_p: float | None = None
@@ -160,7 +161,7 @@ class EmbedderConfig:
 
     kind: str = "mock"
     model_id: str = ""
-    provider: ProviderConfig | None = None
+    provider: ProviderConfig | None = field(default=None, metadata=INLINE)
     dim: int = 4096
     seed: int = 0
 

@@ -66,9 +66,6 @@ class Embedding:
     def dim(self) -> int:
         return int(self.values.size)
 
-    def __len__(self) -> int:
-        return self.dim
-
     def tolist(self) -> list[float]:
         return self.values.tolist()
 

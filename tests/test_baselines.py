@@ -1,5 +1,5 @@
 """Baseline verifiers: greedy matching oracles, self-consistency scoring,
-NLI averaging, judge templates and verdict parsing."""
+judge templates and verdict parsing."""
 
 from __future__ import annotations
 
@@ -14,15 +14,12 @@ from samplecheck.baselines import (
     EmptySample,
     EmptySequence,
     JudgeVerdict,
-    OutOfRangeScore,
     TokenEmbeddingSeq,
     UnparsableVerdict,
     assemble_prompt,
     bertscore_greedy,
     parse_verdict,
     selfcheck_bert,
-    selfcheck_nli,
-    split_sentences,
     template_slots,
     template_text,
 )
@@ -211,39 +208,6 @@ class TestSelfcheckBert:
             selfcheck_bert([seq([[1, 0]])], [[]])
         with pytest.raises(EmptySample):
             selfcheck_bert([seq([[1, 0]])], [])
-
-
-class TestSelfcheckNli:
-    def test_constant_zero(self):
-        scores = selfcheck_nli(["a.", "b."], ["s1", "s2"], lambda p, h: 0.0)
-        assert scores == [0.0, 0.0]
-
-    def test_constant_one(self):
-        scores = selfcheck_nli(["a."], ["s1", "s2", "s3"], lambda p, h: 1.0)
-        assert scores == [1.0]
-
-    def test_arithmetic_mean(self):
-        values = {"s1": 0.2, "s2": 0.4}
-        scores = selfcheck_nli(["x."], ["s1", "s2"], lambda p, h: values[p])
-        assert scores[0] == pytest.approx(0.3, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeScore):
-            selfcheck_nli(["x."], ["s1"], lambda p, h: 1.5)
-
-
-class TestSentenceSplitting:
-    def test_basic(self):
-        assert split_sentences("One. Two! Three?") == ["One.", "Two!", "Three?"]
-
-    def test_trailing_fragment_kept(self):
-        assert split_sentences("Done. And then") == ["Done.", "And then"]
-
-    def test_no_split_inside_token(self):
-        assert split_sentences("Version 2.5 shipped. Done.") == [
-            "Version 2.5 shipped.",
-            "Done.",
-        ]
 
 
 class TestJudgeTemplates:

@@ -21,7 +21,7 @@ from test_eval import passages_from_sweep_records
 from test_pipeline import CORRUPTIONS, vector_path
 from test_render import csv_to_matrix, svg_cell_texts
 
-from samplecheck import cli, costmodel
+from samplecheck import cli, costmodel, document
 from samplecheck.cli import (
     ConfigError,
     EvalSettings,
@@ -254,6 +254,18 @@ class TestVerifyCommand:
         assert err.startswith(f"error: config file {config} is not valid JSON: ")
         assert stub.state.requests == []
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="json reads integers of any length")
+    def test_config_with_too_long_an_integer_exit_one_names_file(self, tmp_path, prompt_file,
+                                                                 capsys):
+        config = tmp_path / "long.json"
+        config.write_text('{"k": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
+        with pytest.raises(ConfigError, match="is not valid JSON: Exceeds the limit"):
+            load_config(config)
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+
     def test_parser_built_once_and_options_not_inherited(self, stub, tmp_path, prompt_file):
         assert build_parser() is build_parser()
         stub.state.chat_replies = DISJOINT
@@ -438,14 +450,11 @@ class TestLoadConfig:
         assert (cfg.generation.model_id, cfg.embedding.model_id) == ("stub-model", "stub-embed")
 
     def test_every_config_field_type_is_converted(self):
-        sections = {"ProviderConfig", *cli._SECTIONS}
         for cls in (RunConfig, GeneratorConfig, ProviderConfig, EmbedderConfig,
                     ConfidenceThresholds, EvalSettings):
-            for _, kind, _ in cli._schema(cls)[1]:
-                if kind not in sections:
-                    cli._setting(kind, "1")  # a TypeError names a type it cannot convert
+            document._spec(cls)  # a TypeError names a type the reader cannot convert
         with pytest.raises(TypeError):
-            cli._setting("bool", "1")
+            document._converter(bool)
 
     def test_readme_example_loads(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -923,7 +932,7 @@ class TestEvalCommand:
                      "--scheme", "checkembed", "--task", "ragtruth"])
         assert code == 1
         name = next(iter(setting))
-        expected = (f"error: eval.{name} must be one of " if name == "statistic"
+        expected = (f"error: invalid config: eval.{name}: expected one of " if name == "statistic"
                     else f"error: invalid config: unknown key eval.{name}\n")
         assert capsys.readouterr().err.startswith(expected)
         assert list(tmp_path.glob("cache/embeddings/**/*.npy")) == []
@@ -1169,8 +1178,10 @@ class TestHeatmapCommand:
 
     @pytest.mark.parametrize("matrix, message", [
         ({"entries": [[1.0, -0.0], [0.0, 1.0]], "labels": ["0", "1"]}, "symmetric"),
-        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": [0, 1]}, "labels must be strings"),
-        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": "01"}, "labels must be strings"),
+        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": [0, 1]},
+         "matrix.labels: expected a list of strings, got [0, 1]"),
+        ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": "01"},
+         'matrix.labels: expected a list of strings, got "01"'),
         ({"entries": [[1.0, 0.5]], "labels": ["0"]}, "square"),
         ({"entries": [[1.0, 0.5], [0.5, 1.0]], "labels": ["0", "1", "2"]}, "matrix order"),
         ({"measure": "euclidean"}, "unknown measure 'euclidean'"),
@@ -1211,12 +1222,12 @@ class TestHeatmapCommand:
         assert not out_svg.exists()
 
     @pytest.mark.parametrize("change, message", [
-        ({"k": math.nan}, "k must be the integer 3"),
-        ({"k": 3.0}, "k must be the integer 3"),
+        ({"k": math.nan}, "not a samplecheck report: k: expected an integer, got NaN"),
+        ({"k": 3.0}, "not a samplecheck report: k: expected an integer, got 3.0"),
         ({"k": 2}, "k must be the integer 3"),
         ({"measure": "pearson"}, "measure must be the matrix's, 'cosine'"),
-        ({"prompt_id": 7}, "prompt_id must be a string"),
-        ({"provenance": []}, "provenance must be an object"),
+        ({"prompt_id": 7}, "not a samplecheck report: prompt_id: expected a string, got 7"),
+        ({"provenance": []}, "not a samplecheck report: provenance: expected a JSON object"),
     ], ids=["k-nan", "k-float", "k-not-reply-count", "measure-not-matrix", "prompt-id-int",
             "provenance-list"])
     def test_inconsistent_report_exit_one(self, stub, tmp_path, prompt_file, capsys, change,

@@ -260,7 +260,7 @@ class TestEmbeddingType:
 
     def test_dim_and_immutability(self):
         e = emb(1, 2, 3)
-        assert e.dim == 3 and len(e) == 3
+        assert e.dim == 3
         with pytest.raises(ValueError):
             e.values[0] = 5.0
 
