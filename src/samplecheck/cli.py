@@ -82,7 +82,8 @@ class _Shared:
 def load_config(path: Path | str) -> RunConfig:
     """Parse the JSON run configuration with document.read; relative paths
     resolve against it. An endpoint's max_concurrency defaults to the top-level
-    one, and an embedding section without kind is an HTTP endpoint."""
+    one, and an embedding section without kind is an HTTP endpoint. Every
+    ConfigError names the file."""
     path = Path(path)
     try:
         obj = document.loads(_read_input("config", path))
@@ -104,8 +105,8 @@ def load_config(path: Path | str) -> RunConfig:
         cfg = document.read(RunConfig, obj)
         return replace(cfg, cache_dir=path.parent / cfg.cache_dir,
                        output_dir=path.parent / cfg.output_dir)
-    except ValueError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    except (ValueError, ConfigError) as exc:  # RunConfig's own checks raise ConfigError
+        raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:

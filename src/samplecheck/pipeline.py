@@ -8,8 +8,10 @@ cache root, shared by every prompt and by the eval harness and keyed by the
 SHA-256 of the text, so each distinct text is embedded once per model and a new
 ground truth is simply a new key. Workers send and read, decoders parse, the
 calling thread stores: provider worker threads only send requests and read
-responses, forked decoder processes parse embeddings responses (see
-providers.embed_many), and the calling thread writes each reply and each
+responses, each holding one of max_concurrency request slots until its
+response body is read; forked decoder processes parse embeddings responses
+after the slot is free (see providers.parse_embeddings), so the next request
+is in flight meanwhile; and the calling thread writes each reply and each
 embedding as soon as its request returns, so a failed or interrupted run
 keeps the work it paid for.
 
@@ -46,6 +48,7 @@ import os
 import queue
 import random
 import re
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
@@ -72,10 +75,11 @@ STAGE_EMBED = "embed"
 
 # Texts per embeddings request. Parsing one 4096-value item of a response
 # holds about 290 KB of transient Python objects, in the decoder process that
-# parses it (see providers.embed_many), so a decoder's peak memory grows with
-# this value. Parsed in the command's own process with 2 requests in flight, a
-# cold verify peaked about 3% above one text per request at 4, and 8% above at
-# 8 (2-vCPU Xeon, d=4096).
+# parses it (see providers.parse_embeddings), so a decoder's peak memory grows
+# with this value. When bodies were still parsed in the command's own process,
+# with 2 requests in flight, a cold verify peaked about 3% above one text per
+# request at 4, and 8% above at 8 (2-vCPU Xeon, d=4096); in a decoder that
+# share of memory is no longer the command's.
 EMBED_BATCH = 4
 
 # Most samples one chat request asks for (its "n"). verify asks for
@@ -198,29 +202,37 @@ def _cached_batches(
     keys: Sequence[Hashable],
     load: Callable[[Hashable], object | None],
     size: int,
-    call: Callable[[tuple], list],
+    call: Callable[[tuple], object],
     store: Callable[[Hashable, object], None],
     workers: int,
     prepare: Callable[[int], None] | None = None,
+    finish: Callable[[tuple, object], list] | None = None,
 ) -> list:
     """Each key's value, in key order: from `load` if cached, else from `call`, then `store`d.
 
     Each distinct key is loaded once; those `load` returns None go to `call` in
     consecutive batches of at most `size`, all submitted at once to a pool of
-    `workers` threads, so at most `workers` calls are in flight. Before the
-    pool starts, `prepare`, if given, is called with that number. `call`
-    returns results for a leading part of its batch, at least one; the rest of
-    the batch is then submitted as a call of its own, behind those already
-    queued. Workers only call: the calling thread takes each call as it ends
-    and passes its results to `store`, so a later failure cannot discard them
-    and no worker waits on a file write before its next call. If a call fails,
-    PartialFailure names every position of `keys` holding the keys its batch
-    still lacked. If a `store` raises, every other result is still stored, then
-    the first such error is raised. A call that raises a BaseException other
-    than an Exception, such as SystemExit, has it raised once every other
-    result is stored. If anything else leaves the loop, such as a
-    KeyboardInterrupt, no call starts after it but those already running, and
-    every result that arrived is stored before it is raised again.
+    threads. A call holds one of `workers` slots while it runs, so at most
+    `workers` calls are in flight, and calls take slots in the order their
+    batches were submitted. `call` returns the batch's results, or, if
+    `finish` is given, an answer that `finish(batch, answer)` turns into them
+    once the slot is free: the pool then has 2 * workers threads, so each slot
+    has a spare thread, and a finish never keeps a call waiting. Before the
+    pool starts, `prepare`, if given, is called with the most batches the pool
+    can hold at once. The results are those of a leading part of the batch, at
+    least one; the rest of the batch is then submitted as a call of its own,
+    behind those already queued. Workers only call and finish: the calling
+    thread takes each batch as it ends and passes its results to `store`, so a
+    later failure cannot discard them and no worker waits on a file write
+    before its next call. If a call or its finish fails, PartialFailure names
+    every position of `keys` holding the keys its batch still lacked. If a
+    `store` raises, every other result is still stored, then the first such
+    error is raised. A call or finish that raises a BaseException other than an
+    Exception, such as SystemExit, has it raised once every other result is
+    stored. If anything else leaves the loop, such as a KeyboardInterrupt, no
+    call starts after it but those already running (a worker that gets a slot
+    afterwards returns without calling), and every result that arrived is
+    stored before it is raised again.
     """
     results = {key: load(key) for key in dict.fromkeys(keys)}
     missing = [key for key, value in results.items() if value is None]
@@ -241,13 +253,29 @@ def _cached_batches(
                 except Exception as exc:  # the other results are still stored
                     store_error = store_error or exc
 
+    threads = workers if finish is None else 2 * workers
+    slots = threading.BoundedSemaphore(workers)
+    stopped = threading.Event()  # set when anything leaves the loop
+    turn = threading.Event()  # set once the last batch submitted may take a slot
+    turn.set()
+
+    def run(batch: tuple, mine: threading.Event, after: threading.Event) -> list:
+        mine.wait()  # batches take slots in the order they were submitted
+        with slots:
+            after.set()
+            if stopped.is_set():  # the loop was left while this waited for its slot
+                return []
+            answer = call(batch)
+        return answer if finish is None else finish(batch, answer)
+
     if unsent and prepare is not None:
-        prepare(min(len(unsent), workers))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+        prepare(min(len(unsent), threads))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
             while unsent or batches:
                 for batch in unsent:
-                    future = pool.submit(call, batch)
+                    mine, turn = turn, threading.Event()
+                    future = pool.submit(run, batch, mine, turn)
                     batches[future] = batch
                     future.add_done_callback(ended.put)
                 unsent = []
@@ -265,7 +293,8 @@ def _cached_batches(
                         unsent.append(batch[len(values):])
                 del batches[future]
         except BaseException:
-            pool.shutdown(cancel_futures=True)  # waits for the calls already running
+            stopped.set()
+            pool.shutdown(cancel_futures=True)  # waits for the calls and finishes running
             for future, batch in batches.items():
                 if not future.cancelled() and future.exception() is None:
                     keep(batch, future.result())
@@ -390,16 +419,22 @@ def embed_cached(
 
     Misses go out EMBED_BATCH per request, up to the endpoint's max_concurrency
     requests at a time (the mock embedder runs serially); see _cached_batches.
+    An http endpoint's bodies are parsed as its finish, so a request slot is
+    free again as soon as its body has been read.
     """
     mock = embed_cfg.kind == "mock"
     cache = _Cache(Path(cache_dir), mock=mock)
     model_id = embed_cfg.effective_model_id
+    load = functools.partial(cache.load_embedding, model_id)
+    store = functools.partial(cache.store_embedding, model_id)
+    if mock:
+        return _cached_batches(STAGE_EMBED, texts, load, EMBED_BATCH, embed_cfg.embed, store, 1)
+    provider = embed_cfg.provider
     return _cached_batches(
-        STAGE_EMBED, texts,
-        lambda text: cache.load_embedding(model_id, text), EMBED_BATCH,
-        embed_cfg.embed, lambda text, emb: cache.store_embedding(model_id, text, emb),
-        1 if mock else embed_cfg.provider.max_concurrency,
-        None if mock else providers.fork_decoders,
+        STAGE_EMBED, texts, load, EMBED_BATCH,
+        lambda batch: providers.post_embeddings(batch, provider, model_id), store,
+        provider.max_concurrency, providers.fork_decoders,
+        lambda batch, body: providers.parse_embeddings(body, len(batch), provider, model_id),
     )
 
 

@@ -8,7 +8,7 @@ embeddings-shaped embedding requests (list input, one item per text); API keys
 are read from environment variables only and never appear in config files or
 logs. Every request to one endpoint goes through that endpoint's keep-alive
 session, whose connection pool holds max_concurrency connections. Embeddings
-responses are parsed in forked decoder processes (see embed_many), chat
+responses are parsed in forked decoder processes (see parse_embeddings), chat
 responses in the thread that read them.
 """
 
@@ -372,18 +372,29 @@ def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list
     The response must carry exactly one item per text, indexed 0..n-1 in any
     order. Every item must pass the Embedding rule (a non-empty list of finite
     numbers; booleans and numeric strings are not numbers) and have the preset
-    length of the model. A decoder process parses and checks the body (see
-    _Decoder) while this thread waits without the GIL, so the bodies of
-    concurrent requests are parsed on as many cores.
+    length of the model. This is post_embeddings, then parse_embeddings of its body.
     """
     if not texts:
         return []
+    return parse_embeddings(post_embeddings(texts, cfg, model_id), len(texts), cfg, model_id)
+
+
+def post_embeddings(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> bytes:
+    """The body of the answer to one embeddings request for texts (see _post);
+    EmptyText, before anything is sent, if a text is empty or all whitespace."""
     for i, text in enumerate(texts):
         if not text.strip():
             raise EmptyText(f"cannot embed empty text (input {i})")
-    path = "/embeddings"
-    content = _post(cfg, path, {"model": model_id, "input": list(texts)})
-    rows = _decoded(content, _url(cfg, path), len(texts), model_id)
+    return _post(cfg, "/embeddings", {"model": model_id, "input": list(texts)})
+
+
+def parse_embeddings(content: bytes, count: int, cfg: ProviderConfig,
+                     model_id: str) -> list[Embedding]:
+    """The count embeddings of a body post_embeddings returned, by the rules of
+    embed_many. A decoder process parses and checks the body (see _Decoder)
+    while this thread waits without the GIL, so the bodies of concurrent
+    requests are parsed on as many cores."""
+    rows = _decoded(content, _url(cfg, "/embeddings"), count, model_id)
     return [Embedding(row, model_id=model_id) for row in rows]
 
 
@@ -480,8 +491,9 @@ def _serve(sock: socket.socket) -> NoReturn:
         os._exit(0)
 
 
-# Idle decoders. One embeddings request holds one at a time, so there are no
-# more than requests were ever in flight at once.
+# Idle decoders. One parse holds one at a time, so there are no more than
+# parses ever ran at once: at most the threads of one embed stage's pool (see
+# pipeline._cached_batches), two per request slot.
 _decoders: queue.SimpleQueue[_Decoder] = queue.SimpleQueue()
 
 
@@ -490,8 +502,10 @@ def fork_decoders(count: int) -> None:
 
     A fork copies only the thread that calls it, and a lock another thread
     holds stays held in the child. So call this while the calling thread is the
-    process's only one, before the threads that send embeddings requests
-    start; embed_many forks one itself only when none is idle.
+    process's only one, before the threads that send embeddings requests and
+    parse their bodies start, with count the most parses that can run at once
+    (up to 2 x max_concurrency in an embed stage); parse_embeddings forks one
+    itself only when none is idle.
     """
     for _ in range(count - _decoders.qsize()):
         _decoders.put(_Decoder())

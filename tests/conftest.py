@@ -1,6 +1,7 @@
 """Shared fixtures: an in-process stub HTTP server speaking the two wire formats
 samplecheck sends (chat completions, and embeddings with string or list input)
-with scriptable replies, failure injection, and request recording.
+with scriptable replies, failure injection, and request recording, which
+counts the requests of each path in flight.
 Its chat endpoint ignores "n" and returns one choice unless StubState.choices
 says otherwise.
 It speaks HTTP/1.1 keep-alive and counts the connections it accepts."""
@@ -33,6 +34,10 @@ class StubState:
         self.embed_inputs: list[list[str]] = []  # the texts of each embeddings request
         self.connections = 0
         self.sockets: list[socket.socket] = []
+        # Requests of each path in flight (from a body read to the start of its
+        # response), now and at most.
+        self.in_flight: dict[str, int] = {}
+        self.in_flight_max: dict[str, int] = {}
         # Statuses to emit (and consume) before serving real replies, with these headers.
         self.fail_statuses: list[int] = []
         self.fail_headers: dict[str, str] = {}
@@ -44,6 +49,13 @@ class StubState:
     def record(self, path: str, headers: dict, body: dict) -> None:
         with self.lock:
             self.requests.append((path, headers, body))
+            self.in_flight[path] = self.in_flight.get(path, 0) + 1
+            self.in_flight_max[path] = max(self.in_flight_max.get(path, 0),
+                                           self.in_flight[path])
+
+    def answered(self, path: str) -> None:
+        with self.lock:
+            self.in_flight[path] -= 1
 
     def next_failure(self) -> int | None:
         with self.lock:
@@ -86,6 +98,7 @@ class StubState:
 class _Handler(BaseHTTPRequestHandler):
     state: StubState
     protocol_version = "HTTP/1.1"  # keep-alive, so connection reuse is observable
+    recorded = False  # a request of this connection is in flight
 
     def setup(self) -> None:
         super().setup()
@@ -96,6 +109,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, *args) -> None:  # keep test output quiet
         pass
+
+    def send_response(self, code: int, message: str | None = None) -> None:
+        # A request leaves flight before its response starts, so a client that
+        # has read the response never finds it still counted.
+        if self.recorded:
+            self.state.answered(self.path)
+            self.recorded = False
+        super().send_response(code, message)
 
     def _send_json(self, status: int, obj: dict, headers: dict[str, str] | None = None) -> None:
         data = json.dumps(obj).encode("utf-8")
@@ -112,6 +133,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length) or b"{}")
         headers = {k: v for k, v in self.headers.items()}
         self.state.record(self.path, headers, body)
+        self.recorded = True
 
         if self.state.next_truncation():
             self.send_response(200)

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -149,6 +150,30 @@ class TestVerifyCommand:
         assert len(stub.state.requests) == requests
         for name, data in first.items():
             assert (tmp_path / "out" / name).read_bytes() == data
+
+    def test_requests_in_flight_stay_within_max_concurrency(self, stub, tmp_path, prompt_file):
+        # One endpoint serves both stages, so they share one session and its
+        # connections. Each body parse frees its request slot, and still no
+        # more than max_concurrency requests are ever in flight.
+        stub.state.choices = "n"
+        stub.state.chat_replies = [f"reply {i}" for i in range(40)]
+
+        def embed_fn(text, model):
+            time.sleep(0.005)  # 20 ms per request of 4 texts, so requests overlap
+            return mock_embed(text, 64, 0).tolist()
+
+        stub.state.embed_fn = embed_fn
+        endpoint = {"base_url": stub.url, "timeout": 5, "max_retries": 1, "backoff_base": 0.001}
+        config = write_config(tmp_path, stub, k=40, max_concurrency=2, embedding={
+            "kind": "http", "model_id": "stub-embed", **endpoint})
+        cfg = load_config(config)
+        assert cfg.generation.provider == cfg.embedding.provider
+        assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 2
+        assert stub.state.embed_calls == 40 // EMBED_BATCH
+        in_flight = stub.state.in_flight_max
+        assert in_flight["/embeddings"] == 2
+        assert in_flight["/chat/completions"] <= 2
+        assert stub.state.connections <= 2
 
     def test_reply_with_no_token_is_embedded_and_cached(self, stub, tmp_path, prompt_file):
         # The mock embedder refuses only what complete_once never stores.
@@ -358,10 +383,10 @@ class TestLoadConfig:
     def test_bad_sampling_settings_rejected(self, stub, tmp_path, prompt_file, capsys, given):
         with pytest.raises(ConfigError):
             self._load(tmp_path, stub, **given)
-        args = ["verify", "--config", str(tmp_path / "config.json"), "--prompt",
-                str(prompt_file)]
+        config = tmp_path / "config.json"
+        args = ["verify", "--config", str(config), "--prompt", str(prompt_file)]
         assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error: invalid config:")
+        assert capsys.readouterr().err.startswith(f"error: invalid config {config}: ")
         assert stub.state.requests == []
 
     @pytest.mark.parametrize("given", [
@@ -372,7 +397,7 @@ class TestLoadConfig:
         {"eval": {"polarity": ["low_score_flags"]}}, {"generation": "gpt"},
         {"embedding": {"kind": "mock", "base_url": "http://localhost:1"}},
         {"embedding": {"kind": "foo"}}, {"embedding": {"kind": "http"}},
-        {"embedding": {"kind": "http", "base_url": "http://127.0.0.1:9"}},
+        {"embedding": {"kind": "http", "base_url": "http://127.0.0.1:9"}}, {"k": 1},
     ])
     def test_bad_run_settings_rejected_before_any_request(self, stub, tmp_path, prompt_file,
                                                           capsys, given):
@@ -383,10 +408,11 @@ class TestLoadConfig:
             load_config(config)
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid config:")
+        assert err.startswith(f"error: invalid config {config}: ")
         if given.get("embedding", {}).get("kind") == "http":
             missing = [key for key in ("base_url", "model_id") if key not in given["embedding"]]
-            assert err == f"error: invalid config: http embedder needs {' and '.join(missing)}\n"
+            assert err == (f"error: invalid config {config}: http embedder needs "
+                           f"{' and '.join(missing)}\n")
         assert stub.state.requests == []
 
     @pytest.mark.parametrize("section, given, key", [
@@ -404,7 +430,7 @@ class TestLoadConfig:
         (obj.setdefault(section, {}) if section else obj).update(given)
         config.write_text(json.dumps(obj))
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
-        assert capsys.readouterr().err == f"error: invalid config: unknown key {key}\n"
+        assert capsys.readouterr().err == f"error: invalid config {config}: unknown key {key}\n"
         assert stub.state.requests == []
 
     @pytest.mark.parametrize("given, repeat, key", [
@@ -423,7 +449,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"duplicate key {key}$"):
             load_config(config)
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
-        assert capsys.readouterr().err == f"error: invalid config: duplicate key {key}\n"
+        assert capsys.readouterr().err == (
+            f"error: invalid config {config}: duplicate key {key}\n")
         assert stub.state.requests == []
 
     @pytest.mark.parametrize("obj, key", [
@@ -441,7 +468,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"missing key {key}$"):
             load_config(config)
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
-        assert capsys.readouterr().err == f"error: invalid config: missing key {key}\n"
+        assert capsys.readouterr().err == f"error: invalid config {config}: missing key {key}\n"
         assert stub.state.requests == []
 
     def test_equal_keys_of_two_sections_load(self, stub, tmp_path):
@@ -504,7 +531,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(config)
         assert main(["verify", "--config", str(config), "--prompt", str(prompt_file)]) == 1
-        assert capsys.readouterr().err.startswith("error: invalid config:")
+        assert capsys.readouterr().err.startswith(f"error: invalid config {config}: ")
         assert stub.state.requests == []
 
     @pytest.mark.parametrize("nulls", [False, True], ids=["absent", "null"])
@@ -932,8 +959,9 @@ class TestEvalCommand:
                      "--scheme", "checkembed", "--task", "ragtruth"])
         assert code == 1
         name = next(iter(setting))
-        expected = (f"error: invalid config: eval.{name}: expected one of " if name == "statistic"
-                    else f"error: invalid config: unknown key eval.{name}\n")
+        expected = f"error: invalid config {config}: " + (
+            f"eval.{name}: expected one of " if name == "statistic"
+            else f"unknown key eval.{name}\n")
         assert capsys.readouterr().err.startswith(expected)
         assert list(tmp_path.glob("cache/embeddings/**/*.npy")) == []
         assert stub.state.requests == []
@@ -981,6 +1009,8 @@ class TestErrorsBeforeAnyRequest:
                  "--task", "ragtruth" if case == "judge-ragtruth" else "wikibio"])
         assert main(argv) == 1
         cause = cause.format(prompt=prompt_file, dataset=dataset, gt=gt)
+        if case == "measure-dot":
+            cause = f"invalid config {config}: {cause}"
         assert capsys.readouterr().err == f"error: {cause}\n"
         assert stub.state.requests == []
         assert sorted(tmp_path.iterdir()) == before
@@ -1516,7 +1546,7 @@ runpy.run_module("samplecheck.cli", run_name="__main__", alter_sys=True)
             if warm:  # no embeddings request, no decoder
                 assert threads == []
             else:
-                assert threads == [1] * len(threads) and 1 <= len(threads) <= concurrency
+                assert threads == [1] * len(threads) and 1 <= len(threads) <= 2 * concurrency
             for pid in pids:  # each decoder was reaped before the command exited
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)

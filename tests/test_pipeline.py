@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -714,6 +715,49 @@ class TestCachedBatches:
             assert len(calls) <= 2 * workers
             assert stored == {key: f"v{key}" for batch in calls for key in batch if key != 0}
 
+    def test_a_worker_waiting_for_a_slot_at_an_interrupt_never_calls(self, monkeypatch):
+        # One slot and two threads: when the first store raises Interrupt, one
+        # call holds the slot and another batch's worker waits for it.
+        calls, stored, started = [], {}, []
+        release = threading.Event()
+
+        class Pool(ThreadPoolExecutor):
+            """The pool of _cached_batches, noting each batch a worker starts on."""
+
+            def submit(self, fn, batch, *args):
+                def noted():
+                    started.append(batch)
+                    return fn(batch, *args)
+                return super().submit(noted)
+
+            def shutdown(self, *args, **kwargs):
+                release.set()  # the calling thread has left its loop
+                super().shutdown(*args, **kwargs)
+
+        def call(batch):
+            calls.append(batch)
+            if batch != (0,):
+                release.wait(10)
+            return list(batch)
+
+        def store(key, value):
+            if key == 0:
+                deadline = time.monotonic() + 10
+                while (len(calls), len(started)) != (2, 3) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise self.Interrupt
+            stored[key] = value
+
+        monkeypatch.setattr("samplecheck.pipeline.ThreadPoolExecutor", Pool)
+        outcome = self._in_thread(lambda: _cached_batches(
+            "embed", range(4), {}.get, 1, call, store, 1,
+            finish=lambda batch, keys: [f"v{key}" for key in keys]))
+        assert isinstance(outcome["error"], self.Interrupt)
+        assert len(started) == 3  # the fourth batch never left the queue
+        [first, (key,)] = calls  # the third started batch never called
+        assert first == (0,)
+        assert stored == {key: f"v{key}"}  # the call that was running finished and is stored
+
     class Interrupt(BaseException):
         """A KeyboardInterrupt of the calling thread, raised by a store."""
 
@@ -728,9 +772,10 @@ class TestCachedBatches:
         st.integers(1, 5))
 
     @staticmethod
-    def _model(keys, cached, size, answer):
+    def _model(keys, cached, size, answer, unfinished):
         """A sequential _cached_batches: every call in order, the values stored,
-        and each key whose batch failed with the kind of its failure."""
+        and each key whose batch failed with the kind of its failure. A batch
+        whose first key is in unfinished fails in its finish, once called."""
         missing = [key for key in dict.fromkeys(keys) if key not in cached]
         calls, stored, failed = [], {}, {}
         for i in range(0, len(missing), size):
@@ -738,6 +783,8 @@ class TestCachedBatches:
             while batch:
                 calls.append(batch)
                 kind, m = answer[batch[0]]
+                if kind == "part" and batch[0] in unfinished:
+                    kind = "error"
                 if kind != "part":
                     failed.update(dict.fromkeys(batch, kind))
                     break
@@ -755,16 +802,28 @@ class TestCachedBatches:
         size = data.draw(st.integers(1, 5), label="size")
         workers = data.draw(st.integers(1, 4), label="workers")
         answer = {key: data.draw(self.ANSWERS, label=f"answer {key}") for key in distinct}
+        # With a finish, a call answers the keys of its values, and the finish
+        # turns them into values, or raises for a batch whose first key is unfinished.
+        finishing = data.draw(st.booleans(), label="finish")
+        unfinished = data.draw(st.sets(st.sampled_from(distinct)) if finishing and distinct
+                               else st.just(set()), label="unfinished")
         # The store that raises Interrupt instead of storing, if there are that many.
         interrupt = data.draw(st.none() | st.integers(0, 4), label="interrupt")
-        lock, calls, in_flight, stores = threading.Lock(), [], [0, 0], []
+        lock, calls, stores = threading.Lock(), [], []
+        in_flight = {"call": 0, "finish": 0}  # now, for each step
+        most = {"call": 0, "both": 0}  # at most: calls, and calls and finishes together
         answered, interrupted = [], []  # keys of every answer; (calls started, key) at the interrupt
+
+        def running(step, change):
+            with lock:
+                in_flight[step] += change
+                most["call"] = max(most["call"], in_flight["call"])
+                most["both"] = max(most["both"], in_flight["call"] + in_flight["finish"])
 
         def call(batch):
             with lock:
                 calls.append(batch)
-                in_flight[0] += 1
-                in_flight[1] = max(in_flight[1], in_flight[0])
+            running("call", 1)
             try:
                 time.sleep(0.001)  # lets the other workers' calls overlap this one
                 kind, m = answer[batch[0]]
@@ -772,13 +831,26 @@ class TestCachedBatches:
                     raise RuntimeError("injected")
                 if kind == "fatal":
                     raise self.Fatal("injected")
-                values = [f"v{key}" for key in batch[:m]] if kind == "part" else []
+                keys = list(batch[:m]) if kind == "part" else []
+                if finishing:
+                    return keys
                 with lock:
-                    answered.extend(batch[:len(values)])
-                return values
+                    answered.extend(keys)
+                return [f"v{key}" for key in keys]
             finally:
+                running("call", -1)
+
+        def finish(batch, keys):
+            running("finish", 1)
+            try:
+                time.sleep(0.001)  # lets calls overlap this finish
+                if batch[0] in unfinished:
+                    raise RuntimeError("injected in finish")
                 with lock:
-                    in_flight[0] -= 1
+                    answered.extend(keys)
+                return [f"v{key}" for key in keys]
+            finally:
+                running("finish", -1)
 
         def store(key, value):
             if len(stores) == interrupt and not interrupted:
@@ -791,11 +863,14 @@ class TestCachedBatches:
 
         def run():
             callers.append(threading.get_ident())
-            return _cached_batches("generate", keys, cached.get, size, call, store, workers)
+            return _cached_batches("generate", keys, cached.get, size, call, store, workers,
+                                   finish=finish if finishing else None)
 
         outcome = self._in_thread(run)
-        model_calls, model_stored, failed = self._model(keys, cached, size, answer)
-        assert in_flight[1] <= workers
+        model_calls, model_stored, failed = self._model(keys, cached, size, answer, unfinished)
+        # At most workers calls in flight; finishes run beside them on the spare threads.
+        assert most["call"] <= workers
+        assert most["both"] <= (2 * workers if finishing else workers)
         # Each answered key is stored once, on the thread that called _cached_batches.
         assert {thread for thread, _, _ in stores} <= set(callers)
         stored = sorted((key, value) for _, key, value in stores)
@@ -901,14 +976,24 @@ REPEATED = [*DISTINCT[:EMBED_BATCH + 1], DISTINCT[0], DISTINCT[-1], DISTINCT[EMB
 
 @pytest.fixture(params=["mock", "stub"])
 def recorded(request, monkeypatch):
-    """An embedder, with the batches its embed is called with and the texts the
-    store is asked for; fail_second() makes its second batch fail."""
+    """An embedder, with the batches it sends (its embed's calls for the mock, its
+    request half's for the stub) and the texts the store is asked for;
+    fail_second() makes its second batch fail."""
     rec = SimpleNamespace(batches=[], loads=[], failing=False)
     if request.param == "mock":
         rec.cfg = EmbedderConfig(kind="mock", dim=64, seed=0)
         rec.vector = lambda text: mock_embed(text, 64, 0).tolist()
         rec.fail_second = lambda: setattr(rec, "failing", True)
         rec.sent = rec.batches  # the mock's requests are its embed calls
+        embed = EmbedderConfig.embed
+
+        def recording_embed(self, texts):
+            rec.batches.append(list(texts))
+            if rec.failing and len(rec.batches) == 2:
+                raise RuntimeError("injected failure")
+            return embed(self, texts)
+
+        monkeypatch.setattr(EmbedderConfig, "embed", recording_embed)
     else:
         stub = request.getfixturevalue("stub")
         rec.vector = lambda text: [1.0, float(DISTINCT.index(text)), 0.0, 0.0]
@@ -916,19 +1001,19 @@ def recorded(request, monkeypatch):
         rec.cfg = http_embedder(stub)
         rec.fail_second = lambda: fail_requests(stub, {2})
         rec.sent = stub.state.embed_inputs
-    embed, load = EmbedderConfig.embed, _Cache.load_embedding
+        post = providers.post_embeddings
 
-    def recording_embed(self, texts):
-        rec.batches.append(list(texts))
-        if rec.failing and len(rec.batches) == 2:
-            raise RuntimeError("injected failure")
-        return embed(self, texts)
+        def recording_post(texts, cfg, model_id):
+            rec.batches.append(list(texts))
+            return post(texts, cfg, model_id)
+
+        monkeypatch.setattr(providers, "post_embeddings", recording_post)
+    load = _Cache.load_embedding
 
     def recording_load(self, model_id, text):
         rec.loads.append(text)
         return load(self, model_id, text)
 
-    monkeypatch.setattr(EmbedderConfig, "embed", recording_embed)
     monkeypatch.setattr(_Cache, "load_embedding", recording_load)
     return rec
 
