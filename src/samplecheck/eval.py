@@ -20,7 +20,7 @@ import numpy as np
 
 from . import document
 from .errors import SampleCheckError
-from .providers import EmbedderConfig
+from .providers import mock_embed
 from .scorematrix import build_matrix, summarize
 from .vectors import ConstantSequence, Embedding, LengthMismatch, pearson, spearman
 
@@ -306,9 +306,8 @@ def corruption_corpus(
 
 def mock_scorer(dim: int = 4096, seed: int = 0, statistic: str = "mean_offdiag") -> RecordScorer:
     """Stability scorer of sample texts, embedded by the deterministic offline embedder."""
-    embed = EmbedderConfig(dim=dim, seed=seed).embed
     score = stability_scorer("cosine", statistic)
-    return lambda samples: score(embed(samples))
+    return lambda samples: score([mock_embed(t, dim, seed) for t in samples])
 
 
 # ---------------------------------------------------------------------------

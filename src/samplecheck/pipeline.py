@@ -76,10 +76,7 @@ STAGE_EMBED = "embed"
 # Texts per embeddings request. Parsing one 4096-value item of a response
 # holds about 290 KB of transient Python objects, in the decoder process that
 # parses it (see providers.parse_embeddings), so a decoder's peak memory grows
-# with this value. When bodies were still parsed in the command's own process,
-# with 2 requests in flight, a cold verify peaked about 3% above one text per
-# request at 4, and 8% above at 8 (2-vCPU Xeon, d=4096); in a decoder that
-# share of memory is no longer the command's.
+# with this value.
 EMBED_BATCH = 4
 
 # Most samples one chat request asks for (its "n"). verify asks for
@@ -99,8 +96,8 @@ class PartialFailure(SampleCheckError):
 
     failures maps every sample index ("gt" for the ground truth) the failed
     calls covered to the error; a chat request covers every index it asked a
-    choice for, and an embeddings request covers every index whose text was in
-    its batch. The run aborts rather
+    choice for, an embeddings request covers every index whose text was in its
+    batch, and a blank text covers only its own. The run aborts rather
     than shrinking k: a silently smaller sample count would change the meaning
     of the confidence statistics.
     """
@@ -420,15 +417,24 @@ def embed_cached(
     Misses go out EMBED_BATCH per request, up to the endpoint's max_concurrency
     requests at a time (the mock embedder runs serially); see _cached_batches.
     An http endpoint's bodies are parsed as its finish, so a request slot is
-    free again as soon as its body has been read.
+    free again as soon as its body has been read. Blank (empty or whitespace
+    only) texts are refused before anything is loaded or sent: PartialFailure
+    names exactly their positions, all with one EmptyText.
     """
+    blank = [i for i, text in enumerate(texts) if not text.strip()]
+    if blank:
+        raise PartialFailure(STAGE_EMBED, dict.fromkeys(
+            blank, providers.EmptyText("cannot embed empty text")))
     mock = embed_cfg.kind == "mock"
     cache = _Cache(Path(cache_dir), mock=mock)
     model_id = embed_cfg.effective_model_id
     load = functools.partial(cache.load_embedding, model_id)
     store = functools.partial(cache.store_embedding, model_id)
     if mock:
-        return _cached_batches(STAGE_EMBED, texts, load, EMBED_BATCH, embed_cfg.embed, store, 1)
+        return _cached_batches(
+            STAGE_EMBED, texts, load, EMBED_BATCH,
+            lambda batch: [providers.mock_embed(t, embed_cfg.dim, embed_cfg.seed) for t in batch],
+            store, 1)
     provider = embed_cfg.provider
     return _cached_batches(
         STAGE_EMBED, texts, load, EMBED_BATCH,

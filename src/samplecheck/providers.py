@@ -2,14 +2,15 @@
 
 All model access in the repo flows through this module. One record describes
 each kind of request: a GeneratorConfig is a chat request, and an
-EmbedderConfig is a batch embedder (an HTTP endpoint or the mock). The wire
-protocol is JSON-over-HTTP with chat-completions-shaped generation requests and
-embeddings-shaped embedding requests (list input, one item per text); API keys
-are read from environment variables only and never appear in config files or
-logs. Every request to one endpoint goes through that endpoint's keep-alive
-session, whose connection pool holds max_concurrency connections. Embeddings
-responses are parsed in forked decoder processes (see parse_embeddings), chat
-responses in the thread that read them.
+EmbedderConfig names an embedder (an HTTP endpoint or the mock) that
+pipeline.embed_cached runs. The wire protocol is JSON-over-HTTP with
+chat-completions-shaped generation requests and embeddings-shaped embedding
+requests (list input, one item per text); API keys are read from environment
+variables only and never appear in config files or logs. Every request to one
+endpoint goes through that endpoint's keep-alive session, whose connection
+pool holds max_concurrency connections. Embeddings responses are parsed in
+forked decoder processes (see parse_embeddings), chat responses in the thread
+that read them.
 """
 
 from __future__ import annotations
@@ -182,12 +183,6 @@ class EmbedderConfig:
         if self.kind == "mock":
             return mock_model_id(self.dim, self.seed)
         return self.model_id
-
-    def embed(self, texts: Sequence[str]) -> list[Embedding]:
-        """The batch embedder: texts in, embeddings in the same order, in one request."""
-        if self.kind == "mock":
-            return [mock_embed(t, self.dim, self.seed) for t in texts]
-        return embed_many(texts, self.provider, self.model_id)
 
 
 def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:
@@ -366,41 +361,49 @@ def complete_once(prompt: str, gen: GeneratorConfig, n: int = 1) -> list[str]:
     return texts[:leading]
 
 
-def embed_many(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> list[Embedding]:
-    """Embed texts in one request (list input); results follow the input order.
-
-    The response must carry exactly one item per text, indexed 0..n-1 in any
-    order. Every item must pass the Embedding rule (a non-empty list of finite
-    numbers; booleans and numeric strings are not numbers) and have the preset
-    length of the model. This is post_embeddings, then parse_embeddings of its body.
-    """
-    if not texts:
-        return []
-    return parse_embeddings(post_embeddings(texts, cfg, model_id), len(texts), cfg, model_id)
-
-
 def post_embeddings(texts: Sequence[str], cfg: ProviderConfig, model_id: str) -> bytes:
-    """The body of the answer to one embeddings request for texts (see _post);
-    EmptyText, before anything is sent, if a text is empty or all whitespace."""
-    for i, text in enumerate(texts):
-        if not text.strip():
-            raise EmptyText(f"cannot embed empty text (input {i})")
+    """The body of the answer to one embeddings request for texts, in list input
+    form (see _post). pipeline.embed_cached refuses blank texts before it sends."""
     return _post(cfg, "/embeddings", {"model": model_id, "input": list(texts)})
 
 
 def parse_embeddings(content: bytes, count: int, cfg: ProviderConfig,
                      model_id: str) -> list[Embedding]:
-    """The count embeddings of a body post_embeddings returned, by the rules of
-    embed_many. A decoder process parses and checks the body (see _Decoder)
-    while this thread waits without the GIL, so the bodies of concurrent
-    requests are parsed on as many cores."""
-    rows = _decoded(content, _url(cfg, "/embeddings"), count, model_id)
-    return [Embedding(row, model_id=model_id) for row in rows]
+    """The count embeddings of a body post_embeddings returned, in input order.
+
+    The body must carry exactly one item per text, indexed 0..count-1 in any
+    order. Every item must pass the Embedding rule (a non-empty list of finite
+    numbers; booleans and numeric strings are not numbers) and have the preset
+    length of the model; else MalformedResponse or DimMismatch.
+
+    An idle decoder process parses and checks the body (see _Decoder) while
+    this thread waits without the GIL, so the bodies of concurrent requests are
+    parsed on as many cores. If none is idle, as after a decoder died, this
+    thread forks one: the one fork that may happen while other threads run.
+    """
+    url = _url(cfg, "/embeddings")
+    try:
+        decoder = _decoders.get_nowait()
+    except queue.Empty:
+        decoder = _Decoder()
+    try:
+        reply = decoder.ask(content, url, count, model_id)
+    except (OSError, EOFError, pickle.UnpicklingError) as exc:
+        raise DecoderExited(f"the decoder of a response from {url} ended before it "
+                            f"answered (exit code {decoder.close()})") from exc
+    except BaseException:  # an interrupt between request and reply: the decoder is out of step
+        decoder.close()
+        raise
+    _decoders.put(decoder)
+    if isinstance(reply, Exception):
+        raise reply
+    return [Embedding(row, model_id=model_id) for row in reply]
 
 
 def _embedding_rows(content: bytes, url: str, count: int, model_id: str) -> list[np.ndarray]:
     """The values of each embedding of an embeddings response body, in input
-    order; MalformedResponse or DimMismatch if the body breaks a rule of embed_many."""
+    order; MalformedResponse or DimMismatch if the body breaks a rule of
+    parse_embeddings."""
     data = _json_object(content, url).get("data")
     if not isinstance(data, list) or len(data) != count:
         raise MalformedResponse(f"embedding response must hold {count} items in 'data'")
@@ -522,26 +525,6 @@ def _close_decoders() -> None:
         decoder.close()
 
 
-def _decoded(content: bytes, url: str, count: int, model_id: str) -> list[np.ndarray]:
-    """_embedding_rows(content, url, count, model_id), run by an idle decoder."""
-    try:
-        decoder = _decoders.get_nowait()
-    except queue.Empty:
-        decoder = _Decoder()
-    try:
-        reply = decoder.ask(content, url, count, model_id)
-    except (OSError, EOFError, pickle.UnpicklingError) as exc:
-        raise DecoderExited(f"the decoder of a response from {url} ended before it "
-                            f"answered (exit code {decoder.close()})") from exc
-    except BaseException:  # an interrupt between request and reply: the decoder is out of step
-        decoder.close()
-        raise
-    _decoders.put(decoder)
-    if isinstance(reply, Exception):
-        raise reply
-    return reply
-
-
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
@@ -562,9 +545,9 @@ def mock_embed(text: str, dim: int, seed: int = 0) -> Embedding:
     +/-1 sign; token counts accumulate and the result is L2-normalized.
     Identical text always yields the identical vector, and the embedding is
     invariant under token permutation but sensitive to token counts. Like
-    embed_many, it refuses only empty or whitespace-only text: a text with no
-    token (punctuation or non-Latin script alone) gets one bucket derived from
-    its stripped text.
+    pipeline.embed_cached, it refuses only empty or whitespace-only text: a
+    text with no token (punctuation or non-Latin script alone) gets one bucket
+    derived from its stripped text.
     """
     if dim < 8:
         raise ValueError("mock embedding dim must be >= 8")

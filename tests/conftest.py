@@ -4,16 +4,21 @@ with scriptable replies, failure injection, and request recording, which
 counts the requests of each path in flight.
 Its chat endpoint ignores "n" and returns one choice unless StubState.choices
 says otherwise.
-It speaks HTTP/1.1 keep-alive and counts the connections it accepts."""
+It speaks HTTP/1.1 keep-alive and counts the connections it accepts.
+embed_fresh embeds texts through embed_cached on a fresh store."""
 
 from __future__ import annotations
 
 import json
 import socket
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+
+from samplecheck.pipeline import PartialFailure, embed_cached
+from samplecheck.providers import EmbedderConfig, ProviderConfig
 
 
 class StubState:
@@ -208,3 +213,16 @@ def stub():
     server = StubServer()
     yield server
     server.close()
+
+
+def embed_fresh(texts: list[str], provider: ProviderConfig, model_id: str) -> list:
+    """embed_cached of texts by the http embedder model_id at provider, on a new
+    cache directory, so every distinct text is sent; the one error that a
+    PartialFailure holds is raised as itself, with its own type and message."""
+    embedder = EmbedderConfig(kind="http", model_id=model_id, provider=provider)
+    with tempfile.TemporaryDirectory() as cache:
+        try:
+            return embed_cached(texts, embedder, cache)
+        except PartialFailure as exc:
+            [error] = {id(e): e for e in exc.failures.values()}.values()
+            raise error

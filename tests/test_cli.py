@@ -625,6 +625,28 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: record {passages[1].id!r}: ") and "dim 3" in err
 
+    @pytest.mark.parametrize("kind", ["mock", "http"])
+    def test_blank_sample_fails_only_it_before_any_request(self, stub, tmp_path, capsys, kind):
+        records, _ = corruption_corpus(n_levels=3, records_per_level=1, k=3, base_tokens=10,
+                                       seed=2)
+        samples = list(records[1].samples)
+        samples[1] = " \n"
+        records[1] = dataclasses.replace(records[1], samples=tuple(samples))
+        passages = passages_from_sweep_records(records)
+        dataset = tmp_path / "wikibio.jsonl"
+        write_records_jsonl(dataset, passages)
+        embedding = ({"kind": "mock", "dim": 64} if kind == "mock" else
+                     {"kind": "http", "base_url": stub.url, "model_id": "stub-embed",
+                      "timeout": 5, "max_retries": 0})
+        config = write_config(tmp_path, stub, k=3, embedding=embedding)
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--scheme", "checkembed", "--task", "wikibio"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: record {passages[1].id!r}: stage 'embed' failed for indices [1]: "
+            "1: cannot embed empty text\n")
+        assert stub.state.requests == []
+        assert not (tmp_path / "cache" / "embeddings").exists()
+
     @pytest.mark.parametrize("task, line", [
         ("wikibio", '{"id": "x", "sentences": ["A."], "labels": ["accurate"], '
                     '"samples": "hello world"}'),

@@ -976,24 +976,26 @@ REPEATED = [*DISTINCT[:EMBED_BATCH + 1], DISTINCT[0], DISTINCT[-1], DISTINCT[EMB
 
 @pytest.fixture(params=["mock", "stub"])
 def recorded(request, monkeypatch):
-    """An embedder, with the batches it sends (its embed's calls for the mock, its
-    request half's for the stub) and the texts the store is asked for;
-    fail_second() makes its second batch fail."""
+    """An embedder, with the texts of each call it makes (one mock_embed call per
+    text for the mock, one request half's call per batch for the stub), the
+    texts per call, and the texts the store is asked for; fail_second() makes
+    the call for the first text of the second batch fail."""
     rec = SimpleNamespace(batches=[], loads=[], failing=False)
     if request.param == "mock":
         rec.cfg = EmbedderConfig(kind="mock", dim=64, seed=0)
         rec.vector = lambda text: mock_embed(text, 64, 0).tolist()
         rec.fail_second = lambda: setattr(rec, "failing", True)
-        rec.sent = rec.batches  # the mock's requests are its embed calls
-        embed = EmbedderConfig.embed
+        rec.sent = rec.batches  # the mock's requests are its mock_embed calls
+        rec.per_call = 1
+        embed = providers.mock_embed
 
-        def recording_embed(self, texts):
-            rec.batches.append(list(texts))
-            if rec.failing and len(rec.batches) == 2:
+        def recording_embed(text, dim, seed):
+            rec.batches.append([text])
+            if rec.failing and len(rec.batches) == EMBED_BATCH + 1:
                 raise RuntimeError("injected failure")
-            return embed(self, texts)
+            return embed(text, dim, seed)
 
-        monkeypatch.setattr(EmbedderConfig, "embed", recording_embed)
+        monkeypatch.setattr(providers, "mock_embed", recording_embed)
     else:
         stub = request.getfixturevalue("stub")
         rec.vector = lambda text: [1.0, float(DISTINCT.index(text)), 0.0, 0.0]
@@ -1001,6 +1003,7 @@ def recorded(request, monkeypatch):
         rec.cfg = http_embedder(stub)
         rec.fail_second = lambda: fail_requests(stub, {2})
         rec.sent = stub.state.embed_inputs
+        rec.per_call = EMBED_BATCH
         post = providers.post_embeddings
 
         def recording_post(texts, cfg, model_id):
@@ -1022,13 +1025,33 @@ class TestEmbedCached:
     def test_each_distinct_text_loaded_and_sent_once(self, recorded, tmp_path):
         vectors = embed_cached(REPEATED, recorded.cfg, tmp_path)
         assert recorded.loads == DISTINCT
-        assert recorded.batches == [DISTINCT[:EMBED_BATCH], DISTINCT[EMBED_BATCH:]]
+        size = recorded.per_call
+        calls = [DISTINCT[i:i + size] for i in range(0, len(DISTINCT), size)]
+        assert recorded.batches == calls
         assert recorded.sent == recorded.batches
         assert [v.tolist() for v in vectors] == [recorded.vector(t) for t in REPEATED]
 
         again = embed_cached(REPEATED, recorded.cfg, tmp_path)
-        assert recorded.loads == DISTINCT * 2 and len(recorded.batches) == 2
+        assert recorded.loads == DISTINCT * 2 and recorded.batches == calls
         assert [v.tolist() for v in again] == [v.tolist() for v in vectors]
+
+    def test_blank_texts_fail_only_their_positions_before_any_load(self, recorded, tmp_path):
+        texts = [DISTINCT[0], "", DISTINCT[1], " \t\n", DISTINCT[0]]
+        with pytest.raises(PartialFailure) as err:
+            embed_cached(texts, recorded.cfg, tmp_path)
+        assert list(err.value.failures) == [1, 3]
+        assert str(err.value) == "stage 'embed' failed for indices [1, 3]: 1, 3: " \
+                                 "cannot embed empty text"
+        assert recorded.loads == [] and recorded.batches == [] and recorded.sent == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blank_gt_fails_only_gt_before_any_embeddings_request(self, stub, tmp_path):
+        stub.state.chat_replies = ["alpha", "beta", "gamma"]
+        with pytest.raises(PartialFailure) as err:
+            verify("p", " \n", 3, gen_cfg(stub), http_embedder(stub), cache_dir=tmp_path)
+        assert [(key, type(exc)) for key, exc in err.value.failures.items()] \
+            == [("gt", providers.EmptyText)]
+        assert stub.state.embed_calls == 0
 
     def test_failed_batch_names_every_position_of_its_texts(self, recorded, tmp_path):
         recorded.fail_second()

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import embed_fresh
 
 from samplecheck import providers
 from samplecheck.pipeline import (
@@ -33,7 +34,6 @@ from samplecheck.providers import (
     TransportError,
     _embedding_rows,
     complete_once,
-    embed_many,
     mock_embed,
 )
 from samplecheck.vectors import cosine
@@ -185,7 +185,7 @@ class TestGenerateSamples:
         monkeypatch.setenv("TEST_STUB_KEY", "sekrit")
         complete_once("hi", GeneratorConfig(
             model_id="m", provider=cfg_for(stub, api_key_env="TEST_STUB_KEY")))
-        embed_many(["a"], cfg_for(stub), "custom-model")
+        embed_fresh(["a"], cfg_for(stub), "custom-model")
         assert [headers.get("Authorization") for _, headers, _ in stub.state.requests] \
             == ["Bearer sekrit", None]
 
@@ -203,7 +203,7 @@ class TestGenerateSamples:
         cfg = cfg_for(stub, api_key_env="TEST_STUB_KEY")
         with caplog.at_level("DEBUG", logger="samplecheck.providers"):
             complete_once("the-private-prompt-text", GeneratorConfig(model_id="m", provider=cfg))
-            embed_many(["the-private-embed-input"], cfg, "custom-model")
+            embed_fresh(["the-private-embed-input"], cfg, "custom-model")
         messages = [r.getMessage() for r in caplog.records]
         logged = " ".join(messages)
         assert "<redacted>" in logged
@@ -374,30 +374,30 @@ class TestRetryAfter:
 class TestEmbedText:
     def test_fixed_vector(self, stub):
         stub.state.embed_fn = lambda text, model: [0.5, 0.5, 0.0, 0.0]
-        e = embed_many(["hello"], cfg_for(stub), "custom-model")[0]
+        e = embed_fresh(["hello"], cfg_for(stub), "custom-model")[0]
         assert e.dim == 4
         assert e.model_id == "custom-model"
 
     def test_request_shape(self, stub):
-        embed_many(["hello"], cfg_for(stub), "custom-model")[0]
+        embed_fresh(["hello"], cfg_for(stub), "custom-model")[0]
         path, _, body = stub.state.requests[0]
         assert path.endswith("/embeddings")
         assert body == {"model": "custom-model", "input": ["hello"]}
 
     def test_preset_dim_enforced_gpt(self, stub):
         stub.state.embed_fn = lambda text, model: [0.0] * 3071 + [1.0]
-        e = embed_many(["hello"], cfg_for(stub), "gpt-text-embedding-large")[0]
+        e = embed_fresh(["hello"], cfg_for(stub), "gpt-text-embedding-large")[0]
         assert e.dim == 3072
 
     def test_preset_dim_enforced_sfr(self, stub):
         stub.state.embed_fn = lambda text, model: [0.0] * 4095 + [1.0]
-        e = embed_many(["hello"], cfg_for(stub), "sfr-embedding-mistral")[0]
+        e = embed_fresh(["hello"], cfg_for(stub), "sfr-embedding-mistral")[0]
         assert e.dim == 4096
 
     def test_preset_mismatch_raises(self, stub):
         stub.state.embed_fn = lambda text, model: [1.0, 2.0, 3.0]
         with pytest.raises(DimMismatch):
-            embed_many(["hello"], cfg_for(stub), "gpt-text-embedding-large")[0]
+            embed_fresh(["hello"], cfg_for(stub), "gpt-text-embedding-large")[0]
 
     def test_presets_cover_known_models(self):
         assert PRESET_DIMS["gpt-text-embedding-large"] == 3072
@@ -408,14 +408,9 @@ class TestEmbedText:
         assert PRESET_DIMS["stella-en-400m-v5"] == 4096
         assert PRESET_DIMS["clip-vit-large"] == 768
 
-    def test_nonfinite_rejected(self, stub):
-        stub.state.raw_body = b'{"data": [{"index": 0, "embedding": [1.0, "x"]}]}'
-        with pytest.raises(MalformedResponse):
-            embed_many(["hello"], cfg_for(stub), "custom-model")[0]
-
     def test_empty_text(self, stub):
         with pytest.raises(EmptyText):
-            embed_many(["   "], cfg_for(stub), "custom-model")[0]
+            embed_fresh(["   "], cfg_for(stub), "custom-model")[0]
 
 
 def embeddings_body(*items) -> bytes:
@@ -423,57 +418,37 @@ def embeddings_body(*items) -> bytes:
 
 
 class TestEmbedMany:
+    """Several texts through embed_cached's http path: one request, items in input order."""
+
     def test_one_request_in_input_order(self, stub):
         stub.state.embed_fn = lambda text, model: [float(len(text)), 1.0]
-        out = embed_many(["a", "bbb", "cc"], cfg_for(stub), "custom-model")
+        out = embed_fresh(["a", "bbb", "cc"], cfg_for(stub), "custom-model")
         assert [e.values.tolist() for e in out] == [[1.0, 1.0], [3.0, 1.0], [2.0, 1.0]]
         assert all(e.model_id == "custom-model" for e in out)
         assert len(stub.state.requests) == 1
         assert stub.state.requests[0][2] == {"model": "custom-model", "input": ["a", "bbb", "cc"]}
 
     def test_no_texts_no_request(self, stub):
-        assert embed_many([], cfg_for(stub), "custom-model") == []
+        assert embed_fresh([], cfg_for(stub), "custom-model") == []
         assert stub.state.requests == []
 
     def test_shuffled_index_order_restored(self, stub):
         stub.state.raw_body = embeddings_body((2, [2.0, 0.0]), (0, [0.0, 1.0]), (1, [1.0, 0.0]))
-        out = embed_many(["x", "y", "z"], cfg_for(stub), "custom-model")
+        out = embed_fresh(["x", "y", "z"], cfg_for(stub), "custom-model")
         assert [e.values.tolist() for e in out] == [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]]
-
-    @pytest.mark.parametrize("body", [
-        embeddings_body((0, [1.0]), (1, [1.0])),  # two items for three texts
-        embeddings_body((0, [1.0]), (1, [1.0]), (2, [1.0]), (3, [1.0])),  # four
-        embeddings_body((0, [1.0]), (1, [1.0]), (1, [1.0])),  # duplicate index
-        embeddings_body((0, [1.0]), (1, [1.0]), (3, [1.0])),  # index 2 missing
-        b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},'
-        b' {"embedding": [1.0]}]}',  # an item without an index
-        b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},'
-        b' {"index": true, "embedding": [1.0]}]}',  # a boolean is not an index
-        b'{"data": {"0": [1.0]}}',
-        b'{"object": "list"}',
-    ], ids=["too-few", "too-many", "duplicate", "missing", "no-index", "bool-index",
-            "not-a-list", "no-data"])
-    def test_item_set_must_match_inputs(self, stub, body):
-        stub.state.raw_body = body
-        with pytest.raises(MalformedResponse):
-            embed_many(["x", "y", "z"], cfg_for(stub), "custom-model")
 
     def test_one_wrong_length_item(self, stub):
         good = [0.0] * 3072
         stub.state.raw_body = embeddings_body((0, good), (1, good[:-1]), (2, good))
         with pytest.raises(DimMismatch, match="input 1"):
-            embed_many(["x", "y", "z"], cfg_for(stub), "gpt-text-embedding-large")
+            embed_fresh(["x", "y", "z"], cfg_for(stub), "gpt-text-embedding-large")
 
-    @pytest.mark.parametrize("bad", [b'[1.0, "x"]', b"[1.0, NaN]", b'"1.0"'])
-    def test_one_invalid_item(self, stub, bad):
-        stub.state.raw_body = (b'{"data": [{"index": 0, "embedding": [1.0, 0.0]},'
-                               b' {"index": 1, "embedding": ' + bad + b"}]}")
-        with pytest.raises(MalformedResponse, match="embedding 1"):
-            embed_many(["x", "y"], cfg_for(stub), "custom-model")
-
-    def test_empty_text_rejected_before_any_request(self, stub):
-        with pytest.raises(EmptyText, match="input 1"):
-            embed_many(["fine", "  ", "also fine"], cfg_for(stub), "custom-model")
+    def test_empty_text_rejected_before_any_request(self, stub, tmp_path):
+        embedder = EmbedderConfig(kind="http", model_id="custom-model", provider=cfg_for(stub))
+        with pytest.raises(PartialFailure) as err:
+            embed_cached(["fine", "  ", "also fine"], embedder, tmp_path)
+        assert str(err.value) == "stage 'embed' failed for indices [1]: 1: cannot embed empty text"
+        assert [(i, type(exc)) for i, exc in err.value.failures.items()] == [(1, EmptyText)]
         assert stub.state.requests == []
 
 
@@ -488,11 +463,15 @@ MALFORMED_BODIES = [
     b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [NaN]},'
     b' {"index": 2, "embedding": [1.0]}]}',
     embeddings_body((0, [1.0]), (1, "1.0"), (2, [])),
+    embeddings_body((0, [1.0]), (1, [1.0]), (2, [1.0]), (3, [1.0])),
+    embeddings_body((0, [1.0]), (1, [1.0]), (3, [1.0])),
+    b'{"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},'
+    b' {"embedding": [1.0]}]}',
 ]
 
 
 class TestDecoders:
-    """embed_many parses each body in a forked decoder process."""
+    """parse_embeddings parses each body in a forked decoder process."""
 
     def test_vectors_are_json_loads_bit_for_bit(self, stub):
         rng = np.random.default_rng(5)
@@ -500,7 +479,7 @@ class TestDecoders:
                 for _ in range(3)]
         stub.state.raw_body = embeddings_body(*((i, row.tolist()) for i, row in
                                                 [(2, rows[2]), (0, rows[0]), (1, rows[1])]))
-        out = embed_many(["x", "y", "z"], cfg_for(stub), "sfr-embedding-mistral")
+        out = embed_fresh(["x", "y", "z"], cfg_for(stub), "sfr-embedding-mistral")
         parsed = {item["index"]: item["embedding"]
                   for item in json.loads(stub.state.raw_body)["data"]}
         assert [e.values.tobytes() for e in out] == [
@@ -512,7 +491,7 @@ class TestDecoders:
             _embedding_rows(body, stub.url + "/embeddings", 3, "custom-model")
         stub.state.raw_body = body
         with pytest.raises(MalformedResponse) as raised:
-            embed_many(["x", "y", "z"], cfg_for(stub), "custom-model")
+            embed_fresh(["x", "y", "z"], cfg_for(stub), "custom-model")
         assert (type(raised.value), str(raised.value)) == (type(expected.value),
                                                            str(expected.value))
 
@@ -578,7 +557,7 @@ class TestConnections:
         cfg = cfg_for(stub, max_concurrency=1)
         for _ in range(3):
             complete_once("hi", GeneratorConfig(model_id="m", provider=cfg))
-            embed_many(["a", "b"], cfg, "custom-model")
+            embed_fresh(["a", "b"], cfg, "custom-model")
         assert len(stub.state.requests) == 6
         assert stub.state.connections == 1
 

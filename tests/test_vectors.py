@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import embed_fresh
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_providers import cfg_for
 
-from samplecheck.providers import MalformedResponse, embed_many
+from samplecheck.providers import MalformedResponse
 from samplecheck.vectors import (
     ConstantSequence,
     ConstantVector,
@@ -287,6 +288,8 @@ REJECTED = {
     "number-and-huge-int": f"[1.0, {10 ** 400}]",
     "object": '{"0": 1.0}',
     "bare-number": "1.0",
+    "string-among-floats": '[1.0, "x"]',
+    "bare-string": '"1.0"',
 }
 
 # Finite floats, ints within int64 and the edge values named in the README.
@@ -309,11 +312,11 @@ class TestOneNumericRule:
             Embedding(json.loads(text))
 
     @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
-    def test_embed_many_rejects(self, stub, text):
+    def test_embeddings_response_rejects(self, stub, text):
         stub.state.raw_body = (b'{"data": [{"index": 0, "embedding": [1.0, 0.0]},'
                                b' {"index": 1, "embedding": ' + text.encode() + b"}]}")
         with pytest.raises(MalformedResponse, match="embedding 1"):
-            embed_many(["x", "y"], cfg_for(stub), "custom-model")
+            embed_fresh(["x", "y"], cfg_for(stub), "custom-model")
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -322,7 +325,7 @@ class TestOneNumericRule:
         want = np.asarray(values, dtype=np.float64).view(np.uint64)
         text = json.dumps(values)
         stub.state.raw_body = f'{{"data": [{{"index": 0, "embedding": {text}}}]}}'.encode()
-        got = [Embedding(values).values, embed_many(["x"], cfg_for(stub), "m")[0].values]
+        got = [Embedding(values).values, embed_fresh(["x"], cfg_for(stub), "m")[0].values]
         for arr in got:
             assert arr.dtype == np.float64
             assert np.array_equal(arr.view(np.uint64), want)
