@@ -352,10 +352,11 @@ class _Cache:
 
     def load_text(self, index: int) -> str | None:
         """The stored reply; None if there is no file, CorruptCacheEntry if the
-        file is not UTF-8 or holds only whitespace, which no reply can be."""
+        file is not UTF-8 or holds only whitespace, which no reply can be.
+        The bytes are decoded as stored: no newline translation, so "\r" stays."""
         p = self.sample_path(index)
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_bytes().decode("utf-8")
         except FileNotFoundError:
             return None
         except UnicodeDecodeError as exc:

@@ -128,15 +128,12 @@ class SimilarityMatrix:
     def entry_reprs(self) -> list[list[str]]:
         """repr of every entry, the shortest text that parses back to it bit for bit.
 
-        Computed once per matrix and shared by the report and the CSV.
+        Computed once per matrix, one repr per unordered pair, and shared by the
+        report and the CSV.
         """
-        return mirrored(self.entries.tolist(), float.__repr__)
-
-
-def mirrored(rows: list[list], fmt: Callable[..., str]) -> list[list[str]]:
-    """fmt of every cell of a symmetric nested list, called once per unordered pair."""
-    upper = [list(map(fmt, row[i:])) for i, row in enumerate(rows)]
-    return [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(rows))]
+        rows = self.entries.tolist()
+        upper = [list(map(float.__repr__, row[i:])) for i, row in enumerate(rows)]
+        return [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(rows))]
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,10 @@ def summarize(
     offdiag = block[np.triu_indices(r, 1)].tolist()
     mean = math.fsum(offdiag) / len(offdiag)
     std = math.sqrt(math.fsum((v - mean) ** 2 for v in offdiag) / len(offdiag))
-    frob = math.sqrt(math.fsum(v ** 2 for v in block.ravel().tolist())) / r
+    # The block's squares as a multiset (a unit diagonal, each pair twice, as the
+    # matrix is bitwise symmetric): fsum rounds exactly, so the sum is the block's.
+    squares = [v ** 2 for v in offdiag]
+    frob = math.sqrt(math.fsum([1.0] * r + squares + squares)) / r
     gt_alignment: float | None = None
     if matrix.has_gt:
         gt_alignment = math.fsum(matrix.entries[:r, r].tolist()) / r

@@ -1220,6 +1220,24 @@ class TestCacheEntries:
         assert len(stub.state.requests) == requests
         assert path.read_bytes() == damage
 
+    def test_reply_with_carriage_returns_reads_back_as_stored(self, stub, tmp_path):
+        # A newline-translating read would give "\n" back, so a warm rerun would
+        # embed texts the cold run never sent and write another report.
+        replies = ["line one\r\nline two", "third\rreply"]
+        stub.state.choices = "n"
+        stub.state.chat_replies = replies
+        embed = http_embedder(stub)
+        gen = GeneratorConfig(model_id="stub-model", provider=embed.provider)
+        cache = tmp_path / "cache"
+        first = verify("q", None, 3, gen, embed, cache_dir=cache)
+        assert stub.state.embed_inputs == [[replies[0], replies[1]]]
+        stored = _Cache(cache, first.prompt_id)
+        assert [stored.load_text(i) for i in range(3)] == [replies[0], replies[1], replies[0]]
+        requests = len(stub.state.requests)
+        second = verify("q", None, 3, gen, embed, cache_dir=cache)
+        assert len(stub.state.requests) == requests
+        assert report_json_bytes(second) == report_json_bytes(first)
+
     @pytest.mark.parametrize("damage", [b"\xff\xfe", b"", b" \n\t"],
                              ids=["not-utf8", "empty", "whitespace"])
     def test_damaged_reply_raises_naming_the_file(self, stub, tmp_path, damage):

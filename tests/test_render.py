@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from samplecheck.pipeline import VerificationReport, report_json_bytes
-from samplecheck.render import _fills, matrix_to_csv, matrix_to_svg
+from samplecheck.render import _fill_texts, _fills, _texts, matrix_to_csv, matrix_to_svg
 from samplecheck.scorematrix import (
     DEFAULT_THRESHOLDS,
     GT_LABEL,
@@ -205,8 +205,13 @@ class TestCsv:
         assert rebuilt.labels == m.labels
 
 
-def _around(x: float) -> list[float]:
-    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+def _around(x: float, count: int = 1) -> list[float]:
+    """The count doubles below x, x, and the count doubles above it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
 
 
 # Values where formatting or coloring could go wrong: signed zeros, the ends
@@ -218,6 +223,31 @@ SPECIAL = sorted({
       for v in [0.0, 5e-324, 0.125, 0.005, 0.015, 0.995, 0.5, 0.25, *_around(0.6)]),
     -1.0, math.nextafter(-1.0, 0.0), 1.0, math.nextafter(1.0, 0.0),
 })
+
+
+# Inputs of the table lookup's two exact fallbacks and its edges: the doubles
+# around every two-decimal tie, every k / 8 (the exact ties among them),
+# signed zeros, the smallest subnormals, the ends of the range and uniform draws.
+TEXT_VALUES = np.array([
+    *(v for q in range(-100, 100) for v in _around((q + 0.5) / 100, 4)),
+    *(k / 8 for k in range(-8, 9)),
+    0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+    *np.random.default_rng(61).uniform(-1, 1, 20000),
+])
+
+
+class TestCellFormats:
+    def test_texts_equal_two_decimal_format(self):
+        assert _texts(TEXT_VALUES) == [f"{v:.2f}" for v in TEXT_VALUES.tolist()]
+        entries = TEXT_VALUES[:36].reshape(6, 6)
+        assert _texts(entries) == [[f"{v:.2f}" for v in row] for row in entries.tolist()]
+
+    def test_fill_texts_equal_reference_colors(self):
+        assert _fill_texts(TEXT_VALUES) == [reference_cell_color(v) for v in TEXT_VALUES.tolist()]
+        entries = TEXT_VALUES[-36:].reshape(6, 6)
+        assert _fill_texts(entries) == [[reference_cell_color(v) for v in row]
+                                        for row in entries.tolist()]
+
 
 # Strings holding the JSON placeholder's text, as model ids or notes could.
 PROVENANCE = {
@@ -262,6 +292,7 @@ class TestByteIdentity:
     @example(2, False, "cosine", 0, 1.0)
     @example(2, True, "pearson", 1, 1.0)
     @example(256, True, "cosine", 2, 0.5)
+    @example(64, True, "cosine", 3, 0.5)  # the warm benchmark's largest op
     @settings(max_examples=60, deadline=None)
     def test_writers_equal_references(self, k, with_gt, measure, seed, share):
         m = special_matrix(k, with_gt, measure, seed, share)

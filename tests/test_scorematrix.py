@@ -31,6 +31,7 @@ from samplecheck.vectors import (
     pearson,
 )
 from test_acceptance import oracle_cosine, oracle_pearson
+from test_render import special_matrix
 
 
 def embs(rows, model="test"):
@@ -348,11 +349,14 @@ class TestSummarize:
         rng = np.random.default_rng(seed)
         items = random_embeddings(rng, k, dim)
         gt = Embedding(rng.normal(size=dim), model_id="test") if with_gt else None
-        m = build_matrix(items, gt, measure)
-        s = summarize(m)
-        assert (s.frobenius_normalized, s.mean_offdiag, s.std_offdiag, s.gt_alignment) == (
-            reference_summary(m)
-        )
+        built = build_matrix(items, gt, measure)
+        # Half of this one's pairs are SPECIAL values: signed zeros, subnormals, ties.
+        special = special_matrix(k, with_gt, measure, seed, 0.5)
+        for m in (built, special):
+            s = summarize(m)
+            assert (s.frobenius_normalized, s.mean_offdiag, s.std_offdiag, s.gt_alignment) == (
+                reference_summary(m)
+            )
 
     def test_degenerate(self):
         m = SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), ("0", "GT"), "cosine")
